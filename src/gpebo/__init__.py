@@ -4,7 +4,7 @@ The observer runs a copy of the plant alongside its transition matrix,
 reduces state reconstruction to estimating the constant initial mismatch
 between copy and plant, and recovers the state algebraically from the
 estimate.  The package bundles the plant/scenario definitions, the
-fixed-step integrator, gradient and decoupled (regressor-mixing)
+three-pass fixed-step integrator, gradient and decoupled (regressor-mixing)
 estimators, excitation diagnostics, closed-form reference solutions, and
 a CLI that renders sweep reports.
 """
@@ -35,15 +35,7 @@ from .drem import (
     extend_regressor,
     mix,
 )
-from .integrate import (
-    CoupledState,
-    DivergenceError,
-    Histories,
-    SimulationResult,
-    rhs,
-    rk4_step,
-    simulate,
-)
+from .integrate import DivergenceError, SimulationResult, simulate
 from .excitation import (
     DelayRateError,
     ExcitationReport,
@@ -78,12 +70,8 @@ __all__ = [
     "extend_regressor",
     "mix",
     "drem_update",
-    "CoupledState",
-    "Histories",
     "SimulationResult",
     "DivergenceError",
-    "rhs",
-    "rk4_step",
     "simulate",
     "ExcitationReport",
     "DelayRateError",

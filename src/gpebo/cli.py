@@ -13,12 +13,16 @@ problem, 3 simulation divergence, 4 output file problem.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import dataclass, fields, replace
 from typing import Optional
 
+import numpy as np
+
 from .excitation import pe_check
+from .history import TrajectoryHistory
 from .integrate import DivergenceError, simulate
 from .model import builtin_scenario
 from .report import (
@@ -62,18 +66,22 @@ class RunConfig:
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if not self.gammas:
             raise ConfigError("at least one gamma is required")
-        if any(not g > 0.0 for g in self.gammas):
-            raise ConfigError("gamma values must be positive")
-        if not self.step > 0.0:
-            raise ConfigError("step must be positive")
-        if not self.horizon > 0.0:
-            raise ConfigError("horizon must be positive")
+        if any(not 0.0 < g < math.inf for g in self.gammas):
+            raise ConfigError("gamma values must be positive and finite")
+        if not 0.0 < self.step < math.inf:
+            raise ConfigError("step must be positive and finite")
+        if not 0.0 < self.horizon < math.inf:
+            raise ConfigError("horizon must be positive and finite")
         if self.step > self.horizon:
             raise ConfigError("step must not exceed horizon")
-        if not self.pe_window > 0.0:
-            raise ConfigError("pe-window must be positive")
-        if not self.pe_floor > 0.0:
-            raise ConfigError("pe-floor must be positive")
+        if not 0.0 < self.pe_window < math.inf:
+            raise ConfigError("pe-window must be positive and finite")
+        if not 0.0 < self.pe_floor < math.inf:
+            raise ConfigError("pe-floor must be positive and finite")
+        # the scan needs one whole window on the grid t_k = k * step
+        grid_end = max(1, round(self.horizon / self.step)) * self.step
+        if self.pe_report and self.pe_window > min(self.horizon, grid_end):
+            raise ConfigError(f"pe-window {self.pe_window:g} exceeds the horizon {self.horizon:g}")
         for name in ("x0", "xi0", "theta0"):
             vec = getattr(self, name)
             if vec is not None and len(vec) != 2:
@@ -249,9 +257,11 @@ def run(config: RunConfig) -> RunResult:
         print(f"wrote {config.svg}")
     if config.pe_report:
         first = result.ordered()[0][1]
+        # scan the delayed regressor psi = C(phi) Phi(phi) the estimator saw:
+        # one-row output maps read through a unit C
         report = pe_check(
-            first.phi_history(),
-            first.scenario.system.C,
+            TrajectoryHistory.from_grid(first.t, first.psi[:, None, :]),
+            lambda s: np.ones((1, 1)),
             config.pe_window,
             config.pe_floor,
         )

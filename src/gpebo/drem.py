@@ -14,7 +14,6 @@ gamma * Delta * (Y_mixed_i - Delta * theta_hat_i), Delta = det(M).  Each
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -58,71 +57,56 @@ def extend_regressor(
     config: DremConfig,
     hist_psi: TrajectoryHistory,
     hist_y: TrajectoryHistory,
-    current: Optional[tuple] = None,
 ):
     """Stack (psi, y_reg) at t and at each lag t - d.
 
     Rows whose lagged time predates the recorded history are zero-filled,
     which leaves the mixed determinant at zero until every lag is covered.
-    ``current`` optionally supplies the live (psi, y_reg) pair for times
-    beyond the last recorded node, as happens at intermediate integrator
-    stages.  Returns the pair (M, Y_stack) with M of shape (k, n).
+    The history must reach t.  Returns the pair (M, Y_stack) with M of
+    shape (k, n).
     """
     lags = (0.0,) + config.ext_delays
-    k = len(lags)
     t0 = hist_psi.t0
-    latest = hist_psi.t_latest
-    rows = []
-    ys = []
-    for d in lags:
+    M = np.zeros((len(lags), hist_psi.sample(t0).shape[0]))
+    Y = np.zeros(len(lags))
+    for i, d in enumerate(lags):
         s = t - d
-        if s < t0:
-            rows.append(None)
-            ys.append(0.0)
-        elif s > latest:
-            if current is None:
-                raise ValueError(
-                    f"lagged time {s} beyond recorded history and no live sample given"
-                )
-            rows.append(np.asarray(current[0], dtype=float))
-            ys.append(float(current[1]))
-        else:
-            rows.append(hist_psi.sample(s))
-            ys.append(float(hist_y.sample(s)))
-    n = next(r.shape[0] for r in rows if r is not None)
-    M = np.zeros((k, n))
-    for i, r in enumerate(rows):
-        if r is not None:
-            M[i] = r
-    return M, np.array(ys)
+        if s >= t0:
+            M[i] = hist_psi.sample(s)
+            Y[i] = hist_y.sample(s)
+    return M, Y
 
 
 def adjugate(M: np.ndarray) -> np.ndarray:
     """Adjugate (transposed cofactor matrix); satisfies adj(M) M = det(M) I.
 
+    ``M`` is one square matrix or a stack of them on the leading axes.
     Sizes up to 3 use closed-form cofactors; larger well-conditioned
     matrices go through det(M) inv(M), with a minor-expansion fallback
     when M is singular.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError("adjugate requires a square matrix")
-    n = M.shape[0]
+    n = M.shape[-1]
     if n == 1:
-        return np.array([[1.0]])
-    if n == 2:
-        return np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]])
-    if n == 3:
-        a, b, c = M[0]
-        d, e, f = M[1]
-        g, h, i = M[2]
-        return np.array(
-            [
+        return np.ones_like(M)
+    if n <= 3:
+        # entry (r, c) of every matrix in the stack is P[r][c]
+        P = np.moveaxis(M, (-2, -1), (0, 1))
+        if n == 2:
+            (a, b), (c, d) = P
+            cof = [[d, -b], [-c, a]]
+        else:
+            (a, b, c), (d, e, f), (g, h, i) = P
+            cof = [
                 [e * i - f * h, c * h - b * i, b * f - c * e],
                 [f * g - d * i, a * i - c * g, c * d - a * f],
                 [d * h - e * g, b * g - a * h, a * e - b * d],
             ]
-        )
+        return np.moveaxis(np.array(cof), (0, 1), (-2, -1))
+    if M.ndim > 2:
+        return np.array([adjugate(m) for m in M.reshape(-1, n, n)]).reshape(M.shape)
     det = np.linalg.det(M)
     scale = np.abs(M).max()
     if scale > 0 and abs(det) > 1e-12 * scale**n:
@@ -137,29 +121,23 @@ def adjugate(M: np.ndarray) -> np.ndarray:
     return adj
 
 
-def _det(M: np.ndarray) -> float:
-    n = M.shape[0]
-    if n == 1:
-        return float(M[0, 0])
-    if n == 2:
-        return float(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
-    if n == 3:
-        a, b, c = M[0]
-        d, e, f = M[1]
-        g, h, i = M[2]
-        return float(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
-    return float(np.linalg.det(M))
+def mix(M: np.ndarray, Y_stack: np.ndarray, t=0.0) -> MixedRegression:
+    """Premultiply the stacked regression by adj(M) to decouple it.
 
-
-def mix(M: np.ndarray, Y_stack: np.ndarray, t: float = 0.0) -> MixedRegression:
-    """Premultiply the stacked regression by adj(M) to decouple it."""
+    ``M`` (k, k) and ``Y_stack`` (k,) may carry matching leading axes, for
+    instance one per stage time of a run; ``t`` then holds those times and
+    the result's fields gain the same leading axes.
+    """
     M = np.asarray(M, dtype=float)
     Y_stack = np.asarray(Y_stack, dtype=float)
-    if M.shape[0] != M.shape[1]:
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError("mixing requires a square stacked regressor")
-    if Y_stack.shape != (M.shape[0],):
+    if Y_stack.shape != M.shape[:-1]:
         raise ValueError("Y_stack length must match the stacked regressor")
-    return MixedRegression(t=t, Delta=_det(M), Y_mixed=adjugate(M) @ Y_stack)
+    adj = adjugate(M)
+    # det(M) by cofactor expansion along the first row
+    Delta = (M[..., 0, :] * adj[..., :, 0]).sum(axis=-1)
+    return MixedRegression(t=t, Delta=Delta, Y_mixed=(adj @ Y_stack[..., None])[..., 0])
 
 
 def drem_update(mixed: MixedRegression, theta_hat: np.ndarray, gamma: float) -> np.ndarray:

@@ -1,30 +1,44 @@
 """Fixed-step integration of the plant, observer copy, and estimator.
 
-One classical fourth-order Runge-Kutta step advances the coupled state
-(x, xi, Phi, theta_hat) on a uniform grid.  Delayed regression lookups are
-served from the trajectory histories recorded at accepted grid nodes; when
-an intermediate stage needs values beyond the last accepted node (possible
-only for delays shorter than the step) the stage's own values are used.
+A run is three passes over the uniform grid t_k = k h:
 
-Because x, xi, and the columns of Phi are advanced by exactly the same
-linear recursion, the identity xi - x = Phi (xi(0) - x(0)) holds at the
-grid nodes to rounding error regardless of step size, and so does the
-regression identity built from interpolated history values.
+1. plant: Z = [x | xi | Phi] obeys Z' = A(t) Z + [Bu Bu 0], which never
+   sees the estimator; the pass keeps node values and node derivatives;
+2. regression: psi = (C(phi) Phi(phi))^T and y_reg = C(phi) (xi - x)(phi)
+   at every stage time (for DREM also at each stage time minus each lag,
+   zero before t = 0), each looked up in the cubic Hermite interpolant of
+   the plant nodes, which keeps the estimator fourth-order;
+3. estimator: theta_hat alone, theta_hat' = v(s) - M(s) theta_hat with
+   M = Gamma psi psi^T (gradient) or M = gamma Delta^2 I (DREM).
+
+x, xi and the columns of Phi share one linear recursion, so
+xi - x = Phi (xi(0) - x(0)) holds at the nodes to rounding for any step;
+the lookup is linear in the node data, so y_reg = psi . theta holds too.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .drem import DremConfig, default_ext_delays, drem_update, extend_regressor, mix
+# extend_regressor is not called here (lagged rows come from the Hermite
+# lookup); perfbench/tracer.py wraps it on this module with the other laws.
+from .drem import (  # noqa: F401
+    MixedRegression,
+    default_ext_delays,
+    drem_update,
+    extend_regressor,
+    mix,
+)
 from .history import TrajectoryHistory
 from .model import NamedScenario, eval_system
-from .observer import GainSpec, _regression_from_values, build_regression, gradient_update
+from .observer import GainSpec, RegressionSample, gradient_update
 
 STATE_NORM_LIMIT = 1e12
+# Hermite lookups run this many times at once, which bounds the size of
+# their temporaries and with it the run's peak memory.
+_LOOKUP_BLOCK = 1024
 
 
 class DivergenceError(RuntimeError):
@@ -36,177 +50,108 @@ class DivergenceError(RuntimeError):
         self.t = t
 
 
-@dataclass
-class CoupledState:
-    """Plant state, observer copy, transition matrix, parameter estimate."""
-
-    t: float
-    x: np.ndarray
-    xi: np.ndarray
-    Phi: np.ndarray
-    theta_hat: np.ndarray
-
-    @classmethod
-    def initial(cls, scenario: NamedScenario) -> "CoupledState":
-        n = scenario.system.n
-        return cls(
-            t=0.0,
-            x=scenario.system.x0.copy(),
-            xi=scenario.xi0.copy(),
-            Phi=np.eye(n),
-            theta_hat=scenario.theta_hat0.copy(),
-        )
+def _regression_lags(scenario: NamedScenario) -> tuple:
+    """Lags at which the run needs the regression: 0, then DREM's extension."""
+    if scenario.estimator != "drem" or scenario.gamma == 0.0:
+        return (0.0,)
+    n = scenario.system.n
+    if scenario.system.q != 1:
+        raise ValueError("drem estimation supports single-output plants")
+    delays = scenario.drem_delays
+    if delays is None:
+        delays = default_ext_delays(n)
+    if len(delays) != n - 1:
+        raise ValueError(f"drem needs {n - 1} extension delays, got {len(delays)}")
+    return (0.0,) + tuple(delays)
 
 
-@dataclass
-class Histories:
-    """Recorded trajectories a run needs for delayed lookups."""
+def _rk4(y0, t, rate):
+    """Classical RK4 over the nodes ``t``; ``rate(j, y)`` is the derivative
+    at stage time index j (node k is 2k, the midpoint after it 2k + 1).
 
-    x: TrajectoryHistory
-    xi: TrajectoryHistory
-    Phi: TrajectoryHistory
-    psi: Optional[TrajectoryHistory] = None
-    y_reg: Optional[TrajectoryHistory] = None
-
-
-class _RunContext:
-    """Per-run constants derived from the scenario once, not per stage."""
-
-    __slots__ = ("gain", "drem_cfg")
-
-    def __init__(self, gain, drem_cfg):
-        self.gain = gain
-        self.drem_cfg = drem_cfg
-
-    @classmethod
-    def for_scenario(cls, scenario: NamedScenario) -> "_RunContext":
-        gain = None
-        drem_cfg = None
-        if scenario.gamma > 0.0:
-            n = scenario.system.n
-            if scenario.estimator == "gradient":
-                gain = GainSpec.scaled(scenario.gamma, n)
-            else:
-                if scenario.system.q != 1:
-                    raise ValueError("drem estimation supports single-output plants")
-                delays = scenario.drem_delays
-                if delays is None:
-                    delays = default_ext_delays(n)
-                if len(delays) != n - 1:
-                    raise ValueError(
-                        f"drem needs {n - 1} extension delays, got {len(delays)}"
-                    )
-                drem_cfg = DremConfig(ext_delays=delays, gamma=scenario.gamma)
-        return cls(gain, drem_cfg)
-
-
-def _regression_at(t, state, scenario, hists):
-    """Regression sample at stage time t, falling back to the stage's own
-    values when phi(t) runs past the recorded history."""
-    phi_t = scenario.delay(t)
-    if phi_t <= hists.x.t_latest:
-        x_d = hists.x.sample(phi_t)
-        xi_d = hists.xi.sample(phi_t)
-        Phi_d = hists.Phi.sample(phi_t)
-    else:
-        x_d, xi_d, Phi_d = state.x, state.xi, state.Phi
-    C_d = np.asarray(scenario.system.C(phi_t), dtype=float)
-    return _regression_from_values(t, C_d, x_d, xi_d, Phi_d)
-
-
-def _estimator_rate(t, state, scenario, hists, ctx):
-    if ctx.gain is None and ctx.drem_cfg is None:
-        return np.zeros_like(state.theta_hat)
-    sample = _regression_at(t, state, scenario, hists)
-    if ctx.gain is not None:
-        return gradient_update(sample, state.theta_hat, ctx.gain)
-    M, Y = extend_regressor(
-        t, ctx.drem_cfg, hists.psi, hists.y_reg, current=(sample.psi, sample.y_reg)
-    )
-    mixed = mix(M, Y, t)
-    return drem_update(mixed, state.theta_hat, ctx.drem_cfg.gamma)
-
-
-def _rhs(t, state, scenario, hists, ctx):
-    sysm = scenario.system
-    A = np.asarray(sysm.A(t), dtype=float)
-    Bu = np.asarray(sysm.B(t), dtype=float) @ np.asarray(sysm.u(t), dtype=float)
-    return CoupledState(
-        t=t,
-        x=A @ state.x + Bu,
-        xi=A @ state.xi + Bu,
-        Phi=A @ state.Phi,
-        theta_hat=_estimator_rate(t, state, scenario, hists, ctx),
-    )
-
-
-def rhs(t: float, state: CoupledState, scenario: NamedScenario, hists: Histories) -> CoupledState:
-    """Time derivative of the coupled state; fields hold the rates.
-
-    The histories must cover the accepted nodes up to the current step;
-    estimator lookups beyond the last node use the stage's own values.
+    Returns the node values and, for every node but the last, the first
+    stage of the step leaving it: the derivative at that node.
     """
-    return _rhs(t, state, scenario, hists, _RunContext.for_scenario(scenario))
+    Y = np.empty((len(t),) + np.shape(y0))
+    dY = np.empty_like(Y)
+    y = Y[0] = y0
+    h = t[1] - t[0]
+    half, c = 0.5 * h, h / 6.0
+    for k in range(len(t) - 1):
+        mid = 2 * k + 1
+        k1 = dY[k] = rate(2 * k, y)
+        k2 = rate(mid, y + half * k1)
+        k3 = rate(mid, y + half * k2)
+        k4 = rate(mid + 1, y + h * k3)
+        y = Y[k + 1] = y + c * (k1 + 2.0 * (k2 + k3) + k4)
+    return Y, dY
 
 
-def _offset(state, k, a, t_stage):
-    return CoupledState(
-        t=t_stage,
-        x=state.x + a * k.x,
-        xi=state.xi + a * k.xi,
-        Phi=state.Phi + a * k.Phi,
-        theta_hat=state.theta_hat + a * k.theta_hat,
-    )
+def _at_times(fn, times, shape):
+    """fn(s) for every s in ``times``, stacked on a new leading axis.
+
+    Filled in place: a list of one small array per time would hold tens of
+    thousands of objects at once and raise the run's peak memory.
+    """
+    out = np.empty((len(times),) + shape)
+    for j, s in enumerate(times.tolist()):
+        out[j] = fn(s)
+    return out
 
 
-def _check_finite(state):
-    worst = 0.0
-    for v in (state.x, state.xi, state.Phi, state.theta_hat):
-        m = float(np.abs(v).max())
-        if not m <= STATE_NORM_LIMIT:
-            raise DivergenceError(
-                state.t, f"state norm {m!r} exceeds {STATE_NORM_LIMIT:g} at t={state.t}"
-            )
-        worst = max(worst, m)
-    return worst
+def _plant_pass(sysm, xi0, t, tau):
+    """RK4 on Z = [x | xi | Phi] over the nodes ``t``, with A and B u taken
+    once at each time of ``tau`` (nodes and midpoints).  Returns the node
+    values and node derivatives."""
+    n, m = sysm.n, sysm.m
+    As = _at_times(sysm.A, tau, (n, n))
+    Bu = np.einsum("kij,kj->ki", _at_times(sysm.B, tau, (n, m)), _at_times(sysm.u, tau, (m,)))
+    forcing = np.zeros((len(tau), n, n + 2))
+    forcing[:, :, 0] = forcing[:, :, 1] = Bu
+    Z, dZ = _rk4(np.column_stack([sysm.x0, xi0, np.eye(n)]), t,
+                 lambda j, z: As[j] @ z + forcing[j])
+    dZ[-1] = As[-1] @ Z[-1] + forcing[-1]
+    return Z, dZ
 
 
-def _append_regression(t, scenario, hists):
-    sample = build_regression(t, scenario, hists.x, hists.xi, hists.Phi)
-    hists.psi.append(t, sample.psi)
-    hists.y_reg.append(t, sample.y_reg)
+def _hermite(t, Z, dZ, s):
+    """Cubic Hermite interpolant of the node data at the times ``s``.
+
+    The local coordinate is taken over each interval's own length, so a
+    time on a node returns that node's value exactly.
+    """
+    i = np.clip(np.searchsorted(t, s, side="right") - 1, 0, len(t) - 2)
+    dt = t[i + 1] - t[i]
+    u = ((s - t[i]) / dt)[:, None, None]
+    dt = dt[:, None, None]
+    u2 = u * u
+    u3 = u2 * u
+    return ((2.0 * u3 - 3.0 * u2 + 1.0) * Z[i] + (u3 - 2.0 * u2 + u) * dt * dZ[i]
+            + (3.0 * u2 - 2.0 * u3) * Z[i + 1] + (u3 - u2) * dt * dZ[i + 1])
 
 
-def _rk4_step(t, state, h, scenario, hists, ctx):
-    k1 = _rhs(t, state, scenario, hists, ctx)
-    half = 0.5 * h
-    k2 = _rhs(t + half, _offset(state, k1, half, t + half), scenario, hists, ctx)
-    k3 = _rhs(t + half, _offset(state, k2, half, t + half), scenario, hists, ctx)
-    t_new = t + h
-    k4 = _rhs(t_new, _offset(state, k3, h, t_new), scenario, hists, ctx)
-    c = h / 6.0
-    new = CoupledState(
-        t=t_new,
-        x=state.x + c * (k1.x + 2.0 * (k2.x + k3.x) + k4.x),
-        xi=state.xi + c * (k1.xi + 2.0 * (k2.xi + k3.xi) + k4.xi),
-        Phi=state.Phi + c * (k1.Phi + 2.0 * (k2.Phi + k3.Phi) + k4.Phi),
-        theta_hat=state.theta_hat
-        + c * (k1.theta_hat + 2.0 * (k2.theta_hat + k3.theta_hat) + k4.theta_hat),
-    )
-    _check_finite(new)
-    hists.x.append(t_new, new.x)
-    hists.xi.append(t_new, new.xi)
-    hists.Phi.append(t_new, new.Phi)
-    if hists.psi is not None:
-        _append_regression(t_new, scenario, hists)
-    return new
+def _regression(scenario, t, Z, dZ, times, lags):
+    """psi and y_reg at ``times - d`` for each lag d, stacked on axis 1.
 
-
-def rk4_step(
-    t: float, state: CoupledState, h: float, scenario: NamedScenario, hists: Histories
-) -> CoupledState:
-    """Advance the coupled state from t to t + h and record the new node."""
-    return _rk4_step(t, state, h, scenario, hists, _RunContext.for_scenario(scenario))
+    Each value is looked up at the measurement time phi(times - d); rows
+    whose lagged time precedes t = 0 are zero.
+    """
+    psis, ys = [], []
+    for d in lags:
+        s = times - d
+        phi = np.array([scenario.delay(v) for v in np.maximum(s, 0.0).tolist()])
+        Zd = np.concatenate([_hermite(t, Z, dZ, phi[lo:lo + _LOOKUP_BLOCK])
+                             for lo in range(0, len(phi), _LOOKUP_BLOCK)])
+        C = _at_times(scenario.system.C, phi, (scenario.system.q, scenario.system.n))
+        psi = (C @ Zd[:, :, 2:]).transpose(0, 2, 1)
+        y_reg = np.einsum("kqn,kn->kq", C, Zd[:, :, 1] - Zd[:, :, 0])
+        if C.shape[1] == 1:
+            psi, y_reg = psi[:, :, 0], y_reg[:, 0]
+        psi[s < 0.0] = 0.0
+        y_reg[s < 0.0] = 0.0
+        psis.append(psi)
+        ys.append(y_reg)
+    return np.stack(psis, axis=1), np.stack(ys, axis=1)
 
 
 @dataclass
@@ -214,7 +159,9 @@ class SimulationResult:
     """Grid trajectories from one run plus derived observer quantities.
 
     Arrays are indexed by grid node on axis 0.  ``theta`` is the true
-    initial mismatch xi(0) - x(0) the estimator is converging to.
+    initial mismatch xi(0) - x(0) the estimator is converging to.  ``psi``
+    and ``y_reg`` hold the delayed regression y_reg = psi . theta the
+    estimator saw at each node.
     """
 
     scenario: NamedScenario
@@ -224,8 +171,8 @@ class SimulationResult:
     Phi: np.ndarray
     theta_hat: np.ndarray
     theta: np.ndarray
-    psi: Optional[np.ndarray] = None
-    y_reg: Optional[np.ndarray] = None
+    psi: np.ndarray
+    y_reg: np.ndarray
 
     @property
     def xhat(self) -> np.ndarray:
@@ -255,67 +202,52 @@ class SimulationResult:
 def simulate(scenario: NamedScenario) -> SimulationResult:
     """Run one scenario over its horizon and return the grid trajectories.
 
-    The grid is {0, h, 2h, ...} with the horizon rounded to the nearest
-    whole number of steps.  A zero scenario gain freezes theta_hat, which
-    turns the run into an open-loop diagnostic of the observer copy.
+    The grid is t_k = k h with the horizon rounded to the nearest whole
+    number of steps.  A zero scenario gain freezes theta_hat, which turns
+    the run into an open-loop diagnostic of the observer copy.  A
+    DivergenceError names the first node where x, xi, Phi or theta_hat
+    leaves the norm guard (or the finite floats).
     """
     sysm = scenario.system
     eval_system(sysm, 0.0)
-    ctx = _RunContext.for_scenario(scenario)
-    n = sysm.n
+    lags = _regression_lags(scenario)
     h = scenario.step
     nsteps = max(1, int(round(scenario.horizon / h)))
-    N = nsteps + 1
+    t = h * np.arange(nsteps + 1)
+    tau = 0.5 * h * np.arange(2 * nsteps + 1)
 
-    state = CoupledState.initial(scenario)
-    track_reg = ctx.drem_cfg is not None
-    hists = Histories(
-        x=TrajectoryHistory(),
-        xi=TrajectoryHistory(),
-        Phi=TrajectoryHistory(),
-        psi=TrajectoryHistory() if track_reg else None,
-        y_reg=TrajectoryHistory() if track_reg else None,
-    )
-    hists.x.append(0.0, state.x)
-    hists.xi.append(0.0, state.xi)
-    hists.Phi.append(0.0, state.Phi)
-    if track_reg:
-        _append_regression(0.0, scenario, hists)
+    # A run that diverges carries on in inf and nan without warnings; the
+    # norm guard below then names its first node past the limit.
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z, dZ = _plant_pass(sysm, scenario.xi0, t, tau)
+        M, Y = _regression(scenario, t, Z, dZ, tau, lags)
+        psi, y_reg = M[:, 0], Y[:, 0]
+        gamma = scenario.gamma
+        if gamma == 0.0:
+            theta_hat = np.tile(scenario.theta_hat0, (len(t), 1))
+        elif scenario.estimator == "gradient":
+            gain = GainSpec.scaled(gamma, sysm.n)
+            theta_hat, _ = _rk4(scenario.theta_hat0, t, lambda j, th: gradient_update(
+                RegressionSample(tau[j], psi[j], y_reg[j]), th, gain))
+        else:
+            mixed = mix(M, Y, tau)
+            theta_hat, _ = _rk4(scenario.theta_hat0, t, lambda j, th: drem_update(
+                MixedRegression(tau[j], mixed.Delta[j], mixed.Y_mixed[j]), th, gamma))
 
-    ts = np.empty(N)
-    xs = np.empty((N, n))
-    xis = np.empty((N, n))
-    Phis = np.empty((N, n, n))
-    ths = np.empty((N, n))
-    ts[0] = 0.0
-    xs[0] = state.x
-    xis[0] = state.xi
-    Phis[0] = state.Phi
-    ths[0] = state.theta_hat
-
-    for k in range(nsteps):
-        state = _rk4_step(state.t, state, h, scenario, hists, ctx)
-        j = k + 1
-        ts[j] = state.t
-        xs[j] = state.x
-        xis[j] = state.xi
-        Phis[j] = state.Phi
-        ths[j] = state.theta_hat
-
-    psi_arr = None
-    y_arr = None
-    if track_reg:
-        _, psi_arr = hists.psi.as_arrays()
-        _, y_arr = hists.y_reg.as_arrays()
+    worst = np.maximum(np.abs(Z).max(axis=(1, 2)), np.abs(theta_hat).max(axis=1))
+    over = np.flatnonzero(~(worst <= STATE_NORM_LIMIT))
+    if over.size:
+        tk, m = float(t[over[0]]), float(worst[over[0]])
+        raise DivergenceError(tk, f"state norm {m!r} exceeds {STATE_NORM_LIMIT:g} at t={tk}")
 
     return SimulationResult(
         scenario=scenario,
-        t=ts,
-        x=xs,
-        xi=xis,
-        Phi=Phis,
-        theta_hat=ths,
+        t=t,
+        x=Z[:, :, 0],
+        xi=Z[:, :, 1],
+        Phi=Z[:, :, 2:],
+        theta_hat=theta_hat,
         theta=scenario.xi0 - sysm.x0,
-        psi=psi_arr,
-        y_reg=y_arr,
+        psi=psi[::2].copy(),
+        y_reg=y_reg[::2].copy(),
     )

@@ -148,7 +148,10 @@ class DelaySpec:
     def __call__(self, t: float) -> float:
         if self.kind == "identity":
             return t
-        return max(0.0, min(t, self._raw(t)))
+        raw = self._raw(t)
+        if not math.isfinite(raw):
+            raise ValueError(f"delay map is not finite at t={t}: phi(t) = {raw!r}")
+        return max(0.0, min(t, raw))
 
     def rate(self, t: float, step: float = 1e-3) -> float:
         """d(phi)/dt of the unclamped map at ``t``."""

@@ -63,14 +63,6 @@ class GainSpec:
         return cls(Gamma=float(gamma) * np.eye(n))
 
 
-def _regression_from_values(t, C_d, x_d, xi_d, Phi_d) -> RegressionSample:
-    cphi = C_d @ Phi_d
-    y_reg = C_d @ (xi_d - x_d)
-    if cphi.shape[0] == 1:
-        return RegressionSample(t=t, psi=cphi[0], y_reg=float(y_reg[0]))
-    return RegressionSample(t=t, psi=cphi.T.copy(), y_reg=y_reg)
-
-
 def build_regression(
     t: float,
     scenario: NamedScenario,
@@ -85,11 +77,12 @@ def build_regression(
     y_reg = C(phi) xi(phi) - y(t).  The histories must cover phi(t).
     """
     phi_t = scenario.delay(t)
-    x_d = hist_x.sample(phi_t)
-    xi_d = hist_xi.sample(phi_t)
-    Phi_d = hist_Phi.sample(phi_t)
     C_d = np.asarray(scenario.system.C(phi_t), dtype=float)
-    return _regression_from_values(t, C_d, x_d, xi_d, Phi_d)
+    cphi = C_d @ hist_Phi.sample(phi_t)
+    y_reg = C_d @ (hist_xi.sample(phi_t) - hist_x.sample(phi_t))
+    if cphi.shape[0] == 1:
+        return RegressionSample(t=t, psi=cphi[0], y_reg=float(y_reg[0]))
+    return RegressionSample(t=t, psi=cphi.T.copy(), y_reg=y_reg)
 
 
 def gradient_update(sample: RegressionSample, theta_hat: np.ndarray, gain: GainSpec) -> np.ndarray:

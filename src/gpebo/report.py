@@ -115,10 +115,6 @@ def _thin(N: int, limit: int = SVG_MAX_POINTS) -> np.ndarray:
     return idx
 
 
-def _ticks(lo: float, hi: float, count: int):
-    return np.linspace(lo, hi, count)
-
-
 def emit_svg(result: RunResult, path: str) -> None:
     """Render per-component estimation error curves, one polyline per gamma.
 
@@ -149,9 +145,10 @@ def emit_svg(result: RunResult, path: str) -> None:
     title = f"{result.scenario_id} / {result.estimator}: state estimation error"
     parts.append(f'<text x="{left}" y="24" font-size="14">{title}</text>')
 
+    errors = [run.estimation_error for _, run in pairs]
     for comp in range(n):
         py = top + comp * (panel_h + panel_gap)
-        errs = [run.estimation_error[:, comp] for _, run in pairs]
+        errs = [e[:, comp] for e in errors]
         y_lo = min(float(e.min()) for e in errs)
         y_hi = max(float(e.max()) for e in errs)
         if y_hi - y_lo < 1e-300:
@@ -172,7 +169,7 @@ def emit_svg(result: RunResult, path: str) -> None:
             f'<rect x="{left}" y="{py}" width="{plot_w}" height="{panel_h}" '
             'fill="none" stroke="#222222" stroke-width="1"/>'
         )
-        for tv in _ticks(t_lo, t_hi, 6):
+        for tv in np.linspace(t_lo, t_hi, 6):
             x = sx(tv)
             parts.append(
                 f'<line x1="{x:.2f}" y1="{py + panel_h}" x2="{x:.2f}" '
@@ -182,7 +179,7 @@ def emit_svg(result: RunResult, path: str) -> None:
                 f'<text x="{x:.2f}" y="{py + panel_h + 18}" '
                 f'text-anchor="middle">{tv:g}</text>'
             )
-        for yv in _ticks(y_lo, y_hi, 5):
+        for yv in np.linspace(y_lo, y_hi, 5):
             y = sy(yv)
             parts.append(
                 f'<line x1="{left - 5}" y1="{y:.2f}" x2="{left}" y2="{y:.2f}" '
@@ -200,13 +197,10 @@ def emit_svg(result: RunResult, path: str) -> None:
                 f'<text x="{left + plot_w / 2:.2f}" y="{py + panel_h + 38}" '
                 'text-anchor="middle">t</text>'
             )
-        for ci, (gamma, run) in enumerate(pairs):
+        for ci, ((gamma, run), err) in enumerate(zip(pairs, errs)):
             color = _PALETTE[ci % len(_PALETTE)]
             idx = _thin(len(run.t))
-            pts = " ".join(
-                f"{sx(run.t[i]):.2f},{sy(run.estimation_error[i, comp]):.2f}"
-                for i in idx
-            )
+            pts = " ".join(f"{sx(run.t[i]):.2f},{sy(err[i]):.2f}" for i in idx)
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
                 f'points="{pts}"/>'

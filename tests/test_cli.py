@@ -1,10 +1,11 @@
 """Command line behavior: flags, config files, exit codes, outputs."""
 
-import os
+import math
 
 import numpy as np
 import pytest
 
+from gpebo import builtin_scenario, pe_check, simulate
 from gpebo.cli import ConfigError, RunConfig, assemble_config, build_parser, load_config_file, main
 
 
@@ -35,6 +36,25 @@ def test_validate_rejects_bad_values():
         RunConfig(pe_floor=0.0).validate()
     with pytest.raises(ConfigError):
         RunConfig(x0=(1.0,)).validate()
+
+
+@pytest.mark.parametrize("field", ["step", "horizon", "pe_window", "pe_floor", "gammas"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_validate_rejects_non_finite_values(field, value):
+    cfg = RunConfig(**{field: (value,) if field == "gammas" else value})
+    with pytest.raises(ConfigError):
+        cfg.validate()
+
+
+def test_validate_pe_window_against_horizon():
+    with pytest.raises(ConfigError):
+        RunConfig(horizon=2.0, pe_window=5.0, pe_report="pe.csv").validate()
+    # a window past the grid's last node, which rounds the horizon down
+    with pytest.raises(ConfigError):
+        RunConfig(horizon=2.004, step=1e-2, pe_window=2.002, pe_report="pe.csv").validate()
+    RunConfig(horizon=2.0, pe_window=2.0, pe_report="pe.csv").validate()
+    # without a scan the window is never used
+    RunConfig(horizon=3.0, pe_window=5.0).validate()
 
 
 def test_config_file_parsing(tmp_path):
@@ -151,6 +171,59 @@ def test_main_pe_report(tmp_path, capsys):
     assert path.exists()
     out = capsys.readouterr().out
     assert "pe window=2" in out
+
+
+def test_main_rejects_bad_input_before_simulating(tmp_path, capsys):
+    assert main(["--horizon", "inf"]) == 2
+    assert main(["--gamma", "1,nan"]) == 2
+    path = tmp_path / "pe.csv"
+    assert main(["--pe-window", "5", "--horizon", "2", "--pe-report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "simulated" not in captured.out
+    assert "pe-window" in captured.err
+    assert not path.exists()
+    # the default window is only checked when a scan is asked for
+    assert main(["--gamma", "1", "--horizon", "3", "--step", "1e-2"]) == 0
+
+
+def _read_pe_report(path):
+    lines = path.read_text().splitlines()[1:]
+    return np.array([[float(v) for v in line.split(",")] for line in lines])
+
+
+def test_main_pe_report_c1_unchanged(tmp_path):
+    # undelayed, the regressor is the output map C Phi the scan always read
+    path = tmp_path / "pe.csv"
+    args = ["--scenario", "c1", "--gamma", "1", "--horizon", "4", "--step", "1e-2",
+            "--pe-window", "2", "--pe-report", str(path)]
+    assert main(args) == 0
+    res = simulate(builtin_scenario("c1", 1.0, horizon=4.0, step=1e-2))
+    ref = pe_check(res.phi_history(), res.scenario.system.C, 2.0, 1e-4)
+    table = _read_pe_report(path)
+    assert np.array_equal(table[:, 0], ref.starts)
+    assert np.array_equal(table[:, 1], ref.min_eig_output)
+    assert np.array_equal(table[:, 2], ref.min_eig_regressor)
+
+
+def test_main_pe_report_scans_delayed_regressor(tmp_path):
+    path = tmp_path / "pe.csv"
+    args = ["--scenario", "c2", "--gamma", "1", "--horizon", "4", "--step", "1e-2",
+            "--pe-window", "2", "--pe-report", str(path)]
+    assert main(args) == 0
+    table = _read_pe_report(path)
+    res = simulate(builtin_scenario("c2", 1.0, horizon=4.0, step=1e-2))
+    for start, _, min_eig in table:
+        # trapezoid of psi^T psi over the window's nodes, ends interpolated
+        end = start + 2.0
+        inside = (res.t > start) & (res.t < end)
+        s = np.concatenate(([start], res.t[inside], [end]))
+        psi = np.column_stack([np.interp(s, res.t, res.psi[:, i]) for i in range(2)])
+        g = np.einsum("ki,kj->kij", psi, psi)
+        G = np.einsum("k,kij->ij", 0.5 * np.diff(s), g[1:] + g[:-1])
+        assert min_eig == pytest.approx(np.linalg.eigvalsh(G)[0], rel=1e-12, abs=1e-15)
+    # the undelayed output map gives another scan on c2
+    undelayed = pe_check(res.phi_history(), res.scenario.system.C, 2.0, 1e-4)
+    assert np.abs(table[:, 2] - undelayed.min_eig_regressor).max() > 1e-3
 
 
 def test_main_help_exits_zero(capsys):

@@ -100,13 +100,11 @@ def test_extend_hand_case():
     assert mix(M, Y, 2.0).Delta == -1.0
 
 
-def test_extend_live_fallback():
+def test_extend_rejects_time_past_history():
     hp, hy = _ramp_history(tmax=1.0)
-    cfg = DremConfig(ext_delays=(1.0,), gamma=1.0)
-    M, Y = extend_regressor(1.25, cfg, hp, hy, current=(np.array([9.0, 9.0]), 4.0))
-    assert np.array_equal(M[0], np.array([9.0, 9.0]))
-    assert Y[0] == 4.0
-    assert np.array_equal(M[1], np.array([1.0, 0.25]))
+    cfg = DremConfig(ext_delays=(0.75,), gamma=1.0)
+    M, Y = extend_regressor(1.0, cfg, hp, hy)
+    assert np.array_equal(M, np.array([[1.0, 1.0], [1.0, 0.25]]))
     with pytest.raises(ValueError):
         extend_regressor(1.25, cfg, hp, hy)
 
@@ -128,6 +126,21 @@ def test_mix_singular():
     mixed = mix(np.ones((2, 2)), np.array([1.0, 2.0]))
     assert mixed.Delta == 0.0
     assert np.all(np.isfinite(mixed.Y_mixed))
+
+
+def test_mix_stack_matches_each_matrix():
+    rng = np.random.default_rng(41)
+    for n in (1, 2, 3, 4):
+        M = rng.uniform(-2.0, 2.0, size=(5, n, n))
+        M[1, -1] = M[1, 0]  # one singular matrix in the stack
+        Y = rng.uniform(-2.0, 2.0, size=(5, n))
+        stacked = mix(M, Y, np.arange(5.0))
+        for k in range(5):
+            one = mix(M[k], Y[k], float(k))
+            # the stacked matrix product may round differently in the last bit
+            assert stacked.Delta[k] == pytest.approx(one.Delta, rel=1e-14, abs=1e-14)
+            assert np.abs(stacked.Y_mixed[k] - one.Y_mixed).max() <= 1e-14 * (
+                1.0 + np.abs(one.Y_mixed).max())
 
 
 def test_mix_recovers_scaled_parameter():

@@ -1,6 +1,7 @@
-"""Coupled fixed-step integration: stage exactness, order, and guards."""
+"""Three-pass fixed-step integration: step exactness, order, and guards."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,17 +9,12 @@ import pytest
 from gpebo import (
     DelaySpec,
     DivergenceError,
-    Histories,
     LtiOracle,
     NamedScenario,
     SystemSpec,
-    TrajectoryHistory,
     builtin_scenario,
-    rhs,
-    rk4_step,
     simulate,
 )
-from gpebo.integrate import CoupledState
 
 
 def _const_system(A, C=None, n=None, x0=None):
@@ -49,28 +45,23 @@ def _scenario(system, gamma=0.0, horizon=1.0, step=1e-3, theta_hat0=None, **kw):
     )
 
 
-def _seeded_histories(state):
-    h = Histories(x=TrajectoryHistory(), xi=TrajectoryHistory(), Phi=TrajectoryHistory())
-    h.x.append(state.t, state.x)
-    h.xi.append(state.t, state.xi)
-    h.Phi.append(state.t, state.Phi)
-    return h
-
-
 def test_rhs_all_zero():
-    scen = _scenario(_const_system(np.zeros((2, 2))), gamma=0.0)
-    state = CoupledState.initial(scen)
-    deriv = rhs(0.0, state, scen, _seeded_histories(state))
-    for field in (deriv.x, deriv.xi, deriv.Phi, deriv.theta_hat):
-        assert not np.asarray(field).any()
+    # a zero right-hand side, zero residual included, leaves every recorded
+    # quantity at its initial value
+    scen = _scenario(_const_system(np.zeros((2, 2))), gamma=1.0, horizon=0.5, step=0.1)
+    res = simulate(scen)
+    for field in (res.x, res.xi, res.theta_hat):
+        assert not field.any()
+    assert np.array_equal(res.Phi, np.tile(np.eye(2), (6, 1, 1)))
 
 
 def test_rhs_benchmark_initial_slope():
-    scen = builtin_scenario("c1", 0.0)
-    state = CoupledState.initial(scen)
-    deriv = rhs(0.0, state, scen, _seeded_histories(state))
-    # A(0) x = [x2, 0] and u(0) = 0, so xdot = [-1, 0]
-    assert np.array_equal(deriv.x, np.array([-1.0, 0.0]))
+    # A(0) x = [x2, 0] and u(0) = 0, so xdot(0) = [-1, 0]; one tiny step
+    # recovers it up to the O(h) curvature of x2
+    h = 1e-6
+    res = simulate(builtin_scenario("c1", 0.0, horizon=h, step=h))
+    slope = (res.x[1] - res.x[0]) / h
+    assert np.abs(slope - np.array([-1.0, 0.0])).max() <= 1e-6
 
 
 def test_rhs_zero_residual_freezes_estimate():
@@ -78,38 +69,38 @@ def test_rhs_zero_residual_freezes_estimate():
     theta = scen.xi0 - scen.system.x0
     scen = _scenario(scen.system, gamma=100.0, theta_hat0=theta,
                      xi0=scen.xi0, delay=scen.delay)
-    state = CoupledState.initial(scen)
-    deriv = rhs(0.0, state, scen, _seeded_histories(state))
-    assert np.abs(deriv.theta_hat).max() <= 1e-13
+    res = simulate(scen)
+    assert np.abs(res.theta_hat - theta).max() <= 1e-13
+
+
+def _rk4_exp_step(h):
+    # RK4 on x' = x from x = 1: the series of e^h truncated after h^4
+    return 1.0 + h + h * h / 2.0 + h**3 / 6.0 + h**4 / 24.0
 
 
 def test_rk4_step_exponential():
     scen = _scenario(_const_system([[1.0]], x0=[1.0]), horizon=0.1, step=0.1)
-    state = CoupledState.initial(scen)
-    new = rk4_step(0.0, state, 0.1, scen, _seeded_histories(state))
-    # truncated series 1 + h + h^2/2 + h^3/6 + h^4/24 at h = 0.1
-    assert new.x[0] == pytest.approx(1.1051708333333333, rel=1e-12)
-    assert abs(new.x[0] - math.exp(0.1)) <= 1e-7
+    res = simulate(scen)
+    assert res.x[1, 0] == pytest.approx(1.1051708333333333, rel=1e-12)
+    assert abs(res.x[1, 0] - math.exp(0.1)) <= 1e-7
 
 
 def test_rk4_step_zero_rhs_bit_exact():
     scen = _scenario(_const_system(np.zeros((2, 2)), x0=[1.0, -1.0]),
-                     xi0=np.array([0.5, 2.0]))
-    state = CoupledState.initial(scen)
-    new = rk4_step(0.0, state, 0.1, scen, _seeded_histories(state))
-    assert np.array_equal(new.x, state.x)
-    assert np.array_equal(new.xi, state.xi)
-    assert np.array_equal(new.Phi, state.Phi)
-    assert np.array_equal(new.theta_hat, state.theta_hat)
+                     xi0=np.array([0.5, 2.0]), horizon=0.1, step=0.1)
+    res = simulate(scen)
+    assert np.array_equal(res.x[1], res.x[0])
+    assert np.array_equal(res.xi[1], res.xi[0])
+    assert np.array_equal(res.Phi[1], res.Phi[0])
+    assert np.array_equal(res.theta_hat[1], res.theta_hat[0])
 
 
 def test_rk4_step_appends_accepted_node():
-    scen = _scenario(_const_system([[1.0]], x0=[1.0]))
-    state = CoupledState.initial(scen)
-    hists = _seeded_histories(state)
-    new = rk4_step(0.0, state, 0.25, scen, hists)
-    assert hists.x.t_latest == 0.25
-    assert hists.x.sample(0.25)[0] == new.x[0]
+    # each accepted step lands on the grid node k h and is recorded there
+    res = simulate(_scenario(_const_system([[1.0]], x0=[1.0]), horizon=0.75, step=0.25))
+    assert np.array_equal(res.t, 0.25 * np.arange(4))
+    expected = _rk4_exp_step(0.25) ** np.arange(4)
+    assert np.abs(res.x[:, 0] - expected).max() <= 1e-15 * expected.max()
 
 
 def test_nilpotent_transition_matrix_is_exact():
@@ -161,15 +152,35 @@ def test_grid_halving_is_fourth_order():
 
 
 def test_divergence_guard():
+    # each RK4 step multiplies x by 1 + 2 + 2 + 4/3 + 2/3 = 7 at h A = 2,
+    # so x first passes 1e12 at node 15
     scen = _scenario(_const_system([[2000.0]], x0=[1.0]), horizon=0.1)
-    with pytest.raises(DivergenceError):
-        simulate(scen)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as exc:
+            simulate(scen)
+    assert exc.value.t == 15 * 1e-3
 
 
 def test_estimator_divergence_guard():
     scen = builtin_scenario("c1", 1e9, horizon=0.05)
-    with pytest.raises(DivergenceError):
-        simulate(scen)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as exc:
+            simulate(scen)
+    assert exc.value.t == 1e-3
+
+
+def test_divergence_names_first_node_of_either_pass():
+    # an unstable plant makes psi grow until the gradient law is stiff: the
+    # estimator leaves the guard nodes before the plant does
+    sysm = _const_system([[50.0]], x0=[1.0])
+    kw = dict(horizon=1.0, step=1e-2, xi0=np.array([2.0]))
+    with pytest.raises(DivergenceError) as plant:
+        simulate(_scenario(sysm, gamma=0.0, **kw))
+    with pytest.raises(DivergenceError) as both:
+        simulate(_scenario(sysm, gamma=1.0, **kw))
+    assert both.value.t < plant.value.t
 
 
 def test_simulate_deterministic():
@@ -191,15 +202,41 @@ def test_simulate_grid_shape():
 
 
 def test_simulate_drem_records_regression():
-    res = simulate(builtin_scenario("c1", 10.0, estimator="drem", horizon=1.0))
-    assert res.psi is not None and res.psi.shape == (1001, 2)
-    assert res.y_reg is not None and res.y_reg.shape == (1001,)
-    # regression identity holds at the recorded nodes
-    assert np.abs(res.y_reg - res.psi @ res.theta).max() <= 1e-10
+    # both estimators record the regression they used; its identity holds
+    # at every recorded node
+    for sid in ("c1", "c2", "c3"):
+        for estimator in ("gradient", "drem"):
+            res = simulate(builtin_scenario(sid, 10.0, estimator=estimator, horizon=3.0))
+            assert res.psi.shape == (3001, 2)
+            assert res.y_reg.shape == (3001,)
+            assert np.abs(res.y_reg - res.psi @ res.theta).max() <= 1e-10
 
 
 def test_delayed_scenario_uses_history():
-    # with tau = 1 > h the within-step fallback never fires and the
-    # regression identity still holds at interpolated lookups
+    # with tau = 1 the lookups land between earlier nodes, where the Hermite
+    # interpolant keeps the regression identity
     res = simulate(builtin_scenario("c2", 10.0, estimator="drem", horizon=3.0))
     assert np.abs(res.y_reg - res.psi @ res.theta).max() <= 1e-10
+    assert np.array_equal(res.psi[:1001], np.tile([1.0, 0.0], (1001, 1)))
+
+
+def test_drem_lag_shorter_than_step():
+    # the lagged row of a stage lies inside the step being taken; it is read
+    # from the plant's dense output like every other lookup
+    res = simulate(builtin_scenario("c1", 100.0, estimator="drem", horizon=2.0,
+                                    step=1e-2, drem_delays=(4e-3,)))
+    err = np.abs(res.theta_error)
+    assert np.diff(err, axis=0).max() <= 1e-12
+    assert np.all(err[-1] < err[0])
+
+
+@pytest.mark.parametrize("sid", ["c1", "c2"])
+def test_gradient_estimate_is_fourth_order(sid):
+    ref = simulate(builtin_scenario(sid, 10.0, horizon=4.0, step=1.25e-4))
+    errs = []
+    for h in (8e-3, 4e-3, 2e-3, 1e-3):
+        res = simulate(builtin_scenario(sid, 10.0, horizon=4.0, step=h))
+        stride = round(h / 1.25e-4)
+        errs.append(np.abs(res.theta_hat - ref.theta_hat[::stride]).max())
+    ratios = [a / b for a, b in zip(errs, errs[1:])]
+    assert all(r >= 12.0 for r in ratios), ratios

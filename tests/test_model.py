@@ -1,6 +1,7 @@
 """Plant evaluation, delay maps, and built-in scenario construction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from gpebo import (
     builtin_scenario,
     eval_delay,
     eval_system,
+    simulate,
 )
 
 
@@ -69,6 +71,17 @@ def test_delay_rates():
         assert d.rate(t) == pytest.approx(1.0 - 0.9 * math.cos(t), abs=1e-15)
     custom = DelaySpec.custom(lambda t: 0.5 * t)
     assert custom.rate(10.0) == pytest.approx(0.5, abs=1e-9)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_delay_raises(value):
+    spec = DelaySpec.custom(lambda t: value)
+    with pytest.raises(ValueError, match="t=2.0"):
+        spec(2.0)
+    # the same map inside a run stops it rather than measuring undelayed
+    scen = builtin_scenario("c1", 1.0, horizon=0.1)
+    with pytest.raises(ValueError, match="not finite"):
+        simulate(replace(scen, delay=spec))
 
 
 def test_delay_validation():

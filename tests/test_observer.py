@@ -8,7 +8,6 @@ import pytest
 from gpebo import (
     DelaySpec,
     GainSpec,
-    Histories,
     NamedScenario,
     RegressionSample,
     SystemSpec,
@@ -17,10 +16,8 @@ from gpebo import (
     builtin_scenario,
     gradient_update,
     reconstruct,
-    rhs,
     simulate,
 )
-from gpebo.integrate import CoupledState
 
 
 def test_gain_spec_scaled():
@@ -100,15 +97,9 @@ def test_scalar_estimate_decays_exponentially():
     )
     res = simulate(scen)
     assert abs(res.theta_hat[-1, 0] - math.exp(-1.0)) <= 1e-10
-
-    hists = Histories(x=TrajectoryHistory(), xi=TrajectoryHistory(),
-                      Phi=TrajectoryHistory())
-    state = CoupledState.initial(scen)
-    hists.x.append(0.0, state.x)
-    hists.xi.append(0.0, state.xi)
-    hists.Phi.append(0.0, state.Phi)
-    deriv = rhs(0.0, state, scen, hists)
-    assert deriv.theta_hat[0] == -1.0
+    # the law saw psi = 1, y_reg = 0 throughout: rate -theta_hat
+    assert np.array_equal(res.psi, np.ones((1001, 1)))
+    assert not res.y_reg.any()
 
 
 def _rotation_plant():
