@@ -37,7 +37,6 @@ from .drem import (
 )
 from .integrate import DivergenceError, SimulationResult, simulate
 from .excitation import (
-    DelayRateError,
     ExcitationReport,
     pe_check,
     pe_integral,
@@ -74,7 +73,6 @@ __all__ = [
     "DivergenceError",
     "simulate",
     "ExcitationReport",
-    "DelayRateError",
     "pe_integral",
     "delayed_pe_integral",
     "pe_check",

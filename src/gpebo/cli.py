@@ -84,8 +84,12 @@ class RunConfig:
             raise ConfigError(f"pe-window {self.pe_window:g} exceeds the horizon {self.horizon:g}")
         for name in ("x0", "xi0", "theta0"):
             vec = getattr(self, name)
-            if vec is not None and len(vec) != 2:
+            if vec is None:
+                continue
+            if len(vec) != 2:
                 raise ConfigError(f"{name} must have 2 components, got {len(vec)}")
+            if not all(math.isfinite(v) for v in vec):
+                raise ConfigError(f"{name} components must be finite")
 
 
 def _parse_floats(text: str, key: str) -> tuple:

@@ -1,33 +1,32 @@
-"""Excitation level of the recorded output map along a trajectory.
+"""Excitation level of the regressor along a trajectory.
 
 Convergence of the parameter estimate requires the regressor to be
 persistently exciting: the windowed Gramian
 
-    integral over [t, t+T] of  C(s) Phi(s) Phi(s)^T C(s)^T  ds
+    integral over [t, t+T] of  psi(s)^T psi(s) ds,   psi(s) = C(s) Phi(s),
 
 must stay above a positive floor uniformly in t.  These checks evaluate
-that integral (both the q x q output form above and its n x n companion
-with the factors transposed), scan it over a grid of window starts, and
-report the worst-case smallest eigenvalue.
+that integral (both the n x n regressor form above and its q x q output
+companion psi psi^T), scan it over a grid of window starts, and report the
+worst-case smallest eigenvalue.
 
-For delayed measurements an equivalent condition integrates over the
-measurement-time image of the window, weighting by the reciprocal of the
-delay map's rate; :func:`delayed_pe_integral` evaluates that form.
+With a delayed measurement the estimator sees the regressor
+psi(tau) = C(phi(tau)) Phi(phi(tau)); :func:`delayed_pe_integral`
+integrates that regressor's Gramian over [t, t+T] in the time domain.
+
+Every Gramian is one trapezoid rule over the stored nodes strictly inside
+the window plus the window's two endpoints, with Phi linearly
+interpolated off the nodes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from .history import TrajectoryHistory
-from .model import DelaySpec
-
-
-class DelayRateError(ValueError):
-    """The delay map's rate fell below the admissible floor on the window."""
+from .model import DelaySpec, at_times
 
 
 @dataclass
@@ -52,13 +51,41 @@ class ExcitationReport:
     pe_regressor: bool
 
 
-def _window_nodes(times, lo, hi):
-    i0 = bisect_right(times, lo)
-    i1 = bisect_left(times, hi)
-    pts = [lo]
-    pts.extend(times[i0:i1])
-    pts.append(hi)
-    return pts
+def _trapezoid(s, g):
+    """Trapezoid rule over the ascending nodes ``s`` of the samples ``g``
+    stacked on axis 0."""
+    return np.tensordot(0.5 * np.diff(s), g[1:] + g[:-1], axes=1)
+
+
+def _window(times, t: float, T: float):
+    """Quadrature nodes of the window [t, t+T]: its endpoints, clipped to
+    the recorded range, around the stored nodes strictly inside it, which
+    are ``times[i0:i1]``.  Returns ``(nodes, i0, i1)``.
+
+    The window must lie inside the recorded range up to a small relative
+    slack.
+    """
+    if not T > 0.0:
+        raise ValueError("window length T must be positive")
+    t0, t_end = float(times[0]), float(times[-1])
+    tol = 1e-9 * max(1.0, abs(t_end))
+    if t < t0 - tol or t + T > t_end + tol:
+        raise ValueError(f"window [{t}, {t + T}] outside recorded range [{t0}, {t_end}]")
+    lo, hi = max(t, t0), min(t + T, t_end)
+    i0, i1 = np.searchsorted(times, lo, "right"), np.searchsorted(times, hi, "left")
+    return np.concatenate(([lo], times[i0:i1], [hi])), i0, i1
+
+
+def _regressor(C, s, Phi):
+    """C(s) Phi(s) at every time of ``s``, shape (len(s), q, n)."""
+    q = np.shape(C(float(s[0])))[0]
+    return at_times(C, s, (q, Phi.shape[1])) @ Phi
+
+
+def _products(cp):
+    """Per node: the q x q and n x n products psi psi^T and psi^T psi."""
+    cpT = cp.transpose(0, 2, 1)
+    return cp @ cpT, cpT @ cp
 
 
 def pe_integral(hist_Phi: TrajectoryHistory, C, t: float, T: float):
@@ -69,92 +96,25 @@ def pe_integral(hist_Phi: TrajectoryHistory, C, t: float, T: float):
     window endpoints interpolated.  The window must lie inside the
     recorded range up to a small relative slack.
     """
-    if not T > 0.0:
-        raise ValueError("window length T must be positive")
-    t0 = hist_Phi.t0
-    t_end = hist_Phi.t_latest
-    tol = 1e-9 * max(1.0, abs(t_end))
-    if t < t0 - tol or t + T > t_end + tol:
-        raise ValueError(
-            f"window [{t}, {t + T}] outside recorded range [{t0}, {t_end}]"
-        )
-    lo = max(t, t0)
-    hi = min(t + T, t_end)
-    pts = _window_nodes(hist_Phi.times, lo, hi)
-
-    G_q = None
-    G_n = None
-    prev_q = prev_n = None
-    prev_s = None
-    for s in pts:
-        Phi_s = hist_Phi.sample(s)
-        C_s = np.asarray(C(s), dtype=float)
-        cp = C_s @ Phi_s
-        g_q = cp @ cp.T
-        g_n = cp.T @ cp
-        if G_q is None:
-            G_q = np.zeros_like(g_q)
-            G_n = np.zeros_like(g_n)
-        else:
-            w = 0.5 * (s - prev_s)
-            G_q += w * (prev_q + g_q)
-            G_n += w * (prev_n + g_n)
-        prev_q, prev_n, prev_s = g_q, g_n, s
-    return G_q, G_n
+    s, _, _ = _window(hist_Phi.as_arrays()[0], t, T)
+    return tuple(_trapezoid(s, g) for g in _products(_regressor(C, s, hist_Phi.sample_at(s))))
 
 
 def delayed_pe_integral(
-    hist_Phi: TrajectoryHistory,
-    C,
-    t: float,
-    T: float,
-    delay: DelaySpec,
-    rate_step: float = 1e-3,
-    rate_floor: float = 1e-6,
+    hist_Phi: TrajectoryHistory, C, t: float, T: float, delay: DelaySpec
 ) -> np.ndarray:
-    """Delay-domain excitation integral over [phi(t), phi(t+T)].
+    """Gramian of the delayed regressor over [t, t+T] in the time domain.
 
-    Quadrature of (C Phi)^T (C Phi) / rate(s) with ``rate`` the delay
-    map's derivative.  Raises :class:`DelayRateError` if the rate drops
-    to ``rate_floor`` or below anywhere on the window, since the weight
-    is then unbounded.
+    Trapezoidal quadrature of psi(tau)^T psi(tau) with
+    psi(tau) = C(phi(tau)) Phi(phi(tau)), over the stored nodes inside
+    the window and its two endpoints; Phi is interpolated at each
+    measurement time phi(tau).  Stretches where the delay map is clamped
+    or flat need no special case.  The window, and every measurement
+    time it reaches, must lie inside the recorded range.
     """
-    a = delay(t)
-    b = delay(t + T)
-    if b < a:
-        raise ValueError("delay map must be nondecreasing over the window")
-    n = hist_Phi.sample(hist_Phi.t0).shape[0]
-    if b == a:
-        return np.zeros((n, n))
-    t0 = hist_Phi.t0
-    t_end = hist_Phi.t_latest
-    tol = 1e-9 * max(1.0, abs(t_end))
-    if a < t0 - tol or b > t_end + tol:
-        raise ValueError(
-            f"window [{a}, {b}] outside recorded range [{t0}, {t_end}]"
-        )
-    lo = max(a, t0)
-    hi = min(b, t_end)
-    pts = _window_nodes(hist_Phi.times, lo, hi)
-
-    G = None
-    prev_g = None
-    prev_s = None
-    for s in pts:
-        r = delay.rate(s, rate_step)
-        if r <= rate_floor:
-            raise DelayRateError(
-                f"delay rate {r:g} at s={s} is at or below floor {rate_floor:g}"
-            )
-        Phi_s = hist_Phi.sample(s)
-        cp = np.asarray(C(s), dtype=float) @ Phi_s
-        g = (cp.T @ cp) / r
-        if G is None:
-            G = np.zeros_like(g)
-        else:
-            G += (0.5 * (s - prev_s)) * (prev_g + g)
-        prev_g, prev_s = g, s
-    return G
+    s, _, _ = _window(hist_Phi.as_arrays()[0], t, T)
+    phi = np.array([delay(v) for v in s.tolist()])
+    return _trapezoid(s, _products(_regressor(C, phi, hist_Phi.sample_at(phi)))[1])
 
 
 def pe_check(
@@ -168,7 +128,9 @@ def pe_check(
 
     Window starts run from the first node in steps of ``stride`` (default
     T / 10) as long as the full window fits.  The trajectory must be at
-    least one window long.
+    least one window long.  The products psi psi^T and psi^T psi are
+    formed once per stored node; each window adds its two interpolated
+    endpoints.
     """
     if not T > 0.0:
         raise ValueError("window length T must be positive")
@@ -178,22 +140,27 @@ def pe_check(
         stride = T / 10.0
     if not stride > 0.0:
         raise ValueError("stride must be positive")
-    t0 = hist_Phi.t0
-    t_end = hist_Phi.t_latest
-    span = t_end - t0 - T
+    times, Phi = hist_Phi.as_arrays()
+    t0 = float(times[0])
+    span = float(times[-1]) - t0 - T
     if span < 0.0:
         raise ValueError(
-            f"trajectory length {t_end - t0} is shorter than the window {T}"
+            f"trajectory length {float(times[-1]) - t0} is shorter than the window {T}"
         )
     count = int(np.floor(span / stride + 1e-9)) + 1
     starts = t0 + stride * np.arange(count)
 
+    node_q, node_n = _products(_regressor(C, times, Phi))
     min_q = np.empty(count)
     min_n = np.empty(count)
-    for i, start in enumerate(starts):
-        G_q, G_n = pe_integral(hist_Phi, C, float(start), T)
-        min_q[i] = np.linalg.eigvalsh(G_q).min()
-        min_n[i] = np.linalg.eigvalsh(G_n).min()
+    for k, start in enumerate(starts.tolist()):
+        s, i0, i1 = _window(times, start, T)
+        ends = s[[0, -1]]
+        end_q, end_n = _products(_regressor(C, ends, hist_Phi.sample_at(ends)))
+        G_q = _trapezoid(s, np.concatenate((end_q[:1], node_q[i0:i1], end_q[1:])))
+        G_n = _trapezoid(s, np.concatenate((end_n[:1], node_n[i0:i1], end_n[1:])))
+        min_q[k] = np.linalg.eigvalsh(G_q).min()
+        min_n[k] = np.linalg.eigvalsh(G_n).min()
 
     delta_q = float(min_q.min())
     delta_n = float(min_n.min())

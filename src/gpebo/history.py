@@ -1,15 +1,12 @@
-"""Append-only trajectory storage with linear interpolation.
+"""Trajectory storage on arrays with linear interpolation.
 
-Delayed measurement channels need past values of signals that are only
-generated on the fly, so every integration run keeps its samples here and
-looks them up by time.  Samples must arrive in strictly increasing time
-order; queries between nodes are linearly interpolated and queries at a
-stored node return the stored value unchanged.
+A history holds the samples of one signal at strictly increasing node
+times, as a 1-D array of times and an array of values stacked on axis 0.
+Queries between nodes are linearly interpolated and queries at a stored
+node return the stored value unchanged.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
 
 import numpy as np
 
@@ -17,27 +14,28 @@ import numpy as np
 class TrajectoryHistory:
     """Time-indexed record of array-valued samples of one fixed shape."""
 
-    __slots__ = ("_times", "_values", "_shape")
+    __slots__ = ("_times", "_values")
 
     def __init__(self):
-        self._times: list[float] = []
-        self._values: list[np.ndarray] = []
-        self._shape = None
+        self._times = np.empty(0)
+        self._values = None
 
     @classmethod
     def from_grid(cls, times, values) -> "TrajectoryHistory":
-        """Bulk-build a history from aligned time and value arrays.
+        """Build a history on aligned time and value arrays, without copying.
 
         ``values[k]`` is the sample at ``times[k]``; the leading axis of
-        ``values`` must match ``len(times)``.
+        ``values`` must match ``len(times)`` and the times must increase.
         """
         times = np.asarray(times, dtype=float)
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or len(times) != len(values):
             raise ValueError("times and values must align on the leading axis")
+        if not np.all(np.diff(times) > 0.0):
+            raise ValueError("times must be strictly increasing")
         hist = cls()
-        for t, v in zip(times, values):
-            hist.append(float(t), v)
+        if len(times):
+            hist._times, hist._values = times, values
         return hist
 
     def __len__(self) -> int:
@@ -45,57 +43,59 @@ class TrajectoryHistory:
 
     @property
     def t0(self) -> float:
-        if not self._times:
-            raise ValueError("history is empty")
-        return self._times[0]
+        return float(self.as_arrays()[0][0])
 
     @property
     def t_latest(self) -> float:
-        if not self._times:
-            raise ValueError("history is empty")
-        return self._times[-1]
+        return float(self.as_arrays()[0][-1])
 
     @property
-    def times(self) -> list:
+    def times(self) -> np.ndarray:
         """Recorded node times, ascending.  Treat as read-only."""
         return self._times
 
     def append(self, t: float, value) -> None:
         """Record ``value`` at time ``t``; ``t`` must exceed the latest node."""
         value = np.asarray(value, dtype=float)
-        if self._shape is None:
-            self._shape = value.shape
-        elif value.shape != self._shape:
+        if self._values is None:
+            self._times = np.array([float(t)])
+            self._values = value[None].copy()
+            return
+        if value.shape != self._values.shape[1:]:
             raise ValueError(
-                f"sample shape {value.shape} does not match history shape {self._shape}"
+                f"sample shape {value.shape} does not match history shape "
+                f"{self._values.shape[1:]}"
             )
-        if self._times and t <= self._times[-1]:
-            raise ValueError(
-                f"append time {t} is not after latest node {self._times[-1]}"
-            )
-        self._times.append(float(t))
-        self._values.append(value)
+        if not t > self._times[-1]:
+            raise ValueError(f"append time {t} is not after latest node {self._times[-1]}")
+        self._times = np.append(self._times, float(t))
+        self._values = np.concatenate([self._values, value[None]])
 
     def sample(self, t: float) -> np.ndarray:
         """Value at time ``t``, interpolating linearly between stored nodes."""
-        times = self._times
-        if not times:
-            raise ValueError("history is empty")
-        if t < times[0] or t > times[-1]:
+        return self.sample_at(np.array([t], dtype=float))[0]
+
+    def sample_at(self, s) -> np.ndarray:
+        """Values at every time of the 1-D array ``s``, stacked on axis 0,
+        each exactly as :meth:`sample` returns it."""
+        times, values = self.as_arrays()
+        s = np.asarray(s, dtype=float)
+        inside = (s >= times[0]) & (s <= times[-1])
+        if not inside.all():
             raise ValueError(
-                f"query time {t} outside recorded range [{times[0]}, {times[-1]}]"
+                f"query time {s[~inside][0]} outside recorded range [{times[0]}, {times[-1]}]"
             )
-        i = bisect_right(times, t)
-        lo = times[i - 1]
-        if lo == t:
-            return self._values[i - 1]
-        v0 = self._values[i - 1]
-        v1 = self._values[i]
-        w = (t - lo) / (times[i] - lo)
-        return v0 + (v1 - v0) * w
+        i = np.searchsorted(times, s, side="right") - 1
+        j = np.minimum(i + 1, len(times) - 1)
+        v0 = values[i]
+        on_node = s == times[i]
+        w = (s - times[i]) / np.where(on_node, 1.0, times[j] - times[i])
+        w = w.reshape((-1,) + (1,) * (v0.ndim - 1))
+        return np.where(on_node.reshape(w.shape), v0, v0 + (values[j] - v0) * w)
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stored nodes as ``(times, values)`` arrays; values stack on axis 0."""
-        if not self._times:
+        """The stored ``(times, values)`` arrays; values stack on axis 0.
+        Treat both as read-only."""
+        if self._values is None:
             raise ValueError("history is empty")
-        return np.array(self._times), np.stack(self._values)
+        return self._times, self._values

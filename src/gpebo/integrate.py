@@ -6,8 +6,9 @@ A run is three passes over the uniform grid t_k = k h:
    sees the estimator; the pass keeps node values and node derivatives;
 2. regression: psi = (C(phi) Phi(phi))^T and y_reg = C(phi) (xi - x)(phi)
    at every stage time (for DREM also at each stage time minus each lag,
-   zero before t = 0), each looked up in the cubic Hermite interpolant of
-   the plant nodes, which keeps the estimator fourth-order;
+   zero before t = 0; at gamma = 0 at the nodes alone), each looked up in
+   the cubic Hermite interpolant of the plant nodes, which keeps the
+   estimator fourth-order;
 3. estimator: theta_hat alone, theta_hat' = v(s) - M(s) theta_hat with
    M = Gamma psi psi^T (gradient) or M = gamma Delta^2 I (DREM).
 
@@ -32,7 +33,7 @@ from .drem import (  # noqa: F401
     mix,
 )
 from .history import TrajectoryHistory
-from .model import NamedScenario, eval_system
+from .model import NamedScenario, at_times, eval_system
 from .observer import GainSpec, RegressionSample, gradient_update
 
 STATE_NORM_LIMIT = 1e12
@@ -87,25 +88,13 @@ def _rk4(y0, t, rate):
     return Y, dY
 
 
-def _at_times(fn, times, shape):
-    """fn(s) for every s in ``times``, stacked on a new leading axis.
-
-    Filled in place: a list of one small array per time would hold tens of
-    thousands of objects at once and raise the run's peak memory.
-    """
-    out = np.empty((len(times),) + shape)
-    for j, s in enumerate(times.tolist()):
-        out[j] = fn(s)
-    return out
-
-
 def _plant_pass(sysm, xi0, t, tau):
     """RK4 on Z = [x | xi | Phi] over the nodes ``t``, with A and B u taken
     once at each time of ``tau`` (nodes and midpoints).  Returns the node
     values and node derivatives."""
     n, m = sysm.n, sysm.m
-    As = _at_times(sysm.A, tau, (n, n))
-    Bu = np.einsum("kij,kj->ki", _at_times(sysm.B, tau, (n, m)), _at_times(sysm.u, tau, (m,)))
+    As = at_times(sysm.A, tau, (n, n))
+    Bu = np.einsum("kij,kj->ki", at_times(sysm.B, tau, (n, m)), at_times(sysm.u, tau, (m,)))
     forcing = np.zeros((len(tau), n, n + 2))
     forcing[:, :, 0] = forcing[:, :, 1] = Bu
     Z, dZ = _rk4(np.column_stack([sysm.x0, xi0, np.eye(n)]), t,
@@ -142,7 +131,7 @@ def _regression(scenario, t, Z, dZ, times, lags):
         phi = np.array([scenario.delay(v) for v in np.maximum(s, 0.0).tolist()])
         Zd = np.concatenate([_hermite(t, Z, dZ, phi[lo:lo + _LOOKUP_BLOCK])
                              for lo in range(0, len(phi), _LOOKUP_BLOCK)])
-        C = _at_times(scenario.system.C, phi, (scenario.system.q, scenario.system.n))
+        C = at_times(scenario.system.C, phi, (scenario.system.q, scenario.system.n))
         psi = (C @ Zd[:, :, 2:]).transpose(0, 2, 1)
         y_reg = np.einsum("kqn,kn->kq", C, Zd[:, :, 1] - Zd[:, :, 0])
         if C.shape[1] == 1:
@@ -220,9 +209,11 @@ def simulate(scenario: NamedScenario) -> SimulationResult:
     # norm guard below then names its first node past the limit.
     with np.errstate(over="ignore", invalid="ignore"):
         Z, dZ = _plant_pass(sysm, scenario.xi0, t, tau)
-        M, Y = _regression(scenario, t, Z, dZ, tau, lags)
-        psi, y_reg = M[:, 0], Y[:, 0]
+        # open loop nothing reads the midpoints: build the regression at the
+        # nodes alone (tau[2k] and t[k] are the same doubles)
         gamma = scenario.gamma
+        M, Y = _regression(scenario, t, Z, dZ, t if gamma == 0.0 else tau, lags)
+        psi, y_reg = M[:, 0], Y[:, 0]
         if gamma == 0.0:
             theta_hat = np.tile(scenario.theta_hat0, (len(t), 1))
         elif scenario.estimator == "gradient":
@@ -248,6 +239,6 @@ def simulate(scenario: NamedScenario) -> SimulationResult:
         Phi=Z[:, :, 2:],
         theta_hat=theta_hat,
         theta=scenario.xi0 - sysm.x0,
-        psi=psi[::2].copy(),
-        y_reg=y_reg[::2].copy(),
+        psi=psi if gamma == 0.0 else psi[::2].copy(),
+        y_reg=y_reg if gamma == 0.0 else y_reg[::2].copy(),
     )

@@ -13,8 +13,8 @@ started.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -83,6 +83,19 @@ def eval_system(spec: SystemSpec, t: float):
     return A, B, C, u
 
 
+def at_times(fn, times, shape) -> np.ndarray:
+    """fn(s) for every s in the 1-D array ``times``, stacked on a new
+    leading axis.
+
+    Filled in place: a list of one small array per time would hold tens of
+    thousands of objects at once and raise a run's peak memory.
+    """
+    out = np.empty((len(times),) + tuple(shape))
+    for j, s in enumerate(times.tolist()):
+        out[j] = fn(s)
+    return out
+
+
 @dataclass(frozen=True)
 class DelaySpec:
     """Measurement time map ``phi(t)``, clamped into ``[0, t]``.
@@ -92,11 +105,7 @@ class DelaySpec:
     * ``identity``     phi(t) = t (no delay)
     * ``constant``     phi(t) = t - tau
     * ``sinusoidal``   phi(t) = t - (base + amplitude * sin(frequency * t))
-    * ``custom``       phi(t) = fn(t), optional analytic rate fn_rate
-
-    ``rate`` reports the derivative of the unclamped map: exact for the
-    built-in kinds, central differences of the clamped evaluation for
-    ``custom`` without a supplied hook.
+    * ``custom``       phi(t) = fn(t)
     """
 
     kind: str
@@ -105,7 +114,6 @@ class DelaySpec:
     amplitude: float = 0.0
     frequency: float = 0.0
     fn: Optional[Callable[[float], float]] = None
-    fn_rate: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if self.kind not in _DELAY_KINDS:
@@ -133,8 +141,8 @@ class DelaySpec:
         )
 
     @classmethod
-    def custom(cls, fn, rate=None) -> "DelaySpec":
-        return cls(kind="custom", fn=fn, fn_rate=rate)
+    def custom(cls, fn) -> "DelaySpec":
+        return cls(kind="custom", fn=fn)
 
     def _raw(self, t: float) -> float:
         if self.kind == "identity":
@@ -152,18 +160,6 @@ class DelaySpec:
         if not math.isfinite(raw):
             raise ValueError(f"delay map is not finite at t={t}: phi(t) = {raw!r}")
         return max(0.0, min(t, raw))
-
-    def rate(self, t: float, step: float = 1e-3) -> float:
-        """d(phi)/dt of the unclamped map at ``t``."""
-        if self.kind in ("identity", "constant"):
-            return 1.0
-        if self.kind == "sinusoidal":
-            return 1.0 - self.amplitude * self.frequency * math.cos(self.frequency * t)
-        if self.fn_rate is not None:
-            return float(self.fn_rate(t))
-        lo = max(0.0, t - step)
-        hi = t + step
-        return (self(hi) - self(lo)) / (hi - lo)
 
 
 def eval_delay(spec: DelaySpec, t: float) -> float:

@@ -38,10 +38,13 @@ def test_validate_rejects_bad_values():
         RunConfig(x0=(1.0,)).validate()
 
 
-@pytest.mark.parametrize("field", ["step", "horizon", "pe_window", "pe_floor", "gammas"])
+@pytest.mark.parametrize("field", ["step", "horizon", "pe_window", "pe_floor", "gammas",
+                                   "x0", "xi0", "theta0"])
 @pytest.mark.parametrize("value", [math.inf, math.nan])
 def test_validate_rejects_non_finite_values(field, value):
-    cfg = RunConfig(**{field: (value,) if field == "gammas" else value})
+    vectors = {"gammas": (value,), "x0": (0.0, value), "xi0": (value, 0.0),
+               "theta0": (value, value)}
+    cfg = RunConfig(**{field: vectors.get(field, value)})
     with pytest.raises(ConfigError):
         cfg.validate()
 
@@ -176,6 +179,7 @@ def test_main_pe_report(tmp_path, capsys):
 def test_main_rejects_bad_input_before_simulating(tmp_path, capsys):
     assert main(["--horizon", "inf"]) == 2
     assert main(["--gamma", "1,nan"]) == 2
+    assert main(["--x0=nan,0"]) == 2
     path = tmp_path / "pe.csv"
     assert main(["--pe-window", "5", "--horizon", "2", "--pe-report", str(path)]) == 2
     captured = capsys.readouterr()

@@ -1,13 +1,18 @@
 """Windowed excitation integrals and the sliding persistence check."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from gpebo import (
-    DelayRateError,
     DelaySpec,
+    LtiOracle,
     NamedScenario,
     SystemSpec,
     TrajectoryHistory,
@@ -125,24 +130,103 @@ def test_delayed_pe_sinusoidal_delay_is_finite_spd():
     assert np.linalg.eigvalsh(G).min() > 0.0
 
 
-def test_delayed_pe_rejects_vanishing_rate():
+def _tau_quadrature(Phi_at, C, delay, t, T, kinks=()):
+    """Direct time-domain quadrature of psi(tau)^T psi(tau) over [t, t+T],
+    psi(tau) = C Phi(phi(tau)): 8-point Gauss-Legendre on panels of at
+    most 0.05, split at the kinks of the delay map."""
+    x, w = np.polynomial.legendre.leggauss(8)
+    cuts = [t] + sorted(k for k in kinks if t < k < t + T) + [t + T]
+    nodes, weights = [], []
+    for a, b in zip(cuts, cuts[1:]):
+        edges = np.linspace(a, b, math.ceil((b - a) / 0.05) + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        nodes.append((0.5 * (edges[1:] + edges[:-1])[:, None] + half * x).ravel())
+        weights.append((half * w).ravel())
+    tau = np.concatenate(nodes)
+    rows = np.stack([C @ Phi_at(delay(v)) for v in tau.tolist()])
+    return np.einsum("k,kqi,kqj->ij", np.concatenate(weights), rows, rows)
+
+
+@pytest.fixture(scope="module")
+def benchmark_phi():
+    """The benchmark plant's Phi by DOP853, for reference quadratures."""
+    def rhs(t, p):
+        a21 = -math.sin(t) ** 2
+        return [p[2], p[3], a21 * p[0], a21 * p[1]]
+
+    sol = solve_ivp(rhs, (0.0, 12.0), [1.0, 0.0, 0.0, 1.0], method="DOP853",
+                    rtol=1e-12, atol=1e-13, dense_output=True)
+    return lambda s: sol.sol(s).reshape(2, 2)
+
+
+def test_delayed_pe_matches_tau_domain_quadrature(benchmark_phi):
     res = _benchmark_run()
     hist = res.phi_history()
-    C = res.scenario.system.C
-    # nondecreasing map with a plateau on [1, 2]; its image covers the
-    # plateau, where differenced rates vanish
+    C = res.scenario.system.C(0.0)
+    # a map with a plateau on [1, 2], where it is flat, and c3's sinusoid,
+    # clamped at zero until t* and leaving the clamp with a kink
     plateau = DelaySpec.custom(lambda t: min(t, max(1.0, t - 1.0)))
-    with pytest.raises(DelayRateError):
-        delayed_pe_integral(hist, C, 0.5, 2.5, plateau)
+    c3 = DelaySpec.sinusoidal(1.0, 0.9, 1.0)
+    t_star = brentq(lambda t: t - 1.0 - 0.9 * math.sin(t), 1.0, 2.0, xtol=1e-15)
+    for delay, kinks, t, T in ((plateau, (1.0, 2.0), 0.5, 2.5), (c3, (t_star,), 0.2, 2.0),
+                               (c3, (t_star,), 4.0, 5.0)):
+        G = delayed_pe_integral(hist, res.scenario.system.C, t, T, delay)
+        ref = _tau_quadrature(benchmark_phi, C, delay, t, T, kinks)
+        assert np.linalg.norm(G - ref) <= 1e-5 * np.linalg.norm(ref)
 
 
-def test_delayed_pe_degenerate_window_is_zero():
+def test_delayed_pe_frozen_map_integrates_constant_regressor():
     res = _benchmark_run()
     hist = res.phi_history()
     C = res.scenario.system.C
-    frozen = DelaySpec.custom(lambda t: 0.0, rate=lambda t: 1.0)
+    frozen = DelaySpec.custom(lambda t: 0.0)
     G = delayed_pe_integral(hist, C, 1.0, 2.0, frozen)
-    assert np.array_equal(G, np.zeros((2, 2)))
+    psi0 = C(0.0) @ hist.sample(0.0)
+    assert np.abs(G - 2.0 * psi0.T @ psi0).max() <= 1e-14
+
+
+_ROTATION = LtiOracle(np.array([[0.0, 1.5], [-1.5, 0.0]]))  # w = 1.5
+_SPAN = 8.0
+
+
+@functools.cache
+def _rotation_history():
+    times = 1e-3 * np.arange(8001)
+    return TrajectoryHistory.from_grid(times, np.stack([_ROTATION.phi(v) for v in times.tolist()]))
+
+
+def _delay_kinks(delay, t, T):
+    """Where the map meets a clamp: raw phi crossing 0 or crossing tau."""
+    grid = np.linspace(t, t + T, 4001)
+    kinks = []
+    for f in (delay._raw, lambda v: delay._raw(v) - v):
+        vals = np.array([f(v) for v in grid.tolist()])
+        for k in np.flatnonzero(np.sign(vals[1:]) * np.sign(vals[:-1]) < 0):
+            kinks.append(brentq(f, grid[k], grid[k + 1], xtol=1e-15))
+    return kinks
+
+
+_delays = st.one_of(
+    st.builds(DelaySpec.constant, st.floats(0.0, 2.0)),
+    st.builds(DelaySpec.sinusoidal, st.floats(0.0, 2.0), st.floats(0.0, 1.0),
+              st.floats(0.0, 1.5)),
+)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(delay=_delays, T=st.floats(0.1, 3.0), frac=st.floats(0.0, 1.0))
+def test_delayed_pe_matches_gauss_legendre_property(delay, T, frac):
+    hist = _rotation_history()
+    t = frac * (_SPAN - T)
+    C = np.array([[1.0, 0.0]])
+    G = delayed_pe_integral(hist, lambda s: C, t, T, delay)
+    kinks = _delay_kinks(delay, t, T)
+    ref = _tau_quadrature(_ROTATION.phi, C, delay, t, T, kinks)
+    # With w = 1.5, phi' <= 2.5 and |phi''| <= 2.25, |g''| <= 63 for the
+    # entries g of psi^T psi: the trapezoid on h = 1e-3 is within
+    # 5.3e-6 T, interpolating Phi adds 5.6e-7 T, and each kink at most
+    # about 4e-6.
+    assert np.abs(G - ref).max() <= 1e-5 * (T + len(kinks))
 
 
 def test_pe_check_constant_scalar():

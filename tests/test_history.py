@@ -119,3 +119,32 @@ def test_as_arrays():
     assert times.tolist() == [0.0, 0.5]
     assert vals.shape == (2, 2)
     assert vals[1, 0] == 3.0
+
+
+def test_sample_at_matches_per_node_formula_bit_exact():
+    # reference: the per-query bisect and v0 + (v1 - v0) w of a list-backed history
+    from bisect import bisect_right
+
+    rng = np.random.default_rng(5)
+    times = np.cumsum(rng.uniform(0.01, 0.5, size=40))
+    vals = rng.standard_normal((40, 2, 3))
+    h = TrajectoryHistory.from_grid(times, vals)
+    queries = np.concatenate([times, rng.uniform(times[0], times[-1], size=200)])
+    got = h.sample_at(queries)
+    for q, g in zip(queries.tolist(), got):
+        i = bisect_right(times.tolist(), q) - 1
+        if times[i] == q:
+            ref = vals[i]
+        else:
+            ref = vals[i] + (vals[i + 1] - vals[i]) * ((q - times[i]) / (times[i + 1] - times[i]))
+        assert np.array_equal(g, ref)
+        assert np.array_equal(h.sample(q), ref)
+    with pytest.raises(ValueError):
+        h.sample_at(np.array([times[0], times[-1] + 1e-9]))
+
+
+def test_from_grid_rejects_unordered_times():
+    with pytest.raises(ValueError):
+        TrajectoryHistory.from_grid([0.0, 1.0, 1.0], np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        TrajectoryHistory.from_grid([0.0, 2.0, 1.0], np.zeros((3, 2)))

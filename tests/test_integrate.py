@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -210,6 +211,20 @@ def test_simulate_drem_records_regression():
             assert res.psi.shape == (3001, 2)
             assert res.y_reg.shape == (3001,)
             assert np.abs(res.y_reg - res.psi @ res.theta).max() <= 1e-10
+
+
+def test_open_loop_builds_regression_at_nodes_only():
+    # at gamma 0 nothing reads the midpoints; t[k] and tau[2k] are the same
+    # doubles, so the node-only build equals a closed-loop run's bit for bit
+    scen = builtin_scenario("c3", 0.0, horizon=3.0)
+    calls = []
+    counted = DelaySpec.custom(lambda t: calls.append(t) or scen.delay(t))
+    a = simulate(replace(scen, delay=counted))
+    b = simulate(replace(scen, gamma=10.0))
+    assert len(calls) == len(a.t) == 3001
+    for name in ("t", "x", "xi", "Phi", "psi", "y_reg"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert np.array_equal(a.theta_hat, np.tile(scen.theta_hat0, (3001, 1)))
 
 
 def test_delayed_scenario_uses_history():

@@ -63,16 +63,6 @@ def test_delay_bounds_on_dense_grid():
             assert 0.0 <= phi <= t
 
 
-def test_delay_rates():
-    assert DelaySpec.identity().rate(3.0) == 1.0
-    assert DelaySpec.constant(1.0).rate(3.0) == 1.0
-    d = DelaySpec.sinusoidal(1.0, 0.9, 1.0)
-    for t in (0.0, 1.2, 7.5):
-        assert d.rate(t) == pytest.approx(1.0 - 0.9 * math.cos(t), abs=1e-15)
-    custom = DelaySpec.custom(lambda t: 0.5 * t)
-    assert custom.rate(10.0) == pytest.approx(0.5, abs=1e-9)
-
-
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_delay_raises(value):
     spec = DelaySpec.custom(lambda t: value)
