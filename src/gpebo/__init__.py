@@ -6,7 +6,8 @@ between copy and plant, and recovers the state algebraically from the
 estimate.  The package bundles the plant/scenario definitions, the
 three-pass fixed-step integrator, gradient and decoupled (regressor-mixing)
 estimators, excitation diagnostics, closed-form reference solutions, and
-a CLI that renders sweep reports.
+a CLI that renders sweep reports.  The CLI lives in ``gpebo.cli`` and is
+not imported here, so ``python -m gpebo.cli`` runs it without a warning.
 """
 
 from .model import (
@@ -44,7 +45,6 @@ from .excitation import (
 )
 from .oracle import LtiOracle, liouville_det, matrix_exponential, phi_closed_form
 from .report import RunResult, emit_csv, emit_svg, format_pe_summary, write_pe_report
-from .cli import ConfigError, RunConfig, main, run
 
 __version__ = "0.1.0"
 
@@ -85,8 +85,4 @@ __all__ = [
     "emit_svg",
     "write_pe_report",
     "format_pe_summary",
-    "RunConfig",
-    "ConfigError",
-    "run",
-    "main",
 ]

@@ -35,6 +35,11 @@ from .report import (
 
 _SCENARIOS = ("c1", "c2", "c3")
 _ESTIMATORS = ("gradient", "drem")
+# Grid nodes one sweep may hold, summed over its gains.  A simulation peaks
+# near 650 bytes per node (DREM; gradient 440) and keeps 112 bytes per node,
+# and the sweep keeps every gain's run, so a sweep at the limit peaks near
+# 1.3 GB (measured with tracemalloc on 30 s runs).
+MAX_SWEEP_NODES = 2_000_000
 
 
 class ConfigError(ValueError):
@@ -78,8 +83,13 @@ class RunConfig:
             raise ConfigError("pe-window must be positive and finite")
         if not 0.0 < self.pe_floor < math.inf:
             raise ConfigError("pe-floor must be positive and finite")
+        steps = max(1, round(self.horizon / self.step))
+        nodes = (steps + 1) * len(self.gammas)
+        if nodes > MAX_SWEEP_NODES:
+            raise ConfigError(f"the sweep needs {nodes} grid nodes, more than the limit of "
+                              f"{MAX_SWEEP_NODES}; raise step or lower horizon")
         # the scan needs one whole window on the grid t_k = k * step
-        grid_end = max(1, round(self.horizon / self.step)) * self.step
+        grid_end = steps * self.step
         if self.pe_report and self.pe_window > min(self.horizon, grid_end):
             raise ConfigError(f"pe-window {self.pe_window:g} exceeds the horizon {self.horizon:g}")
         for name in ("x0", "xi0", "theta0"):

@@ -3,7 +3,10 @@
 A run is three passes over the uniform grid t_k = k h:
 
 1. plant: Z = [x | xi | Phi] obeys Z' = A(t) Z + [Bu Bu 0], which never
-   sees the estimator; the pass keeps node values and node derivatives;
+   sees the estimator.  With A and B u taken once per node and midpoint,
+   each RK4 step's affine map Z_{k+1} = P_k Z_k + r_k [1 1 0] is built
+   with array operations, and a loop applies the maps; the pass keeps
+   node values and node derivatives;
 2. regression: psi = (C(phi) Phi(phi))^T and y_reg = C(phi) (xi - x)(phi)
    at every stage time (for DREM also at each stage time minus each lag,
    zero before t = 0; at gamma = 0 at the nodes alone), each looked up in
@@ -37,9 +40,10 @@ from .model import NamedScenario, at_times, eval_system
 from .observer import GainSpec, RegressionSample, gradient_update
 
 STATE_NORM_LIMIT = 1e12
-# Hermite lookups run this many times at once, which bounds the size of
-# their temporaries and with it the run's peak memory.
-_LOOKUP_BLOCK = 1024
+# Hermite lookups run this many times at once, and the plant pass builds
+# this many step maps at once, which bounds the size of their temporaries
+# and with it the run's peak memory.
+_BLOCK = 256
 
 
 class DivergenceError(RuntimeError):
@@ -69,38 +73,53 @@ def _regression_lags(scenario: NamedScenario) -> tuple:
 def _rk4(y0, t, rate):
     """Classical RK4 over the nodes ``t``; ``rate(j, y)`` is the derivative
     at stage time index j (node k is 2k, the midpoint after it 2k + 1).
-
-    Returns the node values and, for every node but the last, the first
-    stage of the step leaving it: the derivative at that node.
-    """
+    Returns the node values."""
     Y = np.empty((len(t),) + np.shape(y0))
-    dY = np.empty_like(Y)
     y = Y[0] = y0
     h = t[1] - t[0]
     half, c = 0.5 * h, h / 6.0
     for k in range(len(t) - 1):
         mid = 2 * k + 1
-        k1 = dY[k] = rate(2 * k, y)
+        k1 = rate(2 * k, y)
         k2 = rate(mid, y + half * k1)
         k3 = rate(mid, y + half * k2)
         k4 = rate(mid + 1, y + h * k3)
         y = Y[k + 1] = y + c * (k1 + 2.0 * (k2 + k3) + k4)
-    return Y, dY
+    return Y
 
 
 def _plant_pass(sysm, xi0, t, tau):
     """RK4 on Z = [x | xi | Phi] over the nodes ``t``, with A and B u taken
     once at each time of ``tau`` (nodes and midpoints).  Returns the node
-    values and node derivatives."""
+    values and node derivatives.
+
+    With a bottom row [1 1 0 ... 0] carried under Z, Z' = A Z + [Bu Bu 0]
+    becomes the linear ODE Z' = G Z, G = [[A, Bu], [0, 0]].  An RK4 step of
+    a linear ODE multiplies by what its stage formulas make of the
+    identity, here [[P_k, r_k], [0, 1]]; these are built a block of steps
+    at a time with array operations, and a loop applies them.
+    """
     n, m = sysm.n, sysm.m
-    As = at_times(sysm.A, tau, (n, n))
-    Bu = np.einsum("kij,kj->ki", at_times(sysm.B, tau, (n, m)), at_times(sysm.u, tau, (m,)))
-    forcing = np.zeros((len(tau), n, n + 2))
-    forcing[:, :, 0] = forcing[:, :, 1] = Bu
-    Z, dZ = _rk4(np.column_stack([sysm.x0, xi0, np.eye(n)]), t,
-                 lambda j, z: As[j] @ z + forcing[j])
-    dZ[-1] = As[-1] @ Z[-1] + forcing[-1]
-    return Z, dZ
+    G = np.zeros((len(tau), n + 1, n + 1))
+    G[:, :n, :n] = at_times(sysm.A, tau, (n, n))
+    G[:, :n, n] = np.einsum("kij,kj->ki", at_times(sysm.B, tau, (n, m)),
+                            at_times(sysm.u, tau, (m,)))
+    h = t[1] - t[0]
+    eye = np.eye(n + 1)
+    Z = np.zeros((len(t), n + 1, n + 2))
+    z = Z[0]
+    z[:n] = np.column_stack([sysm.x0, xi0, np.eye(n)])
+    z[n, :2] = 1.0
+    for lo in range(0, len(t) - 1, _BLOCK):
+        g = G[2 * lo:2 * (lo + _BLOCK) + 1]
+        G0, Gm, G1 = g[:-1:2], g[1::2], g[2::2]
+        K2 = Gm @ (eye + 0.5 * h * G0)
+        K3 = Gm @ (eye + 0.5 * h * K2)
+        K4 = G1 @ (eye + h * K3)
+        for k, p in enumerate(eye + (h / 6.0) * (G0 + 2.0 * (K2 + K3) + K4), lo + 1):
+            z = Z[k] = p @ z
+    # the copy drops the bottom row, which the run would otherwise keep
+    return Z[:, :n].copy(), G[::2, :n] @ Z
 
 
 def _hermite(t, Z, dZ, s):
@@ -129,8 +148,8 @@ def _regression(scenario, t, Z, dZ, times, lags):
     for d in lags:
         s = times - d
         phi = np.array([scenario.delay(v) for v in np.maximum(s, 0.0).tolist()])
-        Zd = np.concatenate([_hermite(t, Z, dZ, phi[lo:lo + _LOOKUP_BLOCK])
-                             for lo in range(0, len(phi), _LOOKUP_BLOCK)])
+        Zd = np.concatenate([_hermite(t, Z, dZ, phi[lo:lo + _BLOCK])
+                             for lo in range(0, len(phi), _BLOCK)])
         C = at_times(scenario.system.C, phi, (scenario.system.q, scenario.system.n))
         psi = (C @ Zd[:, :, 2:]).transpose(0, 2, 1)
         y_reg = np.einsum("kqn,kn->kq", C, Zd[:, :, 1] - Zd[:, :, 0])
@@ -218,11 +237,11 @@ def simulate(scenario: NamedScenario) -> SimulationResult:
             theta_hat = np.tile(scenario.theta_hat0, (len(t), 1))
         elif scenario.estimator == "gradient":
             gain = GainSpec.scaled(gamma, sysm.n)
-            theta_hat, _ = _rk4(scenario.theta_hat0, t, lambda j, th: gradient_update(
+            theta_hat = _rk4(scenario.theta_hat0, t, lambda j, th: gradient_update(
                 RegressionSample(tau[j], psi[j], y_reg[j]), th, gain))
         else:
             mixed = mix(M, Y, tau)
-            theta_hat, _ = _rk4(scenario.theta_hat0, t, lambda j, th: drem_update(
+            theta_hat = _rk4(scenario.theta_hat0, t, lambda j, th: drem_update(
                 MixedRegression(tau[j], mixed.Delta[j], mixed.Y_mixed[j]), th, gamma))
 
     worst = np.maximum(np.abs(Z).max(axis=(1, 2)), np.abs(theta_hat).max(axis=1))

@@ -33,6 +33,8 @@ _PALETTE = (
 )
 
 SVG_MAX_POINTS = 2000
+# rows per block of CSV text
+_CSV_BLOCK = 256
 
 
 @dataclass
@@ -81,8 +83,13 @@ def csv_header(n: int) -> str:
 
 
 def emit_csv(result: RunResult, path: str) -> None:
-    """Write the sweep as one flat CSV table, blocks ordered by gamma."""
+    """Write the sweep as one flat CSV table, blocks ordered by gamma.
+
+    ``"%.17g" % v`` gives the same text as ``_fmt(v)``; rows are converted
+    to Python floats a block at a time to keep the temporaries small.
+    """
     n = result.runs[0].x.shape[1]
+    row = ",".join(["%.17g"] * (2 + 5 * n)) + "\n"
 
     def writer(fh):
         fh.write(csv_header(n) + "\n")
@@ -99,8 +106,8 @@ def emit_csv(result: RunResult, path: str) -> None:
                     run.theta_hat,
                 ]
             )
-            for row in table:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            for lo in range(0, N, _CSV_BLOCK):
+                fh.write("".join([row % tuple(r) for r in table[lo:lo + _CSV_BLOCK].tolist()]))
 
     _atomic_text(path, writer)
 

@@ -1,12 +1,18 @@
 """Command line behavior: flags, config files, exit codes, outputs."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gpebo.cli as cli
 from gpebo import builtin_scenario, pe_check, simulate
-from gpebo.cli import ConfigError, RunConfig, assemble_config, build_parser, load_config_file, main
+from gpebo.cli import (MAX_SWEEP_NODES, ConfigError, RunConfig, assemble_config, build_parser,
+                       load_config_file, main)
 
 
 def test_defaults():
@@ -58,6 +64,30 @@ def test_validate_pe_window_against_horizon():
     RunConfig(horizon=2.0, pe_window=2.0, pe_report="pe.csv").validate()
     # without a scan the window is never used
     RunConfig(horizon=3.0, pe_window=5.0).validate()
+
+
+def test_validate_rejects_oversized_grid():
+    # the node count is arithmetic on horizon and step: nothing is allocated
+    for cfg in (RunConfig(horizon=1e9), RunConfig(step=1e-12), RunConfig(horizon=1e300)):
+        with pytest.raises(ConfigError, match="grid nodes"):
+            cfg.validate()
+    # the limit counts the nodes of every gain's run, t = 0 included
+    steps = MAX_SWEEP_NODES - 1
+    RunConfig(gammas=(1.0,), step=1.0, horizon=float(steps)).validate()
+    with pytest.raises(ConfigError, match="grid nodes"):
+        RunConfig(gammas=(1.0,), step=1.0, horizon=float(steps + 1)).validate()
+    with pytest.raises(ConfigError, match="grid nodes"):
+        RunConfig(gammas=(1.0, 10.0), step=1.0, horizon=float(steps // 2 + 1)).validate()
+
+
+def test_main_rejects_oversized_grid_before_simulating(monkeypatch, capsys):
+    def refuse(scenario):
+        raise AssertionError("simulated an oversized grid")
+
+    monkeypatch.setattr(cli, "simulate", refuse)
+    assert main(["--horizon", "1e9"]) == 2
+    assert main(["--step", "1e-12"]) == 2
+    assert "grid nodes" in capsys.readouterr().err
 
 
 def test_config_file_parsing(tmp_path):
@@ -233,6 +263,17 @@ def test_main_pe_report_scans_delayed_regressor(tmp_path):
 def test_main_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "--scenario" in capsys.readouterr().out
+
+
+def test_module_entry_point_runs_without_warnings():
+    # the package does not import gpebo.cli, so runpy finds it unloaded
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "gpebo.cli", "--help"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "--scenario" in done.stdout
 
 
 def test_main_config_file_end_to_end(tmp_path):

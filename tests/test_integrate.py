@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gpebo import (
     DelaySpec,
@@ -255,3 +257,56 @@ def test_gradient_estimate_is_fourth_order(sid):
         errs.append(np.abs(res.theta_hat - ref.theta_hat[::stride]).max())
     ratios = [a / b for a, b in zip(errs, errs[1:])]
     assert all(r >= 12.0 for r in ratios), ratios
+
+
+def _stagewise_rk4(A, F, Z0, h, nsteps):
+    # reference: Z' = A(t) Z + F(t), RK4 one stage at a time
+    Z = [Z0]
+    for k in range(nsteps):
+        t, z = k * h, Z[-1]
+        k1 = A(t) @ z + F(t)
+        k2 = A(t + h / 2) @ (z + h / 2 * k1) + F(t + h / 2)
+        k3 = A(t + h / 2) @ (z + h / 2 * k2) + F(t + h / 2)
+        k4 = A(t + h) @ (z + h * k3) + F(t + h)
+        Z.append(z + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+    return np.array(Z)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), m=st.integers(1, 2),
+       decay=st.floats(0.0, 2.0), spin=st.floats(0.0, 6.0), w=st.floats(0.1, 10.0),
+       step=st.floats(1e-3, 0.0125), nsteps=st.integers(1, 400))
+@example(seed=0, n=2, m=1, decay=0.5, spin=3.0, w=2.0, step=0.01, nsteps=400)
+def test_plant_pass_matches_stagewise_rk4(seed, n, m, decay, spin, w, step, nsteps):
+    # A(t) = A0 + A1 sin(w t) with A0 decaying (-decay I) and oscillating
+    # (spin times a skew part); B u varies in time through u.  Runs of up
+    # to 400 steps cross the plant pass's blocks of step maps, and a 5 s
+    # horizon keeps the fastest growth far below the divergence guard.
+    rng = np.random.default_rng(seed)
+    S = rng.standard_normal((n, n))
+    A0 = -decay * np.eye(n) + spin * (S - S.T) / 2 + 0.3 * rng.standard_normal((n, n))
+    A1 = 0.5 * rng.standard_normal((n, n))
+    B = rng.standard_normal((n, m))
+    amp, freq = rng.standard_normal(m), rng.uniform(0.0, 5.0, m)
+    x0, xi0 = rng.standard_normal(n), rng.standard_normal(n)
+    sysm = SystemSpec(
+        n=n, m=m, q=1,
+        A=lambda t: A0 + A1 * math.sin(w * t),
+        B=lambda t: B,
+        C=lambda t: np.ones((1, n)),
+        u=lambda t: amp * np.cos(freq * t),
+        x0=x0,
+    )
+    res = simulate(_scenario(sysm, horizon=step * nsteps, step=step, xi0=xi0))
+    assert len(res.t) == nsteps + 1
+
+    def F(t):
+        bu = B @ sysm.u(t)
+        return np.column_stack([bu, bu, np.zeros((n, n))])
+
+    ref = _stagewise_rk4(sysm.A, F, np.column_stack([x0, xi0, np.eye(n)]), step, nsteps)
+    scale = 1.0 + np.abs(ref).max()
+    for got, want in ((res.x, ref[:, :, 0]), (res.xi, ref[:, :, 1]), (res.Phi, ref[:, :, 2:])):
+        assert np.abs(got - want).max() <= 1e-12 * scale
+    identity = res.xi - res.x - np.einsum("kij,j->ki", res.Phi, xi0 - x0)
+    assert np.abs(identity).max() <= 1e-12 * scale

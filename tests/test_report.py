@@ -2,13 +2,14 @@
 
 import os
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gpebo import RunResult, builtin_scenario, emit_csv, emit_svg, simulate
 from gpebo.excitation import pe_check
-from gpebo.report import csv_header, format_pe_summary, write_pe_report
+from gpebo.report import _CSV_BLOCK, csv_header, format_pe_summary, write_pe_report
 
 
 def _sweep(gammas=(1.0, 10.0), horizon=1.0, scenario="c1", estimator="gradient"):
@@ -70,6 +71,37 @@ def test_csv_round_trip_exact(tmp_path):
     assert np.array_equal(parsed[:, 6:8], run.estimation_error)
     assert np.array_equal(parsed[:, 8:10], np.tile(run.theta, (len(run.t), 1)))
     assert np.array_equal(parsed[:, 10:12], run.theta_hat)
+
+
+def test_csv_text_matches_per_value_formatting(tmp_path):
+    # the row template writes what format(v, ".17g") writes for each value,
+    # special values included, on both sides of a block boundary
+    specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.2250738585072014e-308 / 3,
+                1e308, -1.7976931348623157e308, 0.1, 1.0 / 3.0]
+    result = _sweep(gammas=(1.0, 10.0), horizon=1.1)
+    runs = []
+    for k, run in enumerate(result.runs):
+        x, theta_hat = run.x.copy(), run.theta_hat.copy()
+        rows = np.arange(len(specials)) * 113 + k
+        x[rows, 0] = specials
+        theta_hat[rows, 1] = specials[::-1]
+        runs.append(replace(run, x=x, theta_hat=theta_hat))
+    result = replace(result, runs=runs)
+    path = tmp_path / "out.csv"
+    emit_csv(result, str(path))
+
+    expected = [csv_header(2)]
+    for gamma, run in result.ordered():
+        N = len(run.t)
+        table = np.column_stack([run.t, np.full(N, gamma), run.x, run.xhat,
+                                 run.estimation_error, np.tile(run.theta, (N, 1)),
+                                 run.theta_hat])
+        expected.extend(",".join(format(float(v), ".17g") for v in row) for row in table)
+    assert N > _CSV_BLOCK
+    text = path.read_text()
+    assert text == "\n".join(expected) + "\n"
+    for token in ("nan", "inf", "-inf", "-0", "4.9406564584124654e-324", "1e+308"):
+        assert f",{token}," in text or f",{token}\n" in text
 
 
 def test_csv_deterministic_bytes(tmp_path):
