@@ -16,19 +16,16 @@ from .model import (
     SystemSpec,
     benchmark_system,
     builtin_scenario,
-    eval_delay,
     eval_system,
 )
 from .history import TrajectoryHistory
 from .observer import (
     GainSpec,
     RegressionSample,
-    build_regression,
     gradient_update,
     reconstruct,
 )
 from .drem import (
-    DremConfig,
     MixedRegression,
     adjugate,
     default_ext_delays,
@@ -43,7 +40,7 @@ from .excitation import (
     pe_integral,
     delayed_pe_integral,
 )
-from .oracle import LtiOracle, liouville_det, matrix_exponential, phi_closed_form
+from .oracle import LtiOracle, liouville_det, matrix_exponential
 from .report import RunResult, emit_csv, emit_svg, format_pe_summary, write_pe_report
 
 __version__ = "0.1.0"
@@ -54,15 +51,12 @@ __all__ = [
     "NamedScenario",
     "benchmark_system",
     "builtin_scenario",
-    "eval_delay",
     "eval_system",
     "TrajectoryHistory",
     "RegressionSample",
     "GainSpec",
-    "build_regression",
     "gradient_update",
     "reconstruct",
-    "DremConfig",
     "MixedRegression",
     "default_ext_delays",
     "adjugate",
@@ -77,7 +71,6 @@ __all__ = [
     "delayed_pe_integral",
     "pe_check",
     "LtiOracle",
-    "phi_closed_form",
     "matrix_exponential",
     "liouville_det",
     "RunResult",

@@ -6,8 +6,13 @@ Usage example:
           --csv out/run.csv --svg out/run.svg
 
 A plain-text config file with ``key = value`` lines can seed any option;
-explicit flags override the file.  Exit codes: 0 success, 2 configuration
-problem, 3 simulation divergence, 4 output file problem.
+explicit flags override the file.  ``RunConfig``'s fields are the one
+option table: each makes one flag and one converter, shared by flag and
+file values, and its flag and field names are its file keys.  Scenario
+and estimator names are case-insensitive in both.  Bad values are
+rejected by the model when :meth:`RunConfig.validate` builds each gain's
+scenario, before anything is simulated.  Exit codes: 0 success, 2
+configuration problem, 3 simulation divergence, 4 output file problem.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -33,8 +38,6 @@ from .report import (
     write_pe_report,
 )
 
-_SCENARIOS = ("c1", "c2", "c3")
-_ESTIMATORS = ("gradient", "drem")
 # Grid nodes one sweep may hold, summed over its gains.  A simulation peaks
 # near 650 bytes per node (DREM; gradient 440) and keeps 112 bytes per node,
 # and the sweep keeps every gain's run, so a sweep at the limit peaks near
@@ -44,62 +47,6 @@ MAX_SWEEP_NODES = 2_000_000
 
 class ConfigError(ValueError):
     """Configuration could not be parsed or validated."""
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved options for one CLI invocation."""
-
-    scenario: str = "c1"
-    estimator: str = "gradient"
-    gammas: tuple = (1.0, 10.0, 100.0)
-    step: float = 1e-3
-    horizon: float = 30.0
-    x0: Optional[tuple] = None
-    xi0: Optional[tuple] = None
-    theta0: Optional[tuple] = None
-    csv: Optional[str] = None
-    svg: Optional[str] = None
-    pe_window: float = 5.0
-    pe_floor: float = 1e-4
-    pe_report: Optional[str] = None
-
-    def validate(self) -> None:
-        if self.scenario not in _SCENARIOS:
-            raise ConfigError(f"unknown scenario {self.scenario!r}")
-        if self.estimator not in _ESTIMATORS:
-            raise ConfigError(f"unknown estimator {self.estimator!r}")
-        if not self.gammas:
-            raise ConfigError("at least one gamma is required")
-        if any(not 0.0 < g < math.inf for g in self.gammas):
-            raise ConfigError("gamma values must be positive and finite")
-        if not 0.0 < self.step < math.inf:
-            raise ConfigError("step must be positive and finite")
-        if not 0.0 < self.horizon < math.inf:
-            raise ConfigError("horizon must be positive and finite")
-        if self.step > self.horizon:
-            raise ConfigError("step must not exceed horizon")
-        if not 0.0 < self.pe_window < math.inf:
-            raise ConfigError("pe-window must be positive and finite")
-        if not 0.0 < self.pe_floor < math.inf:
-            raise ConfigError("pe-floor must be positive and finite")
-        steps = max(1, round(self.horizon / self.step))
-        nodes = (steps + 1) * len(self.gammas)
-        if nodes > MAX_SWEEP_NODES:
-            raise ConfigError(f"the sweep needs {nodes} grid nodes, more than the limit of "
-                              f"{MAX_SWEEP_NODES}; raise step or lower horizon")
-        # the scan needs one whole window on the grid t_k = k * step
-        grid_end = steps * self.step
-        if self.pe_report and self.pe_window > min(self.horizon, grid_end):
-            raise ConfigError(f"pe-window {self.pe_window:g} exceeds the horizon {self.horizon:g}")
-        for name in ("x0", "xi0", "theta0"):
-            vec = getattr(self, name)
-            if vec is None:
-                continue
-            if len(vec) != 2:
-                raise ConfigError(f"{name} must have 2 components, got {len(vec)}")
-            if not all(math.isfinite(v) for v in vec):
-                raise ConfigError(f"{name} components must be finite")
 
 
 def _parse_floats(text: str, key: str) -> tuple:
@@ -119,27 +66,99 @@ def _parse_float(text: str, key: str) -> float:
         raise ConfigError(f"{key}: {exc}") from None
 
 
-_CONVERTERS = {
-    "scenario": lambda v, k: str(v).strip().lower(),
-    "estimator": lambda v, k: str(v).strip().lower(),
-    "gammas": _parse_floats,
-    "step": _parse_float,
-    "horizon": _parse_float,
-    "x0": _parse_floats,
-    "xi0": _parse_floats,
-    "theta0": _parse_floats,
-    "csv": lambda v, k: str(v).strip(),
-    "svg": lambda v, k: str(v).strip(),
-    "pe_window": _parse_float,
-    "pe_floor": _parse_float,
-    "pe_report": lambda v, k: str(v).strip(),
-}
+def _text(text: str, key: str) -> str:
+    return str(text).strip()
 
-_FILE_KEY_ALIASES = {"gamma": "gammas"}
+
+def _name(text: str, key: str) -> str:
+    return str(text).strip().lower()
+
+
+def _option(default, convert, metavar, help, flag=None):
+    """One row of the option table: a RunConfig field with the converter
+    that flag and config-file values share, and the flag's metavar and
+    help.  The flag is ``--`` and the field name with dashes unless
+    ``flag`` names it."""
+    return field(default=default, metadata={
+        "convert": convert, "metavar": metavar, "help": help, "flag": flag})
+
+
+@dataclass
+class RunConfig:
+    """Fully resolved options for one CLI invocation.
+
+    The fields are the option table: :func:`build_parser` makes one flag
+    per field, and a config-file key is a field's flag or field name.
+    """
+
+    scenario: str = _option("c1", _name, "{c1,c2,c3}", "built-in benchmark case (default c1)")
+    estimator: str = _option("gradient", _name, "{gradient,drem}",
+                             "parameter update law (default gradient)")
+    gammas: tuple = _option((1.0, 10.0, 100.0), _parse_floats, "G1,G2,...",
+                            "comma-separated adaptation gains (default 1,10,100)", flag="gamma")
+    step: float = _option(1e-3, _parse_float, "H", "integration step (default 1e-3)")
+    horizon: float = _option(30.0, _parse_float, "TF", "final time (default 30)")
+    x0: Optional[tuple] = _option(None, _parse_floats, "V1,V2",
+                                  "plant initial state (default 1,-1)")
+    xi0: Optional[tuple] = _option(None, _parse_floats, "V1,V2",
+                                   "observer copy initial state (default 0,0)")
+    theta0: Optional[tuple] = _option(None, _parse_floats, "V1,V2",
+                                      "initial parameter estimate (default 0,0)")
+    csv: Optional[str] = _option(None, _text, "PATH", "write the sweep table here")
+    svg: Optional[str] = _option(None, _text, "PATH", "render estimation error curves here")
+    pe_window: float = _option(5.0, _parse_float, "T", "excitation window length (default 5)")
+    pe_floor: float = _option(1e-4, _parse_float, "D",
+                              "excitation eigenvalue floor (default 1e-4)")
+    pe_report: Optional[str] = _option(None, _text, "PATH", "write the excitation scan here")
+
+    def scenarios(self) -> list:
+        """The built-in scenario of each gain, in the order of ``gammas``."""
+        return [builtin_scenario(self.scenario, gamma, estimator=self.estimator,
+                                 horizon=self.horizon, step=self.step, x0=self.x0,
+                                 xi0=self.xi0, theta_hat0=self.theta0)
+                for gamma in self.gammas]
+
+    def validate(self) -> None:
+        """Raise ConfigError for options no run may start with.
+
+        Each gain's scenario is built first, so every value the model
+        rejects is rejected here.  The rest is what the CLI alone decides:
+        positive gains, the excitation-scan options and the sweep's size.
+        """
+        if not self.gammas:
+            raise ConfigError("at least one gamma is required")
+        if not all(g > 0.0 for g in self.gammas):
+            raise ConfigError("gamma values must be positive")
+        try:
+            self.scenarios()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
+        if not 0.0 < self.pe_window < math.inf:
+            raise ConfigError("pe-window must be positive and finite")
+        if not 0.0 < self.pe_floor < math.inf:
+            raise ConfigError("pe-floor must be positive and finite")
+        # a float count, as a tiny step can make horizon / step overflow
+        steps = max(1.0, round(self.horizon / self.step, 0))
+        nodes = (steps + 1.0) * len(self.gammas)
+        if nodes > MAX_SWEEP_NODES:
+            raise ConfigError(f"the sweep needs {nodes:.10g} grid nodes, more than the limit of "
+                              f"{MAX_SWEEP_NODES}; raise step or lower horizon")
+        # the scan needs one whole window on the grid t_k = k * step
+        grid_end = steps * self.step
+        if self.pe_report and self.pe_window > min(self.horizon, grid_end):
+            raise ConfigError(f"pe-window {self.pe_window:g} exceeds the horizon {self.horizon:g}")
+
+
+def _flag(f) -> str:
+    return f.metadata["flag"] or f.name.replace("_", "-")
+
+
+# config-file key, lower case with "_" for "-" -> RunConfig field
+_FILE_KEYS = {key.replace("-", "_"): f for f in fields(RunConfig) for key in (f.name, _flag(f))}
 
 
 def load_config_file(path: str) -> dict:
-    """Parse ``key = value`` lines into converted option values."""
+    """Parse ``key = value`` lines into converted RunConfig field values."""
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -154,10 +173,10 @@ def load_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower().replace("-", "_")
-        key = _FILE_KEY_ALIASES.get(key, key)
-        if key not in _CONVERTERS:
+        if key not in _FILE_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = _CONVERTERS[key](value.strip(), key)
+        f = _FILE_KEYS[key]
+        out[f.name] = f.metadata["convert"](value.strip(), _flag(f))
     return out
 
 
@@ -166,52 +185,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="gpebo",
         description="Simulate the delayed-measurement state observer benchmark.",
     )
-    parser.add_argument("--scenario", choices=_SCENARIOS, default=None,
-                        help="built-in benchmark case (default c1)")
-    parser.add_argument("--estimator", choices=_ESTIMATORS, default=None,
-                        help="parameter update law (default gradient)")
-    parser.add_argument("--gamma", default=None, metavar="G1,G2,...",
-                        help="comma-separated adaptation gains (default 1,10,100)")
-    parser.add_argument("--step", default=None, metavar="H",
-                        help="integration step (default 1e-3)")
-    parser.add_argument("--horizon", default=None, metavar="TF",
-                        help="final time (default 30)")
-    parser.add_argument("--x0", default=None, metavar="V1,V2",
-                        help="plant initial state (default 1,-1)")
-    parser.add_argument("--xi0", default=None, metavar="V1,V2",
-                        help="observer copy initial state (default 0,0)")
-    parser.add_argument("--theta0", default=None, metavar="V1,V2",
-                        help="initial parameter estimate (default 0,0)")
-    parser.add_argument("--csv", default=None, metavar="PATH",
-                        help="write the sweep table here")
-    parser.add_argument("--svg", default=None, metavar="PATH",
-                        help="render estimation error curves here")
-    parser.add_argument("--pe-window", default=None, metavar="T",
-                        help="excitation window length (default 5)")
-    parser.add_argument("--pe-floor", default=None, metavar="D",
-                        help="excitation eigenvalue floor (default 1e-4)")
-    parser.add_argument("--pe-report", default=None, metavar="PATH",
-                        help="write the excitation scan here")
+    for f in fields(RunConfig):
+        parser.add_argument("--" + _flag(f), dest=f.name, default=None,
+                            metavar=f.metadata["metavar"], help=f.metadata["help"])
     parser.add_argument("--config", default=None, metavar="PATH",
                         help="key = value option file; flags override it")
     return parser
-
-
-_FLAG_TO_FIELD = {
-    "scenario": "scenario",
-    "estimator": "estimator",
-    "gamma": "gammas",
-    "step": "step",
-    "horizon": "horizon",
-    "x0": "x0",
-    "xi0": "xi0",
-    "theta0": "theta0",
-    "csv": "csv",
-    "svg": "svg",
-    "pe_window": "pe_window",
-    "pe_floor": "pe_floor",
-    "pe_report": "pe_report",
-}
 
 
 def assemble_config(args: argparse.Namespace) -> RunConfig:
@@ -219,10 +198,10 @@ def assemble_config(args: argparse.Namespace) -> RunConfig:
     values = {}
     if args.config is not None:
         values.update(load_config_file(args.config))
-    for flag, field_name in _FLAG_TO_FIELD.items():
-        raw = getattr(args, flag)
+    for f in fields(RunConfig):
+        raw = getattr(args, f.name)
         if raw is not None:
-            values[field_name] = _CONVERTERS[field_name](raw, field_name)
+            values[f.name] = f.metadata["convert"](raw, _flag(f))
     config = RunConfig(**values)
     config.validate()
     return config
@@ -231,19 +210,7 @@ def assemble_config(args: argparse.Namespace) -> RunConfig:
 def run(config: RunConfig) -> RunResult:
     """Simulate every gain in the sweep and emit the requested outputs."""
     start = time.perf_counter()
-    runs = []
-    for gamma in config.gammas:
-        scenario = builtin_scenario(
-            config.scenario,
-            gamma,
-            estimator=config.estimator,
-            horizon=config.horizon,
-            step=config.step,
-            x0=config.x0,
-            xi0=config.xi0,
-            theta_hat0=config.theta0,
-        )
-        runs.append(simulate(scenario))
+    runs = [simulate(scenario) for scenario in config.scenarios()]
     duration = time.perf_counter() - start
 
     result = RunResult(

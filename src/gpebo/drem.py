@@ -20,24 +20,6 @@ import numpy as np
 from .history import TrajectoryHistory
 
 
-@dataclass(frozen=True)
-class DremConfig:
-    """Extension lags (strictly increasing, positive) and scalar gain."""
-
-    ext_delays: tuple
-    gamma: float
-
-    def __post_init__(self):
-        d = tuple(float(v) for v in self.ext_delays)
-        if any(v <= 0.0 for v in d):
-            raise ValueError("extension delays must be positive")
-        if any(b <= a for a, b in zip(d, d[1:])):
-            raise ValueError("extension delays must be strictly increasing")
-        if not self.gamma > 0.0:
-            raise ValueError("gamma must be positive")
-        object.__setattr__(self, "ext_delays", d)
-
-
 def default_ext_delays(n: int, spacing: float = 0.5) -> tuple:
     """n - 1 equally spaced lags: (spacing, 2 spacing, ...)."""
     return tuple(spacing * i for i in range(1, n))
@@ -54,24 +36,24 @@ class MixedRegression:
 
 def extend_regressor(
     t: float,
-    config: DremConfig,
+    ext_delays: tuple,
     hist_psi: TrajectoryHistory,
     hist_y: TrajectoryHistory,
 ):
-    """Stack (psi, y_reg) at t and at each lag t - d.
+    """Stack (psi, y_reg) at t and at each lag t - d, d in ``ext_delays``.
 
     Rows whose lagged time predates the recorded history are zero-filled,
     which leaves the mixed determinant at zero until every lag is covered.
     The history must reach t.  Returns the pair (M, Y_stack) with M of
     shape (k, n).
     """
-    lags = (0.0,) + config.ext_delays
-    t0 = hist_psi.t0
-    M = np.zeros((len(lags), hist_psi.sample(t0).shape[0]))
+    lags = (0.0,) + tuple(ext_delays)
+    times, values = hist_psi.as_arrays()
+    M = np.zeros((len(lags), values.shape[1]))
     Y = np.zeros(len(lags))
     for i, d in enumerate(lags):
         s = t - d
-        if s >= t0:
+        if s >= times[0]:
             M[i] = hist_psi.sample(s)
             Y[i] = hist_y.sample(s)
     return M, Y

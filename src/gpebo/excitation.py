@@ -79,7 +79,7 @@ def _window(times, t: float, T: float):
 def _regressor(C, s, Phi):
     """C(s) Phi(s) at every time of ``s``, shape (len(s), q, n)."""
     q = np.shape(C(float(s[0])))[0]
-    return at_times(C, s, (q, Phi.shape[1])) @ Phi
+    return at_times(C, s, (q, Phi.shape[1]), "C(t)") @ Phi
 
 
 def _products(cp):
@@ -113,7 +113,7 @@ def delayed_pe_integral(
     time it reaches, must lie inside the recorded range.
     """
     s, _, _ = _window(hist_Phi.as_arrays()[0], t, T)
-    phi = np.array([delay(v) for v in s.tolist()])
+    phi = at_times(delay, s, (), "phi(t)")
     return _trapezoid(s, _products(_regressor(C, phi, hist_Phi.sample_at(phi)))[1])
 
 

@@ -42,14 +42,6 @@ class TrajectoryHistory:
         return len(self._times)
 
     @property
-    def t0(self) -> float:
-        return float(self.as_arrays()[0][0])
-
-    @property
-    def t_latest(self) -> float:
-        return float(self.as_arrays()[0][-1])
-
-    @property
     def times(self) -> np.ndarray:
         """Recorded node times, ascending.  Treat as read-only."""
         return self._times

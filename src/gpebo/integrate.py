@@ -30,20 +30,15 @@ import numpy as np
 # lookup); perfbench/tracer.py wraps it on this module with the other laws.
 from .drem import (  # noqa: F401
     MixedRegression,
-    default_ext_delays,
     drem_update,
     extend_regressor,
     mix,
 )
 from .history import TrajectoryHistory
-from .model import NamedScenario, at_times, eval_system
+from .model import _BLOCK, NamedScenario, at_times, eval_system
 from .observer import GainSpec, RegressionSample, gradient_update
 
 STATE_NORM_LIMIT = 1e12
-# Hermite lookups run this many times at once, and the plant pass builds
-# this many step maps at once, which bounds the size of their temporaries
-# and with it the run's peak memory.
-_BLOCK = 256
 
 
 class DivergenceError(RuntimeError):
@@ -59,15 +54,7 @@ def _regression_lags(scenario: NamedScenario) -> tuple:
     """Lags at which the run needs the regression: 0, then DREM's extension."""
     if scenario.estimator != "drem" or scenario.gamma == 0.0:
         return (0.0,)
-    n = scenario.system.n
-    if scenario.system.q != 1:
-        raise ValueError("drem estimation supports single-output plants")
-    delays = scenario.drem_delays
-    if delays is None:
-        delays = default_ext_delays(n)
-    if len(delays) != n - 1:
-        raise ValueError(f"drem needs {n - 1} extension delays, got {len(delays)}")
-    return (0.0,) + tuple(delays)
+    return (0.0,) + scenario.drem_delays
 
 
 def _rk4(y0, t, rate):
@@ -101,9 +88,9 @@ def _plant_pass(sysm, xi0, t, tau):
     """
     n, m = sysm.n, sysm.m
     G = np.zeros((len(tau), n + 1, n + 1))
-    G[:, :n, :n] = at_times(sysm.A, tau, (n, n))
-    G[:, :n, n] = np.einsum("kij,kj->ki", at_times(sysm.B, tau, (n, m)),
-                            at_times(sysm.u, tau, (m,)))
+    G[:, :n, :n] = at_times(sysm.A, tau, (n, n), "A(t)")
+    G[:, :n, n] = np.einsum("kij,kj->ki", at_times(sysm.B, tau, (n, m), "B(t)"),
+                            at_times(sysm.u, tau, (m,), "u(t)"))
     h = t[1] - t[0]
     eye = np.eye(n + 1)
     Z = np.zeros((len(t), n + 1, n + 2))
@@ -147,10 +134,10 @@ def _regression(scenario, t, Z, dZ, times, lags):
     psis, ys = [], []
     for d in lags:
         s = times - d
-        phi = np.array([scenario.delay(v) for v in np.maximum(s, 0.0).tolist()])
+        phi = at_times(scenario.delay, np.maximum(s, 0.0), (), "phi(t)")
         Zd = np.concatenate([_hermite(t, Z, dZ, phi[lo:lo + _BLOCK])
                              for lo in range(0, len(phi), _BLOCK)])
-        C = at_times(scenario.system.C, phi, (scenario.system.q, scenario.system.n))
+        C = at_times(scenario.system.C, phi, (scenario.system.q, scenario.system.n), "C(t)")
         psi = (C @ Zd[:, :, 2:]).transpose(0, 2, 1)
         y_reg = np.einsum("kqn,kn->kq", C, Zd[:, :, 1] - Zd[:, :, 0])
         if C.shape[1] == 1:
@@ -197,13 +184,8 @@ class SimulationResult:
         """theta_hat - theta at every node."""
         return self.theta_hat - self.theta
 
-    def x_history(self) -> TrajectoryHistory:
-        return TrajectoryHistory.from_grid(self.t, self.x)
-
-    def xi_history(self) -> TrajectoryHistory:
-        return TrajectoryHistory.from_grid(self.t, self.xi)
-
     def phi_history(self) -> TrajectoryHistory:
+        """Phi on the run's grid, for the excitation and Liouville checks."""
         return TrajectoryHistory.from_grid(self.t, self.Phi)
 
 

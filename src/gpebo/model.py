@@ -8,6 +8,11 @@ where ``phi`` maps the current time to the (possibly delayed) time at which
 the output was actually produced.  ``phi`` is always clamped into ``[0, t]``
 so the measurement never refers to the future or to times before the run
 started.
+
+The dataclasses here are the only validator of a run's parameters: each
+rejects a bad value, naming it, when it is built.  The callables are
+evaluated through :func:`at_times`, which checks the shape of every value
+they return.
 """
 
 from __future__ import annotations
@@ -18,11 +23,27 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .drem import default_ext_delays
+
 MatrixFn = Callable[[float], np.ndarray]
 VectorFn = Callable[[float], np.ndarray]
 
 _DELAY_KINDS = ("identity", "constant", "sinusoidal", "custom")
 _ESTIMATORS = ("gradient", "drem")
+# at_times stacks this many values at once, and the plant pass and the
+# Hermite lookups work this many steps or times at once, which bounds the
+# size of their temporaries and with it a run's peak memory.
+_BLOCK = 256
+
+
+def _finite_vector(name, value, n) -> np.ndarray:
+    """``value`` as a float array of shape (n,) with finite entries."""
+    vec = np.asarray(value, dtype=float)
+    if vec.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {vec.shape}")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"{name} must be finite, got {vec}")
+    return vec
 
 
 @dataclass(frozen=True)
@@ -55,10 +76,7 @@ class SystemSpec:
     def __post_init__(self):
         if self.n < 1 or self.m < 1 or self.q < 1:
             raise ValueError("dimensions n, m, q must be positive")
-        x0 = np.asarray(self.x0, dtype=float)
-        if x0.shape != (self.n,):
-            raise ValueError(f"x0 must have shape ({self.n},), got {x0.shape}")
-        object.__setattr__(self, "x0", x0)
+        object.__setattr__(self, "x0", _finite_vector("x0", self.x0, self.n))
 
 
 def eval_system(spec: SystemSpec, t: float):
@@ -83,16 +101,30 @@ def eval_system(spec: SystemSpec, t: float):
     return A, B, C, u
 
 
-def at_times(fn, times, shape) -> np.ndarray:
+def at_times(fn, times, shape: tuple, name: str) -> np.ndarray:
     """fn(s) for every s in the 1-D array ``times``, stacked on a new
     leading axis.
 
-    Filled in place: a list of one small array per time would hold tens of
+    Every value must have ``shape``; a ValueError names ``name`` and the
+    first time whose value does not.  Values are stacked a block of times
+    at a time: a list of one small array per time would hold tens of
     thousands of objects at once and raise a run's peak memory.
     """
-    out = np.empty((len(times),) + tuple(shape))
-    for j, s in enumerate(times.tolist()):
-        out[j] = fn(s)
+    out = np.empty((len(times),) + shape)
+    for lo in range(0, len(times), _BLOCK):
+        block = times[lo:lo + _BLOCK].tolist()
+        values = [fn(s) for s in block]
+        try:
+            stack = np.array(values, dtype=float)
+        except ValueError:
+            stack = None  # unequal shapes; a value that is no number raises below
+        if stack is None or stack.shape[1:] != shape:
+            for s, v in zip(block, values):
+                if np.shape(v) != shape:
+                    raise ValueError(f"{name} must have shape {shape}, got {np.shape(v)} "
+                                     f"at t={s}")
+            stack = np.array(values, dtype=float)
+        out[lo:lo + len(block)] = stack
     return out
 
 
@@ -118,6 +150,9 @@ class DelaySpec:
     def __post_init__(self):
         if self.kind not in _DELAY_KINDS:
             raise ValueError(f"unknown delay kind {self.kind!r}")
+        for name in ("tau", "base", "amplitude", "frequency"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"delay {name} must be finite, got {getattr(self, name)!r}")
         if self.kind == "constant" and self.tau < 0:
             raise ValueError("constant delay tau must be nonnegative")
         if self.kind == "custom" and self.fn is None:
@@ -162,11 +197,6 @@ class DelaySpec:
         return max(0.0, min(t, raw))
 
 
-def eval_delay(spec: DelaySpec, t: float) -> float:
-    """Clamped measurement time ``phi(t)``."""
-    return spec(t)
-
-
 @dataclass(frozen=True)
 class NamedScenario:
     """Complete, reproducible description of one simulation run.
@@ -174,7 +204,12 @@ class NamedScenario:
     ``gamma`` is the scalar adaptation gain; zero is allowed and freezes
     the parameter estimate, which is useful for open-loop diagnostics.
     ``drem_delays`` holds the regressor-extension delays used when
-    ``estimator == "drem"``; None selects the built-in default spacing.
+    ``estimator == "drem"``; None selects :func:`default_ext_delays`,
+    resolved here.  DREM needs a single-output plant and ``n - 1`` delays.
+
+    Every parameter is checked when the scenario is built: a shape, a
+    non-finite value or an out-of-range gain, step, horizon or delay
+    raises ValueError naming it, before anything is simulated.
     """
 
     id: str
@@ -191,28 +226,29 @@ class NamedScenario:
     def __post_init__(self):
         if self.estimator not in _ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        if not self.gamma >= 0.0:
-            raise ValueError("gamma must be nonnegative")
-        if not self.horizon > 0.0:
-            raise ValueError("horizon must be positive")
-        if not self.step > 0.0:
-            raise ValueError("step must be positive")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma!r}")
+        for name in ("horizon", "step"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
         if self.step > self.horizon:
             raise ValueError("step must not exceed horizon")
         n = self.system.n
-        xi0 = np.asarray(self.xi0, dtype=float)
-        th0 = np.asarray(self.theta_hat0, dtype=float)
-        if xi0.shape != (n,):
-            raise ValueError(f"xi0 must have shape ({n},), got {xi0.shape}")
-        if th0.shape != (n,):
-            raise ValueError(f"theta_hat0 must have shape ({n},), got {th0.shape}")
-        object.__setattr__(self, "xi0", xi0)
-        object.__setattr__(self, "theta_hat0", th0)
-        if self.drem_delays is not None:
-            d = tuple(float(v) for v in self.drem_delays)
-            if any(v <= 0 for v in d) or any(b <= a for a, b in zip(d, d[1:])):
-                raise ValueError("drem_delays must be positive and strictly increasing")
+        object.__setattr__(self, "xi0", _finite_vector("xi0", self.xi0, n))
+        object.__setattr__(self, "theta_hat0", _finite_vector("theta_hat0", self.theta_hat0, n))
+        delays = self.drem_delays
+        if delays is None and self.estimator == "drem":
+            delays = default_ext_delays(n)
+        if delays is not None:
+            d = tuple(float(v) for v in delays)
+            if not all(0.0 < v < math.inf for v in d) or any(b <= a for a, b in zip(d, d[1:])):
+                raise ValueError("drem_delays must be positive, finite and strictly increasing")
             object.__setattr__(self, "drem_delays", d)
+        if self.estimator == "drem":
+            if self.system.q != 1:
+                raise ValueError("drem estimation supports single-output plants")
+            if len(self.drem_delays) != n - 1:
+                raise ValueError(f"drem needs {n - 1} drem_delays, got {len(self.drem_delays)}")
 
 
 _BENCH_B = np.array([[0.0], [1.0]])

@@ -1,4 +1,5 @@
-"""Estimation-based observer: regression construction and gradient update.
+"""Estimation-based observer: the regression sample, the gradient law and
+state reconstruction.
 
 The observer integrates a copy of the plant,
 
@@ -14,6 +15,9 @@ whose unknown is theta.  A gradient law driven by this regression produces
 theta_hat, and the state estimate is recovered algebraically as
 
     x_hat = xi - Phi theta_hat.
+
+The regression itself is built in one place, by :func:`gpebo.simulate`,
+which records it at every node in ``SimulationResult.psi`` and ``y_reg``.
 """
 
 from __future__ import annotations
@@ -21,9 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .history import TrajectoryHistory
-from .model import NamedScenario
 
 
 @dataclass
@@ -61,28 +62,6 @@ class GainSpec:
         if not gamma > 0.0:
             raise ValueError("gamma must be positive")
         return cls(Gamma=float(gamma) * np.eye(n))
-
-
-def build_regression(
-    t: float,
-    scenario: NamedScenario,
-    hist_x: TrajectoryHistory,
-    hist_xi: TrajectoryHistory,
-    hist_Phi: TrajectoryHistory,
-) -> RegressionSample:
-    """Regression sample at time ``t`` from recorded trajectories.
-
-    Looks up x, xi, Phi at the measurement time phi(t) and forms the
-    regressor psi = (C(phi) Phi(phi))^T together with the regressand
-    y_reg = C(phi) xi(phi) - y(t).  The histories must cover phi(t).
-    """
-    phi_t = scenario.delay(t)
-    C_d = np.asarray(scenario.system.C(phi_t), dtype=float)
-    cphi = C_d @ hist_Phi.sample(phi_t)
-    y_reg = C_d @ (hist_xi.sample(phi_t) - hist_x.sample(phi_t))
-    if cphi.shape[0] == 1:
-        return RegressionSample(t=t, psi=cphi[0], y_reg=float(y_reg[0]))
-    return RegressionSample(t=t, psi=cphi.T.copy(), y_reg=y_reg)
 
 
 def gradient_update(sample: RegressionSample, theta_hat: np.ndarray, gain: GainSpec) -> np.ndarray:

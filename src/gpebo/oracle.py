@@ -17,6 +17,7 @@ import math
 import numpy as np
 
 from .history import TrajectoryHistory
+from .model import at_times
 
 
 def matrix_exponential(M: np.ndarray) -> np.ndarray:
@@ -94,11 +95,6 @@ class LtiOracle:
         return matrix_exponential(A * t)
 
 
-def phi_closed_form(oracle: LtiOracle, t: float) -> np.ndarray:
-    """Convenience wrapper around :meth:`LtiOracle.phi`."""
-    return oracle.phi(t)
-
-
 def liouville_det(hist_Phi: TrajectoryHistory, A) -> float:
     """Worst deviation of det Phi from its trace-integral prediction.
 
@@ -108,7 +104,7 @@ def liouville_det(hist_Phi: TrajectoryHistory, A) -> float:
     """
     times, Phis = hist_Phi.as_arrays()
     dets = np.linalg.det(Phis)
-    traces = np.array([np.trace(np.asarray(A(float(s)), dtype=float)) for s in times])
+    traces = at_times(A, times, Phis.shape[1:], "A(t)").trace(axis1=1, axis2=2)
     dt = np.diff(times)
     integral = np.concatenate(
         ([0.0], np.cumsum(0.5 * dt * (traces[1:] + traces[:-1])))

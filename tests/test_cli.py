@@ -2,8 +2,10 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -87,7 +89,86 @@ def test_main_rejects_oversized_grid_before_simulating(monkeypatch, capsys):
     monkeypatch.setattr(cli, "simulate", refuse)
     assert main(["--horizon", "1e9"]) == 2
     assert main(["--step", "1e-12"]) == 2
+    # horizon / step overflows to inf
+    assert main(["--horizon", "1e300", "--step", "1e-300"]) == 2
     assert "grid nodes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, name", [
+    ("horizon", "inf", "horizon"),
+    ("step", "nan", "step"),
+    ("gamma", "1,inf", "gamma"),
+    ("x0", "nan,0", "x0"),
+    ("xi0", "0,inf", "xi0"),
+    ("theta0", "1,2,3", "theta_hat0"),
+    ("scenario", "c9", "scenario"),
+    ("estimator", "secret", "estimator"),
+])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_main_rejects_model_errors_before_simulating(tmp_path, monkeypatch, capsys,
+                                                     flag, value, name, source):
+    # the model rejects the value while the config is validated
+    def refuse(scenario):
+        raise AssertionError("simulated a rejected config")
+
+    monkeypatch.setattr(cli, "simulate", refuse)
+    if source == "flag":
+        argv = [f"--{flag}={value}"]
+    else:
+        path = tmp_path / "run.cfg"
+        path.write_text(f"{flag} = {value}\n")
+        argv = ["--config", str(path)]
+    assert main(argv) == 2
+    assert name in capsys.readouterr().err
+
+
+def test_scenario_and_estimator_names_are_case_insensitive(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("scenario = C2\nestimator = DREM\n")
+    from_file = assemble_config(build_parser().parse_args(["--config", str(path)]))
+    from_flags = assemble_config(build_parser().parse_args(
+        ["--scenario", "C2", "--estimator", "Drem"]))
+    assert from_file == from_flags == RunConfig(scenario="c2", estimator="drem")
+    csvs = []
+    for argv in (["--config", str(path)], ["--scenario", "C2", "--estimator", "DREM"]):
+        csvs.append(tmp_path / f"{len(csvs)}.csv")
+        assert main(argv + ["--gamma", "5", "--horizon", "0.5", "--step", "1e-2",
+                            "--csv", str(csvs[-1])]) == 0
+    assert csvs[0].read_bytes() == csvs[1].read_bytes()
+
+
+_FIELD_TEXT = {"gammas": ("2,3", (2.0, 3.0)), "x0": ("1,2", (1.0, 2.0)),
+               "xi0": ("3,4", (3.0, 4.0)), "theta0": ("5,6", (5.0, 6.0)),
+               "scenario": ("c3", "c3"), "estimator": ("drem", "drem"),
+               "step": ("0.002", 0.002), "horizon": ("7", 7.0), "pe_window": ("3", 3.0),
+               "pe_floor": ("0.5", 0.5), "csv": ("a.csv", "a.csv"),
+               "svg": ("b.svg", "b.svg"), "pe_report": ("c.csv", "c.csv")}
+
+
+def test_every_field_has_one_flag_and_file_keys(tmp_path):
+    parser = build_parser()
+    flags = {a.dest: a.option_strings for a in parser._actions if a.dest != "help"}
+    assert set(flags) == {f.name for f in fields(RunConfig)} | {"config"}
+    assert set(_FIELD_TEXT) == {f.name for f in fields(RunConfig)}
+    for name, (text, value) in _FIELD_TEXT.items():
+        assert len(flags[name]) == 1
+        flag = flags[name][0][2:]
+        cfg = assemble_config(parser.parse_args([f"--{flag}={text}"]))
+        assert getattr(cfg, name) == value
+        # the flag name (either spelling) and the field name are file keys
+        for key in {flag, flag.replace("-", "_"), name}:
+            path = tmp_path / "run.cfg"
+            path.write_text(f"{key} = {text}\n")
+            assert load_config_file(str(path)) == {name: value}
+
+
+def test_readme_flag_list_matches_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("Flags (all optional", 1)[1].split("\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = set(re.findall(r"`(--[a-z0-9-]+)", section))
+    defined = {s for a in build_parser()._actions for s in a.option_strings
+               if s.startswith("--") and s != "--help"}
+    assert listed == defined
 
 
 def test_config_file_parsing(tmp_path):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from gpebo import (
-    DremConfig,
     MixedRegression,
     TrajectoryHistory,
     adjugate,
+    builtin_scenario,
     default_ext_delays,
     drem_update,
     extend_regressor,
@@ -44,14 +44,14 @@ def _cofactor_adjugate(M):
 
 
 def test_config_validation():
-    DremConfig(ext_delays=(0.5,), gamma=1.0)
-    DremConfig(ext_delays=(), gamma=2.0)
-    with pytest.raises(ValueError):
-        DremConfig(ext_delays=(-0.5,), gamma=1.0)
-    with pytest.raises(ValueError):
-        DremConfig(ext_delays=(0.5, 0.5), gamma=1.0)
-    with pytest.raises(ValueError):
-        DremConfig(ext_delays=(0.5,), gamma=0.0)
+    # the extension lags are checked where the scenario is built
+    builtin_scenario("c1", 1.0, estimator="drem", drem_delays=(0.5,))
+    with pytest.raises(ValueError, match="drem_delays"):
+        builtin_scenario("c1", 1.0, estimator="drem", drem_delays=(-0.5,))
+    with pytest.raises(ValueError, match="drem_delays"):
+        builtin_scenario("c1", 1.0, estimator="drem", drem_delays=(0.5, 0.5))
+    with pytest.raises(ValueError, match="gamma"):
+        drem_update(mix(np.eye(2), np.ones(2)), np.zeros(2), 0.0)
 
 
 def test_default_ext_delays():
@@ -76,15 +76,15 @@ def test_extend_identity_for_scalar():
     hy = TrajectoryHistory()
     hp.append(0.0, np.array([3.0]))
     hy.append(0.0, np.float64(7.0))
-    M, Y = extend_regressor(0.0, DremConfig(ext_delays=(), gamma=1.0), hp, hy)
+    M, Y = extend_regressor(0.0, (), hp, hy)
     assert np.array_equal(M, np.array([[3.0]]))
     assert np.array_equal(Y, np.array([7.0]))
 
 
 def test_extend_zero_fills_unfilled_lags():
     hp, hy = _ramp_history()
-    cfg = DremConfig(ext_delays=(1.0,), gamma=1.0)
-    M, Y = extend_regressor(0.5, cfg, hp, hy)
+    lags = (1.0,)
+    M, Y = extend_regressor(0.5, lags, hp, hy)
     assert np.array_equal(M[1], np.zeros(2))
     assert Y[1] == 0.0
     mixed = mix(M, Y, 0.5)
@@ -94,19 +94,19 @@ def test_extend_zero_fills_unfilled_lags():
 
 def test_extend_hand_case():
     hp, hy = _ramp_history()
-    cfg = DremConfig(ext_delays=(1.0,), gamma=1.0)
-    M, Y = extend_regressor(2.0, cfg, hp, hy)
+    lags = (1.0,)
+    M, Y = extend_regressor(2.0, lags, hp, hy)
     assert np.array_equal(M, np.array([[1.0, 2.0], [1.0, 1.0]]))
     assert mix(M, Y, 2.0).Delta == -1.0
 
 
 def test_extend_rejects_time_past_history():
     hp, hy = _ramp_history(tmax=1.0)
-    cfg = DremConfig(ext_delays=(0.75,), gamma=1.0)
-    M, Y = extend_regressor(1.0, cfg, hp, hy)
+    lags = (0.75,)
+    M, Y = extend_regressor(1.0, lags, hp, hy)
     assert np.array_equal(M, np.array([[1.0, 1.0], [1.0, 0.25]]))
     with pytest.raises(ValueError):
-        extend_regressor(1.25, cfg, hp, hy)
+        extend_regressor(1.25, lags, hp, hy)
 
 
 def test_mix_identity():

@@ -10,8 +10,8 @@ def test_append_single_sample():
     h = TrajectoryHistory()
     h.append(0.0, np.array([1.0, -1.0]))
     assert len(h) == 1
-    assert h.t0 == 0.0
-    assert h.t_latest == 0.0
+    assert h.times[0] == 0.0
+    assert h.times[-1] == 0.0
 
 
 def test_append_two_samples():
@@ -19,7 +19,7 @@ def test_append_two_samples():
     h.append(0.0, np.array([1.0]))
     h.append(0.001, np.array([2.0]))
     assert len(h) == 2
-    assert h.t_latest == 0.001
+    assert h.times[-1] == 0.001
 
 
 def test_append_non_monotone_rejected():

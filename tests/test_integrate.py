@@ -310,3 +310,91 @@ def test_plant_pass_matches_stagewise_rk4(seed, n, m, decay, spin, w, step, nste
         assert np.abs(got - want).max() <= 1e-12 * scale
     identity = res.xi - res.x - np.einsum("kij,j->ki", res.Phi, xi0 - x0)
     assert np.abs(identity).max() <= 1e-12 * scale
+
+
+def _random_plant(rng, n, w):
+    # a contracting drift, a rotating part and a small time-varying one keep
+    # |Phi| near 1, and a unit C keeps gamma |psi|^2 h inside RK4's range
+    S = rng.standard_normal((n, n))
+    A0 = -0.5 * np.eye(n) + 2.0 * (S - S.T)
+    A1 = 0.3 * rng.standard_normal((n, n))
+    B = rng.standard_normal((n, 1))
+    C = rng.standard_normal((1, n))
+    C /= np.linalg.norm(C)
+    return SystemSpec(
+        n=n, m=1, q=1,
+        A=lambda t: A0 + A1 * math.sin(w * t),
+        B=lambda t: B,
+        C=lambda t: C,
+        u=lambda t: np.array([math.cos(w * t)]),
+        x0=rng.standard_normal(n),
+    )
+
+
+_DELAYS = st.one_of(
+    st.just(DelaySpec.identity()),
+    st.floats(0.0, 1.5).map(DelaySpec.constant),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 4.0)).map(
+        lambda p: DelaySpec.sinusoidal(p[0] + p[1], p[1], p[2])),
+    # a proportional lag, clamped to phi = 0 until c t exceeds d
+    st.tuples(st.floats(0.2, 1.0), st.floats(0.0, 1.0)).map(
+        lambda p: DelaySpec.custom(lambda t: p[0] * t - p[1])),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), w=st.floats(0.1, 5.0),
+       delay=_DELAYS, gamma=st.one_of(st.just(0.0), st.floats(0.1, 50.0)),
+       estimator=st.sampled_from(["gradient", "drem"]))
+def test_regression_identities_hold_through_simulate(seed, n, w, delay, gamma, estimator):
+    # xi - x = Phi theta and y_reg = psi . theta at every node, whatever the
+    # plant, the delay (clamped at the start or not), the gain and the law
+    rng = np.random.default_rng(seed)
+    sysm = _random_plant(rng, n, w)
+    res = simulate(_scenario(sysm, gamma=gamma, horizon=2.0, step=1e-2, delay=delay,
+                             estimator=estimator, xi0=rng.standard_normal(n)))
+    scale = 1.0 + max(np.abs(res.x).max(), np.abs(res.xi).max(), np.abs(res.Phi).max())
+    copy_error = res.xi - res.x - np.einsum("kij,j->ki", res.Phi, res.theta)
+    assert np.abs(copy_error).max() <= 1e-12 * scale
+    assert res.psi.shape == (len(res.t), n) and res.y_reg.shape == (len(res.t),)
+    resid = res.y_reg - res.psi @ res.theta
+    assert np.abs(resid).max() <= 1e-12 * scale * (1.0 + np.abs(res.theta).max())
+
+
+_BAD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(field=st.sampled_from(["x0", "xi0", "theta_hat0", "gamma", "step", "horizon",
+                              "drem_delays", "tau"]),
+       bad=_BAD_NUMBERS, wrong_length=st.booleans())
+def test_bad_input_fails_at_construction(field, bad, wrong_length):
+    # a non-finite or wrongly shaped parameter raises ValueError naming it
+    # while the scenario is built: no coefficient or delay is evaluated
+    calls = []
+
+    def counted(value):
+        return lambda t: calls.append(t) or value
+
+    sysm = dict(n=2, m=1, q=1, A=counted(np.zeros((2, 2))), B=counted(np.zeros((2, 1))),
+                C=counted(np.ones((1, 2))), u=counted(np.zeros(1)), x0=np.zeros(2))
+    kw = dict(id="bad", delay=DelaySpec.custom(counted(0.0)), gamma=1.0, estimator="drem",
+              horizon=1.0, step=1e-2, xi0=np.zeros(2), theta_hat0=np.zeros(2))
+    vector = [0.0, 0.0, 0.0] if wrong_length else [0.0, bad]
+    if field == "x0":
+        sysm["x0"] = vector
+    elif field in ("xi0", "theta_hat0"):
+        kw[field] = vector
+    elif field == "drem_delays":
+        kw[field] = (0.5, 1.0) if wrong_length else (bad,)
+    elif field != "tau":
+        kw[field] = bad
+
+    def build():
+        if field == "tau":
+            kw["delay"] = DelaySpec(kind="constant", tau=bad)
+        return NamedScenario(system=SystemSpec(**sysm), **kw)
+
+    with pytest.raises(ValueError, match=field):
+        simulate(build())
+    assert calls == []

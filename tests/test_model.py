@@ -12,30 +12,31 @@ from gpebo import (
     SystemSpec,
     benchmark_system,
     builtin_scenario,
-    eval_delay,
     eval_system,
+    liouville_det,
+    pe_check,
     simulate,
 )
 
 
 def test_identity_delay_passthrough():
-    assert eval_delay(DelaySpec.identity(), 5.0) == 5.0
+    assert DelaySpec.identity()(5.0) == 5.0
 
 
 def test_constant_delay():
     d = DelaySpec.constant(1.0)
-    assert eval_delay(d, 5.0) == 4.0
+    assert d(5.0) == 4.0
 
 
 def test_constant_delay_clamped_at_start():
     d = DelaySpec.constant(1.0)
-    assert eval_delay(d, 0.5) == 0.0
+    assert d(0.5) == 0.0
 
 
 def test_sinusoidal_delay_clamped():
     d = DelaySpec.sinusoidal(1.0, 0.9, 1.0)
     # at t = pi/2 the raw value is pi/2 - 1.9 < 0, so the clamp fires
-    assert eval_delay(d, math.pi / 2) == 0.0
+    assert d(math.pi / 2) == 0.0
 
 
 def test_sinusoidal_delay_unclamped_region():
@@ -43,7 +44,7 @@ def test_sinusoidal_delay_unclamped_region():
     # raw lag stays in [0.1, 1.9], so no clamping once t >= 1.9
     for t in np.linspace(1.9, 30.0, 200):
         t = float(t)
-        assert eval_delay(d, t) == t - (1.0 + 0.9 * math.sin(1.0 * t))
+        assert d(t) == t - (1.0 + 0.9 * math.sin(1.0 * t))
 
 
 def test_delay_bounds_on_dense_grid():
@@ -59,7 +60,7 @@ def test_delay_bounds_on_dense_grid():
     for spec in specs:
         for t in grid:
             t = float(t)
-            phi = eval_delay(spec, t)
+            phi = spec(t)
             assert 0.0 <= phi <= t
 
 
@@ -127,7 +128,7 @@ def test_builtin_scenario_delays():
     assert s1.delay.kind == "identity"
     s2 = builtin_scenario("c2", 10.0, estimator="drem")
     assert s2.delay.kind == "constant" and s2.delay.tau == 1.0
-    assert eval_delay(s2.delay, 0.4) == 0.0
+    assert s2.delay(0.4) == 0.0
     s3 = builtin_scenario("c3", 1.0)
     assert s3.delay.kind == "sinusoidal"
     assert (s3.delay.base, s3.delay.amplitude, s3.delay.frequency) == (1.0, 0.9, 1.0)
@@ -160,7 +161,7 @@ def test_builtin_scenario_deterministic():
     assert np.array_equal(a.system.x0, b.system.x0)
     for t in (0.0, 1.7, 12.9):
         assert np.array_equal(a.system.A(t), b.system.A(t))
-        assert eval_delay(a.delay, t) == eval_delay(b.delay, t)
+        assert a.delay(t) == b.delay(t)
 
 
 def _dummy_system(n=2):
@@ -200,3 +201,60 @@ def test_system_spec_validation():
     with pytest.raises(ValueError):
         SystemSpec(n=2, m=1, q=1, A=lambda t: None, B=lambda t: None,
                    C=lambda t: None, u=lambda t: None, x0=np.zeros(3))
+
+
+@pytest.mark.parametrize("kw, name", [
+    (dict(horizon=math.inf), "horizon"),
+    (dict(horizon=math.nan), "horizon"),
+    (dict(step=math.inf), "step"),
+    (dict(gamma=math.inf), "gamma"),
+    (dict(gamma=math.nan), "gamma"),
+    (dict(x0=[math.nan, 0.0]), "x0"),
+    (dict(xi0=[0.0, math.inf]), "xi0"),
+    (dict(theta_hat0=[-math.inf, 0.0]), "theta_hat0"),
+    (dict(estimator="drem", drem_delays=(0.5, 1.0)), "drem_delays"),
+    (dict(estimator="drem", drem_delays=(math.inf,)), "drem_delays"),
+])
+def test_builtin_scenario_rejects_bad_value_at_construction(kw, name):
+    # each is rejected when the scenario is built, naming the parameter
+    args = {"gamma": 10.0, **kw}
+    with pytest.raises(ValueError, match=name):
+        builtin_scenario("c1", args.pop("gamma"), **args)
+
+
+def test_drem_scenario_resolves_default_delays():
+    assert builtin_scenario("c2", 1.0, estimator="drem").drem_delays == (0.5,)
+    assert builtin_scenario("c2", 1.0).drem_delays is None
+    # a two-output plant cannot be mixed into scalar regressions
+    sysm = replace(_dummy_system(), q=2, C=lambda t: np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="single-output"):
+        NamedScenario(id="bad", system=sysm, delay=DelaySpec.identity(), gamma=1.0,
+                      estimator="drem", horizon=1.0, step=1e-3, xi0=np.zeros(2),
+                      theta_hat0=np.zeros(2))
+
+
+@pytest.mark.parametrize("field", ["tau", "base", "amplitude", "frequency"])
+def test_delay_rejects_non_finite_parameters(field):
+    kind = "constant" if field == "tau" else "sinusoidal"
+    with pytest.raises(ValueError, match=field):
+        DelaySpec(kind=kind, **{field: math.nan})
+
+
+def test_wrong_shaped_coefficient_fails_naming_the_time():
+    # A(t) has the right shape at t = 0 only; stacking it into the run's
+    # (n, n) slots used to broadcast the row and simulate a wrong x
+    def A(t):
+        return np.array([[0.0, 1.0], [-1.0, 0.0]]) if t == 0.0 else np.array([0.0, 1.0])
+
+    sysm = replace(_dummy_system(), A=A)
+    scen = NamedScenario(id="bad", system=sysm, delay=DelaySpec.identity(), gamma=0.0,
+                         estimator="gradient", horizon=1.0, step=0.1, xi0=np.zeros(2),
+                         theta_hat0=np.zeros(2))
+    with pytest.raises(ValueError, match=r"A\(t\) must have shape \(2, 2\), got \(2,\) at t=0.05"):
+        simulate(scen)
+    res = simulate(builtin_scenario("c1", 0.0, horizon=1.0, step=0.1))
+    with pytest.raises(ValueError, match=r"A\(t\) must have shape \(2, 2\), got \(3, 3\) at t=0.0"):
+        liouville_det(res.phi_history(), lambda t: np.eye(3))
+    with pytest.raises(ValueError, match=r"C\(t\) must have shape \(1, 2\), got \(2,\) at t=0.3"):
+        pe_check(res.phi_history(), lambda t: np.ones(2) if t > 0.25 else np.ones((1, 2)),
+                 0.5, 1e-4)

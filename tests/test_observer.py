@@ -11,8 +11,6 @@ from gpebo import (
     NamedScenario,
     RegressionSample,
     SystemSpec,
-    TrajectoryHistory,
-    build_regression,
     builtin_scenario,
     gradient_update,
     reconstruct,
@@ -134,45 +132,20 @@ def test_rotating_regressor_slow_rate_closed_form(gamma):
         assert np.linalg.norm(res.theta_error[-1]) > 0.5
 
 
-def test_build_regression_initial_regressor():
-    scen = builtin_scenario("c1", 1.0)
-    hists = {}
-    for name, v0 in (("x", scen.system.x0), ("xi", scen.xi0), ("Phi", np.eye(2))):
-        h = TrajectoryHistory()
-        h.append(0.0, v0)
-        hists[name] = h
-    s = build_regression(0.0, scen, hists["x"], hists["xi"], hists["Phi"])
-    assert np.array_equal(s.psi, np.array([1.0, 0.0]))
-    assert s.y_reg == -1.0  # C (xi0 - x0) = -x0[0]
+def test_recorded_regression_initial_regressor():
+    # at t = 0, Phi = I: psi = C^T and y_reg = C (xi0 - x0) = -x0[0]
+    res = simulate(builtin_scenario("c1", 1.0, horizon=0.1))
+    assert np.array_equal(res.psi[0], np.array([1.0, 0.0]))
+    assert res.y_reg[0] == -1.0
 
 
-def test_build_regression_zero_parameter():
+def test_recorded_regression_zero_parameter():
     # xi(0) = x(0) makes the regressand vanish along the whole run
-    scen = builtin_scenario("c2", 1.0, horizon=4.0, xi0=np.array([1.0, -1.0]))
-    res = simulate(scen)
-    hx, hxi, hp = res.x_history(), res.xi_history(), res.phi_history()
-    for t in np.linspace(0.0, 4.0, 23):
-        s = build_regression(float(t), scen, hx, hxi, hp)
-        assert abs(s.y_reg) <= 1e-12
+    res = simulate(builtin_scenario("c2", 1.0, horizon=4.0, xi0=np.array([1.0, -1.0])))
+    assert not res.theta.any()
+    assert np.abs(res.y_reg).max() <= 1e-12
 
 
-def test_build_regression_identity_along_c2_run():
-    scen = builtin_scenario("c2", 10.0, horizon=5.0)
-    res = simulate(scen)
-    hx, hxi, hp = res.x_history(), res.xi_history(), res.phi_history()
-    rng = np.random.default_rng(17)
-    worst = 0.0
-    for t in rng.uniform(0.0, 5.0, size=60):
-        s = build_regression(float(t), scen, hx, hxi, hp)
-        worst = max(worst, abs(s.y_reg - s.psi @ res.theta))
-    assert worst <= 1e-4
-
-
-def test_build_regression_requires_history_coverage():
-    scen = builtin_scenario("c1", 1.0)
-    h = TrajectoryHistory()
-    h.append(0.0, np.zeros(2))
-    hp = TrajectoryHistory()
-    hp.append(0.0, np.eye(2))
-    with pytest.raises(ValueError):
-        build_regression(0.5, scen, h, h, hp)
+def test_recorded_regression_identity_along_c2_run():
+    res = simulate(builtin_scenario("c2", 10.0, horizon=5.0))
+    assert np.abs(res.y_reg - res.psi @ res.theta).max() <= 1e-10

@@ -14,7 +14,6 @@ from gpebo import (
     builtin_scenario,
     liouville_det,
     matrix_exponential,
-    phi_closed_form,
     simulate,
 )
 
@@ -52,11 +51,6 @@ def test_identity_at_time_zero():
     for _ in range(5):
         A = rng.standard_normal((3, 3))
         assert np.abs(LtiOracle(A).phi(0.0) - np.eye(3)).max() <= 1e-15
-
-
-def test_phi_closed_form_wrapper():
-    orc = LtiOracle(np.zeros((2, 2)))
-    assert np.array_equal(phi_closed_form(orc, 5.0), np.eye(2))
 
 
 def test_general_path_agrees_with_special_cases():
