@@ -19,14 +19,8 @@ from .model import (
     eval_system,
 )
 from .history import TrajectoryHistory
-from .observer import (
-    GainSpec,
-    RegressionSample,
-    gradient_update,
-    reconstruct,
-)
+from .observer import gradient_update
 from .drem import (
-    MixedRegression,
     adjugate,
     default_ext_delays,
     drem_update,
@@ -53,11 +47,7 @@ __all__ = [
     "builtin_scenario",
     "eval_system",
     "TrajectoryHistory",
-    "RegressionSample",
-    "GainSpec",
     "gradient_update",
-    "reconstruct",
-    "MixedRegression",
     "default_ext_delays",
     "adjugate",
     "extend_regressor",

@@ -130,16 +130,14 @@ class RunConfig:
         if not all(g > 0.0 for g in self.gammas):
             raise ConfigError("gamma values must be positive")
         try:
-            self.scenarios()
+            steps = self.scenarios()[0].steps
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if not 0.0 < self.pe_window < math.inf:
             raise ConfigError("pe-window must be positive and finite")
         if not 0.0 < self.pe_floor < math.inf:
             raise ConfigError("pe-floor must be positive and finite")
-        # a float count, as a tiny step can make horizon / step overflow
-        steps = max(1.0, round(self.horizon / self.step, 0))
-        nodes = (steps + 1.0) * len(self.gammas)
+        nodes = (steps + 1) * len(self.gammas)
         if nodes > MAX_SWEEP_NODES:
             raise ConfigError(f"the sweep needs {nodes:.10g} grid nodes, more than the limit of "
                               f"{MAX_SWEEP_NODES}; raise step or lower horizon")

@@ -9,11 +9,13 @@ square M.  Multiplying by the adjugate of M decouples the unknowns:
 so each component of theta can be driven by its own scalar update with rate
 gamma * Delta * (Y_mixed_i - Delta * theta_hat_i), Delta = det(M).  Each
 |theta_hat_i - theta_i| is then nonincreasing regardless of the others.
+:func:`mix` returns the pair (Delta, Y_mixed) and :func:`drem_update` takes
+it as two plain arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
@@ -23,15 +25,6 @@ from .history import TrajectoryHistory
 def default_ext_delays(n: int, spacing: float = 0.5) -> tuple:
     """n - 1 equally spaced lags: (spacing, 2 spacing, ...)."""
     return tuple(spacing * i for i in range(1, n))
-
-
-@dataclass
-class MixedRegression:
-    """Decoupled scalar regressions: Y_mixed = Delta * theta."""
-
-    t: float
-    Delta: float
-    Y_mixed: np.ndarray
 
 
 def extend_regressor(
@@ -103,12 +96,13 @@ def adjugate(M: np.ndarray) -> np.ndarray:
     return adj
 
 
-def mix(M: np.ndarray, Y_stack: np.ndarray, t=0.0) -> MixedRegression:
+def mix(M: np.ndarray, Y_stack: np.ndarray) -> tuple:
     """Premultiply the stacked regression by adj(M) to decouple it.
 
-    ``M`` (k, k) and ``Y_stack`` (k,) may carry matching leading axes, for
-    instance one per stage time of a run; ``t`` then holds those times and
-    the result's fields gain the same leading axes.
+    Returns the pair (Delta, Y_mixed) = (det(M), adj(M) Y_stack), so that
+    Y_mixed = Delta * theta.  ``M`` (k, k) and ``Y_stack`` (k,) may carry
+    matching leading axes, for instance one per stage time of a run; both
+    results then carry the same leading axes.
     """
     M = np.asarray(M, dtype=float)
     Y_stack = np.asarray(Y_stack, dtype=float)
@@ -119,11 +113,11 @@ def mix(M: np.ndarray, Y_stack: np.ndarray, t=0.0) -> MixedRegression:
     adj = adjugate(M)
     # det(M) by cofactor expansion along the first row
     Delta = (M[..., 0, :] * adj[..., :, 0]).sum(axis=-1)
-    return MixedRegression(t=t, Delta=Delta, Y_mixed=(adj @ Y_stack[..., None])[..., 0])
+    return Delta, (adj @ Y_stack[..., None])[..., 0]
 
 
-def drem_update(mixed: MixedRegression, theta_hat: np.ndarray, gamma: float) -> np.ndarray:
+def drem_update(Delta, Y_mixed: np.ndarray, theta_hat: np.ndarray, gamma: float) -> np.ndarray:
     """Componentwise rate gamma * Delta * (Y_mixed - Delta * theta_hat)."""
-    if not gamma > 0.0:
-        raise ValueError("gamma must be positive")
-    return gamma * mixed.Delta * (mixed.Y_mixed - mixed.Delta * theta_hat)
+    if not 0.0 < gamma < math.inf:
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+    return gamma * Delta * (Y_mixed - Delta * theta_hat)

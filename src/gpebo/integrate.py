@@ -12,8 +12,10 @@ A run is three passes over the uniform grid t_k = k h:
    zero before t = 0; at gamma = 0 at the nodes alone), each looked up in
    the cubic Hermite interpolant of the plant nodes, which keeps the
    estimator fourth-order;
-3. estimator: theta_hat alone, theta_hat' = v(s) - M(s) theta_hat with
-   M = Gamma psi psi^T (gradient) or M = gamma Delta^2 I (DREM).
+3. estimator: theta_hat alone, RK4 on the gradient law
+   gamma psi (y_reg - psi . theta_hat) or the DREM law
+   gamma Delta (Y_mixed - Delta theta_hat), each called on the plain
+   arrays of the regression build at the stage times.
 
 x, xi and the columns of Phi share one linear recursion, so
 xi - x = Phi (xi(0) - x(0)) holds at the nodes to rounding for any step;
@@ -28,15 +30,10 @@ import numpy as np
 
 # extend_regressor is not called here (lagged rows come from the Hermite
 # lookup); perfbench/tracer.py wraps it on this module with the other laws.
-from .drem import (  # noqa: F401
-    MixedRegression,
-    drem_update,
-    extend_regressor,
-    mix,
-)
+from .drem import drem_update, extend_regressor, mix  # noqa: F401
 from .history import TrajectoryHistory
-from .model import _BLOCK, NamedScenario, at_times, eval_system
-from .observer import GainSpec, RegressionSample, gradient_update
+from .model import _BLOCK, NamedScenario, at_times
+from .observer import gradient_update
 
 STATE_NORM_LIMIT = 1e12
 
@@ -199,12 +196,10 @@ def simulate(scenario: NamedScenario) -> SimulationResult:
     leaves the norm guard (or the finite floats).
     """
     sysm = scenario.system
-    eval_system(sysm, 0.0)
     lags = _regression_lags(scenario)
     h = scenario.step
-    nsteps = max(1, int(round(scenario.horizon / h)))
-    t = h * np.arange(nsteps + 1)
-    tau = 0.5 * h * np.arange(2 * nsteps + 1)
+    t = h * np.arange(scenario.steps + 1)
+    tau = 0.5 * h * np.arange(2 * scenario.steps + 1)
 
     # A run that diverges carries on in inf and nan without warnings; the
     # norm guard below then names its first node past the limit.
@@ -218,13 +213,12 @@ def simulate(scenario: NamedScenario) -> SimulationResult:
         if gamma == 0.0:
             theta_hat = np.tile(scenario.theta_hat0, (len(t), 1))
         elif scenario.estimator == "gradient":
-            gain = GainSpec.scaled(gamma, sysm.n)
-            theta_hat = _rk4(scenario.theta_hat0, t, lambda j, th: gradient_update(
-                RegressionSample(tau[j], psi[j], y_reg[j]), th, gain))
+            theta_hat = _rk4(scenario.theta_hat0, t,
+                             lambda j, th: gradient_update(psi[j], y_reg[j], th, gamma))
         else:
-            mixed = mix(M, Y, tau)
-            theta_hat = _rk4(scenario.theta_hat0, t, lambda j, th: drem_update(
-                MixedRegression(tau[j], mixed.Delta[j], mixed.Y_mixed[j]), th, gamma))
+            Delta, Y_mixed = mix(M, Y)
+            theta_hat = _rk4(scenario.theta_hat0, t,
+                             lambda j, th: drem_update(Delta[j], Y_mixed[j], th, gamma))
 
     worst = np.maximum(np.abs(Z).max(axis=(1, 2)), np.abs(theta_hat).max(axis=1))
     over = np.flatnonzero(~(worst <= STATE_NORM_LIMIT))

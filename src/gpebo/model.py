@@ -79,28 +79,6 @@ class SystemSpec:
         object.__setattr__(self, "x0", _finite_vector("x0", self.x0, self.n))
 
 
-def eval_system(spec: SystemSpec, t: float):
-    """Evaluate (A, B, C, u) at time ``t`` with shape checks.
-
-    Raises ValueError when any callable returns an array whose shape is
-    inconsistent with the declared dimensions.
-    """
-    A = np.asarray(spec.A(t), dtype=float)
-    B = np.asarray(spec.B(t), dtype=float)
-    C = np.asarray(spec.C(t), dtype=float)
-    u = np.asarray(spec.u(t), dtype=float)
-    n, m, q = spec.n, spec.m, spec.q
-    if A.shape != (n, n):
-        raise ValueError(f"A(t) must have shape ({n}, {n}), got {A.shape}")
-    if B.shape != (n, m):
-        raise ValueError(f"B(t) must have shape ({n}, {m}), got {B.shape}")
-    if C.shape != (q, n):
-        raise ValueError(f"C(t) must have shape ({q}, {n}), got {C.shape}")
-    if u.shape != (m,):
-        raise ValueError(f"u(t) must have shape ({m},), got {u.shape}")
-    return A, B, C, u
-
-
 def at_times(fn, times, shape: tuple, name: str) -> np.ndarray:
     """fn(s) for every s in the 1-D array ``times``, stacked on a new
     leading axis.
@@ -126,6 +104,15 @@ def at_times(fn, times, shape: tuple, name: str) -> np.ndarray:
             stack = np.array(values, dtype=float)
         out[lo:lo + len(block)] = stack
     return out
+
+
+def eval_system(spec: SystemSpec, t: float):
+    """(A, B, C, u) at time ``t``, shape-checked by :func:`at_times`."""
+    n, m, q = spec.n, spec.m, spec.q
+    times = np.array([float(t)])
+    return tuple(at_times(fn, times, shape, name)[0] for fn, shape, name in (
+        (spec.A, (n, n), "A(t)"), (spec.B, (n, m), "B(t)"),
+        (spec.C, (q, n), "C(t)"), (spec.u, (m,), "u(t)")))
 
 
 @dataclass(frozen=True)
@@ -209,7 +196,9 @@ class NamedScenario:
 
     Every parameter is checked when the scenario is built: a shape, a
     non-finite value or an out-of-range gain, step, horizon or delay
-    raises ValueError naming it, before anything is simulated.
+    raises ValueError naming it, before anything is simulated; so does a
+    step so small that horizon / step overflows.  :attr:`steps` is the
+    grid's step count that every reader of the grid uses.
     """
 
     id: str
@@ -233,6 +222,9 @@ class NamedScenario:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
         if self.step > self.horizon:
             raise ValueError("step must not exceed horizon")
+        if not math.isfinite(self.horizon / self.step):
+            raise ValueError(f"horizon / step must be finite, got {self.horizon!r} / "
+                             f"{self.step!r}")
         n = self.system.n
         object.__setattr__(self, "xi0", _finite_vector("xi0", self.xi0, n))
         object.__setattr__(self, "theta_hat0", _finite_vector("theta_hat0", self.theta_hat0, n))
@@ -249,6 +241,12 @@ class NamedScenario:
                 raise ValueError("drem estimation supports single-output plants")
             if len(self.drem_delays) != n - 1:
                 raise ValueError(f"drem needs {n - 1} drem_delays, got {len(self.drem_delays)}")
+
+    @property
+    def steps(self) -> int:
+        """Steps of the run's grid t_k = k * step: the horizon rounded to
+        the nearest whole number of steps, at least 1 as step <= horizon."""
+        return round(self.horizon / self.step)
 
 
 _BENCH_B = np.array([[0.0], [1.0]])

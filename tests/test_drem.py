@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gpebo import (
-    MixedRegression,
     TrajectoryHistory,
     adjugate,
     builtin_scenario,
@@ -50,8 +49,6 @@ def test_config_validation():
         builtin_scenario("c1", 1.0, estimator="drem", drem_delays=(-0.5,))
     with pytest.raises(ValueError, match="drem_delays"):
         builtin_scenario("c1", 1.0, estimator="drem", drem_delays=(0.5, 0.5))
-    with pytest.raises(ValueError, match="gamma"):
-        drem_update(mix(np.eye(2), np.ones(2)), np.zeros(2), 0.0)
 
 
 def test_default_ext_delays():
@@ -87,9 +84,9 @@ def test_extend_zero_fills_unfilled_lags():
     M, Y = extend_regressor(0.5, lags, hp, hy)
     assert np.array_equal(M[1], np.zeros(2))
     assert Y[1] == 0.0
-    mixed = mix(M, Y, 0.5)
-    assert mixed.Delta == 0.0
-    assert np.array_equal(drem_update(mixed, np.array([4.0, 5.0]), 10.0), np.zeros(2))
+    Delta, Y_mixed = mix(M, Y)
+    assert Delta == 0.0
+    assert np.array_equal(drem_update(Delta, Y_mixed, np.array([4.0, 5.0]), 10.0), np.zeros(2))
 
 
 def test_extend_hand_case():
@@ -97,7 +94,7 @@ def test_extend_hand_case():
     lags = (1.0,)
     M, Y = extend_regressor(2.0, lags, hp, hy)
     assert np.array_equal(M, np.array([[1.0, 2.0], [1.0, 1.0]]))
-    assert mix(M, Y, 2.0).Delta == -1.0
+    assert mix(M, Y)[0] == -1.0
 
 
 def test_extend_rejects_time_past_history():
@@ -110,22 +107,22 @@ def test_extend_rejects_time_past_history():
 
 
 def test_mix_identity():
-    mixed = mix(np.eye(2), np.array([3.0, -4.0]))
-    assert mixed.Delta == 1.0
-    assert np.array_equal(mixed.Y_mixed, np.array([3.0, -4.0]))
+    Delta, Y_mixed = mix(np.eye(2), np.array([3.0, -4.0]))
+    assert Delta == 1.0
+    assert np.array_equal(Y_mixed, np.array([3.0, -4.0]))
 
 
 def test_mix_diagonal_hand_case():
     M = np.array([[2.0, 0.0], [0.0, 3.0]])
-    mixed = mix(M, np.array([2.0, 3.0]))  # Y = M theta with theta = [1, 1]
-    assert mixed.Delta == 6.0
-    assert np.array_equal(mixed.Y_mixed, np.array([6.0, 6.0]))
+    Delta, Y_mixed = mix(M, np.array([2.0, 3.0]))  # Y = M theta with theta = [1, 1]
+    assert Delta == 6.0
+    assert np.array_equal(Y_mixed, np.array([6.0, 6.0]))
 
 
 def test_mix_singular():
-    mixed = mix(np.ones((2, 2)), np.array([1.0, 2.0]))
-    assert mixed.Delta == 0.0
-    assert np.all(np.isfinite(mixed.Y_mixed))
+    Delta, Y_mixed = mix(np.ones((2, 2)), np.array([1.0, 2.0]))
+    assert Delta == 0.0
+    assert np.all(np.isfinite(Y_mixed))
 
 
 def test_mix_stack_matches_each_matrix():
@@ -134,13 +131,12 @@ def test_mix_stack_matches_each_matrix():
         M = rng.uniform(-2.0, 2.0, size=(5, n, n))
         M[1, -1] = M[1, 0]  # one singular matrix in the stack
         Y = rng.uniform(-2.0, 2.0, size=(5, n))
-        stacked = mix(M, Y, np.arange(5.0))
+        Delta, Y_mixed = mix(M, Y)
         for k in range(5):
-            one = mix(M[k], Y[k], float(k))
+            one_Delta, one_Y = mix(M[k], Y[k])
             # the stacked matrix product may round differently in the last bit
-            assert stacked.Delta[k] == pytest.approx(one.Delta, rel=1e-14, abs=1e-14)
-            assert np.abs(stacked.Y_mixed[k] - one.Y_mixed).max() <= 1e-14 * (
-                1.0 + np.abs(one.Y_mixed).max())
+            assert Delta[k] == pytest.approx(one_Delta, rel=1e-14, abs=1e-14)
+            assert np.abs(Y_mixed[k] - one_Y).max() <= 1e-14 * (1.0 + np.abs(one_Y).max())
 
 
 def test_mix_recovers_scaled_parameter():
@@ -149,8 +145,8 @@ def test_mix_recovers_scaled_parameter():
         for _ in range(200):
             M = rng.uniform(-2.0, 2.0, size=(n, n))
             theta = rng.uniform(-2.0, 2.0, size=n)
-            mixed = mix(M, M @ theta)
-            assert np.abs(mixed.Y_mixed - mixed.Delta * theta).max() <= 1e-12
+            Delta, Y_mixed = mix(M, M @ theta)
+            assert np.abs(Y_mixed - Delta * theta).max() <= 1e-12
 
 
 def test_adjugate_matches_cofactor_oracle():
@@ -198,31 +194,29 @@ def test_adjugate_rejects_non_square():
 
 
 def test_drem_update_zero_delta():
-    mixed = MixedRegression(t=0.0, Delta=0.0, Y_mixed=np.array([1.0, 2.0]))
-    assert np.array_equal(drem_update(mixed, np.array([5.0, 6.0]), 3.0), np.zeros(2))
+    assert np.array_equal(drem_update(0.0, np.array([1.0, 2.0]), np.array([5.0, 6.0]), 3.0),
+                          np.zeros(2))
 
 
 def test_drem_update_zero_residual():
     theta = np.array([2.0, -3.0])
-    mixed = MixedRegression(t=0.0, Delta=1.5, Y_mixed=1.5 * theta)
-    assert np.abs(drem_update(mixed, theta, 10.0)).max() <= 1e-15
+    assert np.abs(drem_update(1.5, 1.5 * theta, theta, 10.0)).max() <= 1e-15
 
 
 def test_drem_update_requires_positive_gain():
-    mixed = MixedRegression(t=0.0, Delta=1.0, Y_mixed=np.zeros(1))
-    with pytest.raises(ValueError):
-        drem_update(mixed, np.zeros(1), 0.0)
+    with pytest.raises(ValueError, match="gamma"):
+        drem_update(1.0, np.zeros(1), np.zeros(1), 0.0)
 
 
 def test_drem_update_scalar_exponential_decay():
     # Delta = 1, theta = 0: theta_hat(t) = e^{-t}; integrate with plain RK4
-    mixed = MixedRegression(t=0.0, Delta=1.0, Y_mixed=np.zeros(1))
+    Y_mixed = np.zeros(1)
     th = np.array([1.0])
     h = 0.01
     for _ in range(100):
-        k1 = drem_update(mixed, th, 1.0)
-        k2 = drem_update(mixed, th + 0.5 * h * k1, 1.0)
-        k3 = drem_update(mixed, th + 0.5 * h * k2, 1.0)
-        k4 = drem_update(mixed, th + h * k3, 1.0)
+        k1 = drem_update(1.0, Y_mixed, th, 1.0)
+        k2 = drem_update(1.0, Y_mixed, th + 0.5 * h * k1, 1.0)
+        k3 = drem_update(1.0, Y_mixed, th + 0.5 * h * k2, 1.0)
+        k4 = drem_update(1.0, Y_mixed, th + h * k3, 1.0)
         th = th + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     assert abs(th[0] - math.exp(-1.0)) <= 1e-9

@@ -119,7 +119,7 @@ def test_eval_system_shape_mismatch():
         u=lambda t: np.zeros(1),
         x0=np.zeros(2),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"A\(t\) must have shape \(2, 2\), got \(2, 3\) at t=0.0"):
         eval_system(spec, 0.0)
 
 
@@ -258,3 +258,18 @@ def test_wrong_shaped_coefficient_fails_naming_the_time():
     with pytest.raises(ValueError, match=r"C\(t\) must have shape \(1, 2\), got \(2,\) at t=0.3"):
         pe_check(res.phi_history(), lambda t: np.ones(2) if t > 0.25 else np.ones((1, 2)),
                  0.5, 1e-4)
+
+
+def test_grid_too_fine_to_count_fails_at_construction():
+    # horizon / step overflows to inf: the scenario is refused when built,
+    # rather than simulate failing on int(inf) with an OverflowError
+    with pytest.raises(ValueError, match=r"horizon / step"):
+        builtin_scenario("c1", 1.0, horizon=1e300, step=1e-300)
+
+
+@pytest.mark.parametrize("horizon, step, steps", [(1.0, 0.3, 3), (1.0, 0.4, 2), (0.1, 0.1, 1),
+                                                   (30.0, 1e-3, 30000)])
+def test_step_count_is_the_grid_simulate_runs(horizon, step, steps):
+    scen = builtin_scenario("c1", 0.0, horizon=horizon, step=step)
+    assert scen.steps == steps
+    assert len(simulate(scen).t) == steps + 1

@@ -1,61 +1,72 @@
-"""Regression construction, gradient update law, and state reconstruction."""
+"""Gradient update law, the recorded regression, and the state estimate."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gpebo import (
     DelaySpec,
-    GainSpec,
     NamedScenario,
-    RegressionSample,
+    SimulationResult,
     SystemSpec,
+    benchmark_system,
     builtin_scenario,
+    drem_update,
     gradient_update,
-    reconstruct,
     simulate,
 )
 
 
-def test_gain_spec_scaled():
-    g = GainSpec.scaled(100.0, 2)
-    assert np.array_equal(g.Gamma, 100.0 * np.eye(2))
+def test_scalar_gain_matches_identity_matrix():
+    # gamma * psi * resid gives the same bits as (gamma I) psi * resid, the
+    # matrix-gain form; for q outputs gamma * psi resid likewise
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        psi, theta_hat = rng.standard_normal(3), rng.standard_normal(3)
+        y_reg = rng.standard_normal()
+        Gamma = 37.0 * np.eye(3)
+        assert np.array_equal(gradient_update(psi, y_reg, theta_hat, 37.0),
+                              (Gamma @ psi) * (y_reg - psi @ theta_hat))
+        psi, y_reg = rng.standard_normal((3, 2)), rng.standard_normal(2)
+        assert np.array_equal(gradient_update(psi, y_reg, theta_hat, 37.0),
+                              Gamma @ (psi @ (y_reg - psi.T @ theta_hat)))
 
 
-def test_gain_spec_rejects_bad_matrices():
-    with pytest.raises(ValueError):
-        GainSpec.scaled(0.0, 2)
-    with pytest.raises(ValueError):
-        GainSpec(Gamma=np.array([[1.0, 2.0], [0.0, 1.0]]))  # not symmetric
-    with pytest.raises(ValueError):
-        GainSpec(Gamma=np.array([[1.0, 0.0], [0.0, -1.0]]))  # indefinite
-    with pytest.raises(ValueError):
-        GainSpec(Gamma=np.ones(3))
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("law", [gradient_update, drem_update])
+def test_laws_reject_bad_gain(law, gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        law(np.ones(2), 1.0, np.zeros(2), gamma)
 
 
-def test_reconstruct_exact_parameter():
-    rng = np.random.default_rng(3)
-    xi = rng.standard_normal(2)
-    Phi = rng.standard_normal((2, 2))
-    theta = rng.standard_normal(2)
-    x = xi - Phi @ theta
-    assert np.allclose(reconstruct(xi, Phi, theta), x, atol=0)
+def _result(xi, Phi, theta_hat):
+    """A one-node SimulationResult holding just what xhat reads."""
+    return SimulationResult(scenario=None, t=np.zeros(1), x=None, xi=xi[None], Phi=Phi[None],
+                            theta_hat=theta_hat[None], theta=None, psi=None, y_reg=None)
 
 
-def test_reconstruct_zero_transition_matrix():
+def test_xhat_exact_parameter():
+    # theta_hat frozen at theta open loop: xhat = xi - Phi theta = x
+    scen = builtin_scenario("c2", 0.0, horizon=5.0, theta_hat0=np.array([-1.0, 1.0]))
+    res = simulate(scen)
+    assert np.array_equal(res.theta_hat[-1], res.theta)
+    assert np.abs(res.xhat - res.x).max() <= 1e-12
+
+
+def test_xhat_zero_transition_matrix():
     xi = np.array([2.0, 3.0])
-    assert np.array_equal(reconstruct(xi, np.zeros((2, 2)), np.array([9.0, -9.0])), xi)
+    assert np.array_equal(_result(xi, np.zeros((2, 2)), np.array([9.0, -9.0])).xhat[0], xi)
 
 
-def test_reconstruct_hand_case():
-    got = reconstruct(np.zeros(2), np.eye(2), np.array([1.0, -1.0]))
+def test_xhat_hand_case():
+    got = _result(np.zeros(2), np.eye(2), np.array([1.0, -1.0])).xhat[0]
     assert np.array_equal(got, np.array([-1.0, 1.0]))
 
 
 def test_gradient_update_zero_regressor():
-    s = RegressionSample(t=0.0, psi=np.zeros(2), y_reg=0.0)
-    rate = gradient_update(s, np.array([5.0, -2.0]), GainSpec.scaled(100.0, 2))
+    rate = gradient_update(np.zeros(2), 0.0, np.array([5.0, -2.0]), 100.0)
     assert np.array_equal(rate, np.zeros(2))
 
 
@@ -63,16 +74,32 @@ def test_gradient_update_zero_residual():
     rng = np.random.default_rng(5)
     psi = rng.standard_normal(2)
     theta = rng.standard_normal(2)
-    s = RegressionSample(t=0.0, psi=psi, y_reg=float(psi @ theta))
-    rate = gradient_update(s, theta, GainSpec.scaled(10.0, 2))
+    rate = gradient_update(psi, float(psi @ theta), theta, 10.0)
     assert np.abs(rate).max() <= 1e-15
 
 
 def test_gradient_update_scalar_rate():
     # psi = 1, y = 0, theta_hat = 1, gamma = 1  ->  rate -1
-    s = RegressionSample(t=0.0, psi=np.array([1.0]), y_reg=0.0)
-    rate = gradient_update(s, np.array([1.0]), GainSpec.scaled(1.0, 1))
+    rate = gradient_update(np.array([1.0]), 0.0, np.array([1.0]), 1.0)
     assert rate[0] == -1.0
+
+
+def test_multi_output_gradient_run():
+    # full-state measurement C = I through a constant delay: psi is (n, q)
+    # at every node and the law takes its q-output branch
+    sysm = replace(benchmark_system(), q=2, C=lambda t: np.eye(2))
+    scen = NamedScenario(
+        id="q2", system=sysm, delay=DelaySpec.constant(0.5), gamma=10.0,
+        estimator="gradient", horizon=10.0, step=1e-2, xi0=np.zeros(2),
+        theta_hat0=np.zeros(2),
+    )
+    res = simulate(scen)
+    assert res.psi.shape == (1001, 2, 2) and res.y_reg.shape == (1001, 2)
+    assert np.abs(res.y_reg - np.einsum("knq,n->kq", res.psi, res.theta)).max() <= 1e-12
+    err = np.linalg.norm(res.theta_error, axis=1)
+    # non-increasing up to the rounding of theta_hat, once err is near 1e-15
+    assert np.diff(err).max() <= 4.0 * np.finfo(float).eps * np.linalg.norm(res.theta)
+    assert err[-1] <= 1e-10
 
 
 def _scalar_frozen_plant():
