@@ -29,7 +29,7 @@ import numpy as np
 from .excitation import pe_check
 from .history import TrajectoryHistory
 from .integrate import DivergenceError, simulate
-from .model import builtin_scenario
+from .model import MAX_SWEEP_NODES, builtin_scenario
 from .report import (
     RunResult,
     emit_csv,
@@ -37,13 +37,6 @@ from .report import (
     format_pe_summary,
     write_pe_report,
 )
-
-# Grid nodes one sweep may hold, summed over its gains.  A simulation peaks
-# near 650 bytes per node (DREM; gradient 440) and keeps 112 bytes per node,
-# and the sweep keeps every gain's run, so a sweep at the limit peaks near
-# 1.3 GB (measured with tracemalloc on 30 s runs).
-MAX_SWEEP_NODES = 2_000_000
-
 
 class ConfigError(ValueError):
     """Configuration could not be parsed or validated."""
@@ -240,7 +233,7 @@ def run(config: RunConfig) -> RunResult:
         # one-row output maps read through a unit C
         report = pe_check(
             TrajectoryHistory.from_grid(first.t, first.psi[:, None, :]),
-            lambda s: np.ones((1, 1)),
+            lambda s: np.ones((len(s), 1, 1)),
             config.pe_window,
             config.pe_floor,
         )

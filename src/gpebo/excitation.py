@@ -78,8 +78,7 @@ def _window(times, t: float, T: float):
 
 def _regressor(C, s, Phi):
     """C(s) Phi(s) at every time of ``s``, shape (len(s), q, n)."""
-    q = np.shape(C(float(s[0])))[0]
-    return at_times(C, s, (q, Phi.shape[1]), "C(t)") @ Phi
+    return at_times(C, s, (None, Phi.shape[1]), "C(t)") @ Phi
 
 
 def _products(cp):
@@ -129,8 +128,8 @@ def pe_check(
     Window starts run from the first node in steps of ``stride`` (default
     T / 10) as long as the full window fits.  The trajectory must be at
     least one window long.  The products psi psi^T and psi^T psi are
-    formed once per stored node; each window adds its two interpolated
-    endpoints.
+    formed once per stored node and once per window endpoint, each set from
+    one call of ``C``; each window adds its two endpoints to its nodes.
     """
     if not T > 0.0:
         raise ValueError("window length T must be positive")
@@ -151,14 +150,16 @@ def pe_check(
     starts = t0 + stride * np.arange(count)
 
     node_q, node_n = _products(_regressor(C, times, Phi))
+    # every window's two endpoints, as _window clips them, in one grid
+    ends = np.column_stack((starts, np.minimum(starts + T, times[-1]))).ravel()
+    end_q, end_n = (g.reshape((count, 2) + g.shape[1:])
+                    for g in _products(_regressor(C, ends, hist_Phi.sample_at(ends))))
     min_q = np.empty(count)
     min_n = np.empty(count)
     for k, start in enumerate(starts.tolist()):
         s, i0, i1 = _window(times, start, T)
-        ends = s[[0, -1]]
-        end_q, end_n = _products(_regressor(C, ends, hist_Phi.sample_at(ends)))
-        G_q = _trapezoid(s, np.concatenate((end_q[:1], node_q[i0:i1], end_q[1:])))
-        G_n = _trapezoid(s, np.concatenate((end_n[:1], node_n[i0:i1], end_n[1:])))
+        G_q = _trapezoid(s, np.concatenate((end_q[k, :1], node_q[i0:i1], end_q[k, 1:])))
+        G_n = _trapezoid(s, np.concatenate((end_n[k, :1], node_n[i0:i1], end_n[k, 1:])))
         min_q[k] = np.linalg.eigvalsh(G_q).min()
         min_n[k] = np.linalg.eigvalsh(G_n).min()
 

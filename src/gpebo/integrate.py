@@ -3,10 +3,10 @@
 A run is three passes over the uniform grid t_k = k h:
 
 1. plant: Z = [x | xi | Phi] obeys Z' = A(t) Z + [Bu Bu 0], which never
-   sees the estimator.  With A and B u taken once per node and midpoint,
-   each RK4 step's affine map Z_{k+1} = P_k Z_k + r_k [1 1 0] is built
-   with array operations, and a loop applies the maps; the pass keeps
-   node values and node derivatives;
+   sees the estimator.  With A, B and u called once on all nodes and
+   midpoints, each RK4 step's affine map Z_{k+1} = P_k Z_k + r_k [1 1 0]
+   is built with array operations, and a loop applies the maps; the pass
+   keeps node values and node derivatives;
 2. regression: psi = (C(phi) Phi(phi))^T and y_reg = C(phi) (xi - x)(phi)
    at every stage time (for DREM also at each stage time minus each lag,
    zero before t = 0; at gamma = 0 at the nodes alone), each looked up in
@@ -32,10 +32,14 @@ import numpy as np
 # lookup); perfbench/tracer.py wraps it on this module with the other laws.
 from .drem import drem_update, extend_regressor, mix  # noqa: F401
 from .history import TrajectoryHistory
-from .model import _BLOCK, NamedScenario, at_times
+from .model import NamedScenario, at_times
 from .observer import gradient_update
 
 STATE_NORM_LIMIT = 1e12
+# The plant pass and the Hermite lookups work this many steps or times at
+# once, which bounds the size of their temporaries and with it a run's
+# peak memory.
+_BLOCK = 256
 
 
 class DivergenceError(RuntimeError):

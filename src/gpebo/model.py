@@ -9,10 +9,10 @@ the output was actually produced.  ``phi`` is always clamped into ``[0, t]``
 so the measurement never refers to the future or to times before the run
 started.
 
-The dataclasses here are the only validator of a run's parameters: each
-rejects a bad value, naming it, when it is built.  The callables are
-evaluated through :func:`at_times`, which checks the shape of every value
-they return.
+The callables take a whole grid at once: a 1-D float array of times in,
+their values at those times stacked on axis 0 out, shape-checked by
+:func:`at_times`.  The dataclasses here are the only validator of a run's
+parameters: each rejects a bad value, naming it, when it is built.
 """
 
 from __future__ import annotations
@@ -25,15 +25,15 @@ import numpy as np
 
 from .drem import default_ext_delays
 
-MatrixFn = Callable[[float], np.ndarray]
-VectorFn = Callable[[float], np.ndarray]
+GridFn = Callable[[np.ndarray], np.ndarray]  # 1-D times -> values stacked on axis 0
 
 _DELAY_KINDS = ("identity", "constant", "sinusoidal", "custom")
 _ESTIMATORS = ("gradient", "drem")
-# at_times stacks this many values at once, and the plant pass and the
-# Hermite lookups work this many steps or times at once, which bounds the
-# size of their temporaries and with it a run's peak memory.
-_BLOCK = 256
+# Grid nodes one run may hold, and one CLI sweep summed over its gains.  A
+# simulation peaks near 620 bytes per node (DREM; gradient 440) and keeps
+# 112 bytes per node, and a sweep keeps every gain's run, so a sweep at the
+# limit peaks near 1.25 GB (measured with tracemalloc on 30 s runs).
+MAX_SWEEP_NODES = 2_000_000
 
 
 def _finite_vector(name, value, n) -> np.ndarray:
@@ -55,11 +55,12 @@ class SystemSpec:
     n, m, q : int
         State, input, and output dimensions.
     A, B, C : callable
-        Time-dependent coefficient matrices with shapes (n, n), (n, m),
-        (q, n).  Callables must be deterministic; returned arrays are
-        treated as read-only.
+        Time-dependent coefficient matrices.  Each takes a 1-D float array
+        of N times and returns the N matrices stacked on axis 0, of shape
+        (N, n, n), (N, n, m) and (N, q, n).  Callables must be
+        deterministic; returned arrays are treated as read-only.
     u : callable
-        Known input signal, shape (m,).
+        Known input signal, taking N times to shape (N, m).
     x0 : ndarray
         Initial plant state, shape (n,).
     """
@@ -67,10 +68,10 @@ class SystemSpec:
     n: int
     m: int
     q: int
-    A: MatrixFn
-    B: MatrixFn
-    C: MatrixFn
-    u: VectorFn
+    A: GridFn
+    B: GridFn
+    C: GridFn
+    u: GridFn
     x0: np.ndarray
 
     def __post_init__(self):
@@ -80,30 +81,19 @@ class SystemSpec:
 
 
 def at_times(fn, times, shape: tuple, name: str) -> np.ndarray:
-    """fn(s) for every s in the 1-D array ``times``, stacked on a new
-    leading axis.
+    """fn(times) for the 1-D float array ``times``: the values at every
+    time, stacked on axis 0.
 
-    Every value must have ``shape``; a ValueError names ``name`` and the
-    first time whose value does not.  Values are stacked a block of times
-    at a time: a list of one small array per time would hold tens of
-    thousands of objects at once and raise a run's peak memory.
+    The result must have exactly the shape ``(len(times),) + shape``, with
+    nothing broadcast; a ``None`` in ``shape`` matches any length, shown
+    as ``*``.  Otherwise a ValueError names ``name`` and both shapes.
     """
-    out = np.empty((len(times),) + shape)
-    for lo in range(0, len(times), _BLOCK):
-        block = times[lo:lo + _BLOCK].tolist()
-        values = [fn(s) for s in block]
-        try:
-            stack = np.array(values, dtype=float)
-        except ValueError:
-            stack = None  # unequal shapes; a value that is no number raises below
-        if stack is None or stack.shape[1:] != shape:
-            for s, v in zip(block, values):
-                if np.shape(v) != shape:
-                    raise ValueError(f"{name} must have shape {shape}, got {np.shape(v)} "
-                                     f"at t={s}")
-            stack = np.array(values, dtype=float)
-        out[lo:lo + len(block)] = stack
-    return out
+    values = np.asarray(fn(times), dtype=float)
+    want = (len(times),) + shape
+    if values.ndim != len(want) or any(w not in (None, v) for w, v in zip(want, values.shape)):
+        shown = str(want).replace("None", "*")
+        raise ValueError(f"{name} must return shape {shown}, got {values.shape}")
+    return values
 
 
 def eval_system(spec: SystemSpec, t: float):
@@ -125,6 +115,8 @@ class DelaySpec:
     * ``constant``     phi(t) = t - tau
     * ``sinusoidal``   phi(t) = t - (base + amplitude * sin(frequency * t))
     * ``custom``       phi(t) = fn(t)
+
+    It takes an array of times to phi at each, in the same shape; so must ``fn``.
     """
 
     kind: str
@@ -132,7 +124,7 @@ class DelaySpec:
     base: float = 0.0
     amplitude: float = 0.0
     frequency: float = 0.0
-    fn: Optional[Callable[[float], float]] = None
+    fn: Optional[GridFn] = None
 
     def __post_init__(self):
         if self.kind not in _DELAY_KINDS:
@@ -166,22 +158,26 @@ class DelaySpec:
     def custom(cls, fn) -> "DelaySpec":
         return cls(kind="custom", fn=fn)
 
-    def _raw(self, t: float) -> float:
+    def __call__(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
         if self.kind == "identity":
             return t
         if self.kind == "constant":
-            return t - self.tau
-        if self.kind == "sinusoidal":
-            return t - (self.base + self.amplitude * math.sin(self.frequency * t))
-        return float(self.fn(t))
-
-    def __call__(self, t: float) -> float:
-        if self.kind == "identity":
-            return t
-        raw = self._raw(t)
-        if not math.isfinite(raw):
-            raise ValueError(f"delay map is not finite at t={t}: phi(t) = {raw!r}")
-        return max(0.0, min(t, raw))
+            raw = t - self.tau
+        elif self.kind == "sinusoidal":
+            raw = t - (self.base + self.amplitude * np.sin(self.frequency * t))
+        else:
+            raw = np.asarray(self.fn(t), dtype=float)
+            if raw.shape != t.shape:
+                raise ValueError(f"delay fn must return the shape {t.shape} of its times, "
+                                 f"got {raw.shape}")
+        if not np.isfinite(raw).all():
+            k = np.flatnonzero(~np.isfinite(raw))[0]
+            raise ValueError(f"delay map is not finite at t={float(t.flat[k])}: "
+                             f"phi(t) = {float(raw.flat[k])!r}")
+        # max(0, min(t, raw)), keeping the first argument on a tie
+        raw = np.where(raw < t, raw, t)
+        return np.where(raw > 0.0, raw, 0.0)
 
 
 @dataclass(frozen=True)
@@ -197,8 +193,9 @@ class NamedScenario:
     Every parameter is checked when the scenario is built: a shape, a
     non-finite value or an out-of-range gain, step, horizon or delay
     raises ValueError naming it, before anything is simulated; so does a
-    step so small that horizon / step overflows.  :attr:`steps` is the
-    grid's step count that every reader of the grid uses.
+    step so small that horizon / step overflows or that the grid holds
+    more than ``MAX_SWEEP_NODES`` nodes.  :attr:`steps` is the grid's step
+    count that every reader of the grid uses.
     """
 
     id: str
@@ -222,9 +219,10 @@ class NamedScenario:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
         if self.step > self.horizon:
             raise ValueError("step must not exceed horizon")
-        if not math.isfinite(self.horizon / self.step):
-            raise ValueError(f"horizon / step must be finite, got {self.horizon!r} / "
-                             f"{self.step!r}")
+        # round(horizon / step) + 1 nodes, so this also refuses an overflow to inf
+        if not self.horizon / self.step < MAX_SWEEP_NODES - 0.5:
+            raise ValueError(f"horizon / step = {self.horizon / self.step!r} makes more than "
+                             f"MAX_SWEEP_NODES = {MAX_SWEEP_NODES} grid nodes")
         n = self.system.n
         object.__setattr__(self, "xi0", _finite_vector("xi0", self.xi0, n))
         object.__setattr__(self, "theta_hat0", _finite_vector("theta_hat0", self.theta_hat0, n))
@@ -253,21 +251,24 @@ _BENCH_B = np.array([[0.0], [1.0]])
 _BENCH_C = np.array([[1.0, 0.0]])
 
 
-def _bench_A(t: float) -> np.ndarray:
-    s = math.sin(t)
-    return np.array([[0.0, 1.0], [-s * s, 0.0]])
+def _bench_A(t: np.ndarray) -> np.ndarray:
+    s = np.sin(t)
+    A = np.zeros((len(t), 2, 2))
+    A[:, 0, 1] = 1.0
+    A[:, 1, 0] = -s * s
+    return A
 
 
-def _bench_B(t: float) -> np.ndarray:
-    return _BENCH_B
+def _bench_B(t: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(_BENCH_B, (len(t),) + _BENCH_B.shape)
 
 
-def _bench_C(t: float) -> np.ndarray:
-    return _BENCH_C
+def _bench_C(t: np.ndarray) -> np.ndarray:
+    return np.broadcast_to(_BENCH_C, (len(t),) + _BENCH_C.shape)
 
 
-def _bench_u(t: float) -> np.ndarray:
-    return np.array([math.sin(t)])
+def _bench_u(t: np.ndarray) -> np.ndarray:
+    return np.sin(t)[:, None]
 
 
 def benchmark_system(x0=None) -> SystemSpec:

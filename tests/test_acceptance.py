@@ -48,10 +48,10 @@ def _const_system(A, C, x0=None):
     n = A.shape[0]
     return SystemSpec(
         n=n, m=1, q=1,
-        A=lambda t: A,
-        B=lambda t: np.zeros((n, 1)),
-        C=lambda t: C,
-        u=lambda t: np.zeros(1),
+        A=lambda t: np.broadcast_to(A, t.shape + A.shape),
+        B=lambda t: np.zeros(t.shape + (n, 1)),
+        C=lambda t: np.broadcast_to(C, t.shape + C.shape),
+        u=lambda t: np.zeros(t.shape + (1,)),
         x0=np.zeros(n) if x0 is None else np.asarray(x0, dtype=float),
     )
 
@@ -145,7 +145,8 @@ def _slow_rate_prediction(res, gamma, t):
     hist = res.phi_history()
     C = res.scenario.system.C
     delay = res.scenario.delay
-    psi = np.array([(C(p) @ hist.sample(p))[0] for p in map(delay, t)])
+    phi = delay(t)
+    psi = (C(phi) @ hist.sample_at(phi))[:, 0]
     dpsi = np.gradient(psi, t, axis=0)
     sq = (psi ** 2).sum(axis=1)
     turn = (psi[:, 0] * dpsi[:, 1] - psi[:, 1] * dpsi[:, 0]) / sq

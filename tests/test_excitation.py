@@ -35,7 +35,7 @@ def _decay_phi_history(tmax=30.0, step=1e-3):
 
 
 def _unit_C(t):
-    return np.array([[1.0]])
+    return np.ones(t.shape + (1, 1))
 
 
 def test_constant_scalar_integral_equals_window():
@@ -143,7 +143,7 @@ def _tau_quadrature(Phi_at, C, delay, t, T, kinks=()):
         nodes.append((0.5 * (edges[1:] + edges[:-1])[:, None] + half * x).ravel())
         weights.append((half * w).ravel())
     tau = np.concatenate(nodes)
-    rows = np.stack([C @ Phi_at(delay(v)) for v in tau.tolist()])
+    rows = np.stack([C @ Phi_at(p) for p in delay(tau).tolist()])
     return np.einsum("k,kqi,kqj->ij", np.concatenate(weights), rows, rows)
 
 
@@ -162,10 +162,10 @@ def benchmark_phi():
 def test_delayed_pe_matches_tau_domain_quadrature(benchmark_phi):
     res = _benchmark_run()
     hist = res.phi_history()
-    C = res.scenario.system.C(0.0)
+    C = res.scenario.system.C(np.zeros(1))[0]
     # a map with a plateau on [1, 2], where it is flat, and c3's sinusoid,
     # clamped at zero until t* and leaving the clamp with a kink
-    plateau = DelaySpec.custom(lambda t: min(t, max(1.0, t - 1.0)))
+    plateau = DelaySpec.custom(lambda t: np.minimum(t, np.maximum(1.0, t - 1.0)))
     c3 = DelaySpec.sinusoidal(1.0, 0.9, 1.0)
     t_star = brentq(lambda t: t - 1.0 - 0.9 * math.sin(t), 1.0, 2.0, xtol=1e-15)
     for delay, kinks, t, T in ((plateau, (1.0, 2.0), 0.5, 2.5), (c3, (t_star,), 0.2, 2.0),
@@ -179,9 +179,9 @@ def test_delayed_pe_frozen_map_integrates_constant_regressor():
     res = _benchmark_run()
     hist = res.phi_history()
     C = res.scenario.system.C
-    frozen = DelaySpec.custom(lambda t: 0.0)
+    frozen = DelaySpec.custom(np.zeros_like)
     G = delayed_pe_integral(hist, C, 1.0, 2.0, frozen)
-    psi0 = C(0.0) @ hist.sample(0.0)
+    psi0 = C(np.zeros(1))[0] @ hist.sample(0.0)
     assert np.abs(G - 2.0 * psi0.T @ psi0).max() <= 1e-14
 
 
@@ -195,11 +195,18 @@ def _rotation_history():
     return TrajectoryHistory.from_grid(times, np.stack([_ROTATION.phi(v) for v in times.tolist()]))
 
 
+def _raw(delay, v):
+    """The constant or sinusoidal map before its clamp into [0, v]."""
+    if delay.kind == "constant":
+        return v - delay.tau
+    return v - (delay.base + delay.amplitude * math.sin(delay.frequency * v))
+
+
 def _delay_kinks(delay, t, T):
     """Where the map meets a clamp: raw phi crossing 0 or crossing tau."""
     grid = np.linspace(t, t + T, 4001)
     kinks = []
-    for f in (delay._raw, lambda v: delay._raw(v) - v):
+    for f in (lambda v: _raw(delay, v), lambda v: _raw(delay, v) - v):
         vals = np.array([f(v) for v in grid.tolist()])
         for k in np.flatnonzero(np.sign(vals[1:]) * np.sign(vals[:-1]) < 0):
             kinks.append(brentq(f, grid[k], grid[k + 1], xtol=1e-15))
@@ -219,7 +226,7 @@ def test_delayed_pe_matches_gauss_legendre_property(delay, T, frac):
     hist = _rotation_history()
     t = frac * (_SPAN - T)
     C = np.array([[1.0, 0.0]])
-    G = delayed_pe_integral(hist, lambda s: C, t, T, delay)
+    G = delayed_pe_integral(hist, lambda s: np.broadcast_to(C, s.shape + C.shape), t, T, delay)
     kinks = _delay_kinks(delay, t, T)
     ref = _tau_quadrature(_ROTATION.phi, C, delay, t, T, kinks)
     # With w = 1.5, phi' <= 2.5 and |phi''| <= 2.25, |g''| <= 63 for the

@@ -17,6 +17,7 @@ from gpebo import (
     pe_check,
     simulate,
 )
+from gpebo.model import MAX_SWEEP_NODES
 
 
 def test_identity_delay_passthrough():
@@ -54,7 +55,7 @@ def test_delay_bounds_on_dense_grid():
         DelaySpec.constant(2.5),
         DelaySpec.sinusoidal(1.0, 0.9, 1.0),
         DelaySpec.sinusoidal(0.5, 2.0, 3.0),
-        DelaySpec.custom(lambda t: t - 2.5 + math.sin(3 * t)),
+        DelaySpec.custom(lambda t: t - 2.5 + np.sin(3 * t)),
     ]
     grid = np.linspace(0.0, 100.0, 4001)
     for spec in specs:
@@ -66,9 +67,9 @@ def test_delay_bounds_on_dense_grid():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_delay_raises(value):
-    spec = DelaySpec.custom(lambda t: value)
+    spec = DelaySpec.custom(lambda t: np.full_like(t, value))
     with pytest.raises(ValueError, match="t=2.0"):
-        spec(2.0)
+        spec(np.array([2.0, 3.0]))
     # the same map inside a run stops it rather than measuring undelayed
     scen = builtin_scenario("c1", 1.0, horizon=0.1)
     with pytest.raises(ValueError, match="not finite"):
@@ -100,10 +101,10 @@ def test_benchmark_system_at_quarter_period():
 def test_zero_system():
     spec = SystemSpec(
         n=2, m=1, q=1,
-        A=lambda t: np.zeros((2, 2)),
-        B=lambda t: np.zeros((2, 1)),
-        C=lambda t: np.zeros((1, 2)),
-        u=lambda t: np.zeros(1),
+        A=lambda t: np.zeros(t.shape + (2, 2)),
+        B=lambda t: np.zeros(t.shape + (2, 1)),
+        C=lambda t: np.zeros(t.shape + (1, 2)),
+        u=lambda t: np.zeros(t.shape + (1,)),
         x0=np.zeros(2),
     )
     A, B, C, u = eval_system(spec, 17.3)
@@ -113,13 +114,13 @@ def test_zero_system():
 def test_eval_system_shape_mismatch():
     spec = SystemSpec(
         n=2, m=1, q=1,
-        A=lambda t: np.zeros((2, 3)),
-        B=lambda t: np.zeros((2, 1)),
-        C=lambda t: np.zeros((1, 2)),
-        u=lambda t: np.zeros(1),
+        A=lambda t: np.zeros(t.shape + (2, 3)),
+        B=lambda t: np.zeros(t.shape + (2, 1)),
+        C=lambda t: np.zeros(t.shape + (1, 2)),
+        u=lambda t: np.zeros(t.shape + (1,)),
         x0=np.zeros(2),
     )
-    with pytest.raises(ValueError, match=r"A\(t\) must have shape \(2, 2\), got \(2, 3\) at t=0.0"):
+    with pytest.raises(ValueError, match=r"A\(t\) must return shape \(1, 2, 2\), got \(1, 2, 3\)"):
         eval_system(spec, 0.0)
 
 
@@ -141,7 +142,7 @@ def test_builtin_scenario_defaults():
     assert np.array_equal(s.theta_hat0, np.zeros(2))
     assert s.horizon == 30.0
     assert s.step == 1e-3
-    assert s.system.u(1.0)[0] == math.sin(1.0)
+    assert s.system.u(np.array([1.0]))[0, 0] == math.sin(1.0)
 
 
 def test_builtin_scenario_unknown_id():
@@ -159,18 +160,18 @@ def test_builtin_scenario_deterministic():
     b = builtin_scenario("c3", 10.0)
     assert a.id == b.id and a.gamma == b.gamma
     assert np.array_equal(a.system.x0, b.system.x0)
-    for t in (0.0, 1.7, 12.9):
-        assert np.array_equal(a.system.A(t), b.system.A(t))
-        assert a.delay(t) == b.delay(t)
+    t = np.array([0.0, 1.7, 12.9])
+    assert np.array_equal(a.system.A(t), b.system.A(t))
+    assert np.array_equal(a.delay(t), b.delay(t))
 
 
 def _dummy_system(n=2):
     return SystemSpec(
         n=n, m=1, q=1,
-        A=lambda t: np.zeros((n, n)),
-        B=lambda t: np.zeros((n, 1)),
-        C=lambda t: np.zeros((1, n)),
-        u=lambda t: np.zeros(1),
+        A=lambda t: np.zeros(t.shape + (n, n)),
+        B=lambda t: np.zeros(t.shape + (n, 1)),
+        C=lambda t: np.zeros(t.shape + (1, n)),
+        u=lambda t: np.zeros(t.shape + (1,)),
         x0=np.zeros(n),
     )
 
@@ -226,7 +227,7 @@ def test_drem_scenario_resolves_default_delays():
     assert builtin_scenario("c2", 1.0, estimator="drem").drem_delays == (0.5,)
     assert builtin_scenario("c2", 1.0).drem_delays is None
     # a two-output plant cannot be mixed into scalar regressions
-    sysm = replace(_dummy_system(), q=2, C=lambda t: np.zeros((2, 2)))
+    sysm = replace(_dummy_system(), q=2, C=lambda t: np.zeros(t.shape + (2, 2)))
     with pytest.raises(ValueError, match="single-output"):
         NamedScenario(id="bad", system=sysm, delay=DelaySpec.identity(), gamma=1.0,
                       estimator="drem", horizon=1.0, step=1e-3, xi0=np.zeros(2),
@@ -241,23 +242,30 @@ def test_delay_rejects_non_finite_parameters(field):
 
 
 def test_wrong_shaped_coefficient_fails_naming_the_time():
-    # A(t) has the right shape at t = 0 only; stacking it into the run's
-    # (n, n) slots used to broadcast the row and simulate a wrong x
-    def A(t):
-        return np.array([[0.0, 1.0], [-1.0, 0.0]]) if t == 0.0 else np.array([0.0, 1.0])
-
-    sysm = replace(_dummy_system(), A=A)
-    scen = NamedScenario(id="bad", system=sysm, delay=DelaySpec.identity(), gamma=0.0,
-                         estimator="gradient", horizon=1.0, step=0.1, xi0=np.zeros(2),
-                         theta_hat0=np.zeros(2))
-    with pytest.raises(ValueError, match=r"A\(t\) must have shape \(2, 2\), got \(2,\) at t=0.05"):
+    # an A that is not (N, 2, 2) on N times, a scalar-style single matrix
+    # among them, would broadcast into the run's (n, n) slots and simulate
+    # a wrong x: it is refused naming A(t) and both shapes
+    for value, got in ((lambda t: np.array([0.0, 1.0]), r"\(2,\)"),
+                       (lambda t: np.array([[0.0, 1.0], [-1.0, 0.0]]), r"\(2, 2\)"),
+                       (lambda t: np.zeros(t.shape + (2,)), r"\(21, 2\)")):
+        sysm = replace(_dummy_system(), A=value)
+        scen = NamedScenario(id="bad", system=sysm, delay=DelaySpec.identity(), gamma=0.0,
+                             estimator="gradient", horizon=1.0, step=0.1, xi0=np.zeros(2),
+                             theta_hat0=np.zeros(2))
+        results = []
+        with pytest.raises(ValueError, match=r"A\(t\) must return shape \(21, 2, 2\), got " + got):
+            results.append(simulate(scen))
+        assert results == []
+    # a custom delay map that returns one value for the whole grid
+    scen = replace(scen, system=_dummy_system(), delay=DelaySpec.custom(lambda t: 0.0))
+    with pytest.raises(ValueError, match=r"delay fn must return the shape \(11,\) of its times, "
+                                         r"got \(\)"):
         simulate(scen)
     res = simulate(builtin_scenario("c1", 0.0, horizon=1.0, step=0.1))
-    with pytest.raises(ValueError, match=r"A\(t\) must have shape \(2, 2\), got \(3, 3\) at t=0.0"):
-        liouville_det(res.phi_history(), lambda t: np.eye(3))
-    with pytest.raises(ValueError, match=r"C\(t\) must have shape \(1, 2\), got \(2,\) at t=0.3"):
-        pe_check(res.phi_history(), lambda t: np.ones(2) if t > 0.25 else np.ones((1, 2)),
-                 0.5, 1e-4)
+    with pytest.raises(ValueError, match=r"A\(t\) must return shape \(11, 2, 2\), got \(11, 3, 3\)"):
+        liouville_det(res.phi_history(), lambda t: np.tile(np.eye(3), (len(t), 1, 1)))
+    with pytest.raises(ValueError, match=r"C\(t\) must return shape \(11, \*, 2\), got \(11, 2\)"):
+        pe_check(res.phi_history(), lambda t: np.ones((len(t), 2)), 0.5, 1e-4)
 
 
 def test_grid_too_fine_to_count_fails_at_construction():
@@ -273,3 +281,59 @@ def test_step_count_is_the_grid_simulate_runs(horizon, step, steps):
     scen = builtin_scenario("c1", 0.0, horizon=horizon, step=step)
     assert scen.steps == steps
     assert len(simulate(scen).t) == steps + 1
+
+
+def test_grid_over_the_node_limit_fails_at_construction(monkeypatch):
+    # 1e10 steps would ask simulate for hundreds of GB: the scenario is
+    # refused when built, so nothing is simulated or allocated
+    import gpebo.integrate
+
+    def refuse(scenario):
+        raise AssertionError("simulated an oversized grid")
+
+    monkeypatch.setattr(gpebo.integrate, "simulate", refuse)
+    with pytest.raises(ValueError, match="grid nodes"):
+        gpebo.integrate.simulate(builtin_scenario("c1", 1.0, horizon=1e7))
+    # the limit counts nodes, t = 0 included
+    steps = MAX_SWEEP_NODES - 1
+    assert builtin_scenario("c1", 1.0, horizon=float(steps), step=1.0).steps == steps
+    with pytest.raises(ValueError, match="grid nodes"):
+        builtin_scenario("c1", 1.0, horizon=float(steps + 1), step=1.0)
+
+
+def _scalar_delay(kind, t):
+    """The built-in delay maps one time at a time, as written in DelaySpec's
+    docstring, clamped into [0, t]."""
+    raw = {"identity": t, "constant": t - 1.0,
+           "sinusoidal": t - (1.0 + 0.9 * math.sin(1.0 * t)),
+           "custom": t - 1.0 - 0.9 * math.sin(t)}[kind]
+    return max(0.0, min(t, raw))
+
+
+def test_builtins_equal_scalar_formulas_on_the_stage_grid():
+    # every time of a default 30 s run's stage grid, clamp stretches of the
+    # constant and sinusoidal delays included: the whole-grid built-ins
+    # return the same doubles as scalar math formulas, sign of zero included
+    tau = 0.5e-3 * np.arange(60001)
+    times = tau.tolist()
+    sysm = benchmark_system()
+    want = {
+        "A": np.array([[[0.0, 1.0], [-math.sin(t) * math.sin(t), 0.0]] for t in times]),
+        "B": np.tile([[0.0], [1.0]], (len(times), 1, 1)),
+        "C": np.tile([[1.0, 0.0]], (len(times), 1, 1)),
+        "u": np.array([[math.sin(t)] for t in times]),
+    }
+    for name, value in want.items():
+        got = np.asarray(getattr(sysm, name)(tau))
+        assert got.shape == value.shape and got.tobytes() == value.tobytes(), name
+    delays = {
+        "identity": DelaySpec.identity(),
+        "constant": DelaySpec.constant(1.0),
+        "sinusoidal": DelaySpec.sinusoidal(1.0, 0.9, 1.0),
+        "custom": DelaySpec.custom(lambda t: t - 1.0 - 0.9 * np.sin(t)),
+    }
+    for kind, delay in delays.items():
+        value = np.array([_scalar_delay(kind, t) for t in times])
+        got = delay(tau)
+        assert got.shape == value.shape and got.tobytes() == value.tobytes(), kind
+        assert (got == 0.0).sum() >= (1000 if kind != "identity" else 1)

@@ -87,7 +87,7 @@ def test_gradient_update_scalar_rate():
 def test_multi_output_gradient_run():
     # full-state measurement C = I through a constant delay: psi is (n, q)
     # at every node and the law takes its q-output branch
-    sysm = replace(benchmark_system(), q=2, C=lambda t: np.eye(2))
+    sysm = replace(benchmark_system(), q=2, C=lambda t: np.tile(np.eye(2), (len(t), 1, 1)))
     scen = NamedScenario(
         id="q2", system=sysm, delay=DelaySpec.constant(0.5), gamma=10.0,
         estimator="gradient", horizon=10.0, step=1e-2, xi0=np.zeros(2),
@@ -105,10 +105,10 @@ def test_multi_output_gradient_run():
 def _scalar_frozen_plant():
     return SystemSpec(
         n=1, m=1, q=1,
-        A=lambda t: np.zeros((1, 1)),
-        B=lambda t: np.zeros((1, 1)),
-        C=lambda t: np.array([[1.0]]),
-        u=lambda t: np.zeros(1),
+        A=lambda t: np.zeros(t.shape + (1, 1)),
+        B=lambda t: np.zeros(t.shape + (1, 1)),
+        C=lambda t: np.ones(t.shape + (1, 1)),
+        u=lambda t: np.zeros(t.shape + (1,)),
         x0=np.zeros(1),
     )
 
@@ -130,10 +130,10 @@ def test_scalar_estimate_decays_exponentially():
 def _rotation_plant():
     return SystemSpec(
         n=2, m=1, q=1,
-        A=lambda t: np.array([[0.0, 1.0], [-1.0, 0.0]]),
-        B=lambda t: np.zeros((2, 1)),
-        C=lambda t: np.array([[1.0, 0.0]]),
-        u=lambda t: np.zeros(1),
+        A=lambda t: np.tile([[0.0, 1.0], [-1.0, 0.0]], (len(t), 1, 1)),
+        B=lambda t: np.zeros(t.shape + (2, 1)),
+        C=lambda t: np.tile([[1.0, 0.0]], (len(t), 1, 1)),
+        u=lambda t: np.zeros(t.shape + (1,)),
         x0=np.zeros(2),
     )
 

@@ -110,10 +110,10 @@ def test_liouville_contracting_system():
     n = 2
     sysm = SystemSpec(
         n=n, m=1, q=1,
-        A=lambda t: -np.eye(n),
-        B=lambda t: np.zeros((n, 1)),
-        C=lambda t: np.array([[1.0, 0.0]]),
-        u=lambda t: np.zeros(1),
+        A=lambda t: np.tile(-np.eye(n), (len(t), 1, 1)),
+        B=lambda t: np.zeros(t.shape + (n, 1)),
+        C=lambda t: np.tile([[1.0, 0.0]], (len(t), 1, 1)),
+        u=lambda t: np.zeros(t.shape + (1,)),
         x0=np.zeros(n),
     )
     scen = NamedScenario(id="contract", system=sysm, delay=DelaySpec.identity(),
@@ -130,10 +130,10 @@ def test_rk4_matches_diagonal_closed_form_at_default_step():
     A = np.diag([-1.0, -0.25])
     sysm = SystemSpec(
         n=2, m=1, q=1,
-        A=lambda t: A,
-        B=lambda t: np.zeros((2, 1)),
-        C=lambda t: np.array([[1.0, 0.0]]),
-        u=lambda t: np.zeros(1),
+        A=lambda t: np.tile(A, (len(t), 1, 1)),
+        B=lambda t: np.zeros(t.shape + (2, 1)),
+        C=lambda t: np.tile([[1.0, 0.0]], (len(t), 1, 1)),
+        u=lambda t: np.zeros(t.shape + (1,)),
         x0=np.zeros(2),
     )
     scen = NamedScenario(id="diag", system=sysm, delay=DelaySpec.identity(),
@@ -149,5 +149,5 @@ def test_liouville_static_identity():
 
     times = np.linspace(0.0, 2.0, 21)
     hist = TrajectoryHistory.from_grid(times, np.broadcast_to(np.eye(2), (21, 2, 2)))
-    dev = liouville_det(hist, lambda t: np.zeros((2, 2)))
+    dev = liouville_det(hist, lambda t: np.zeros(t.shape + (2, 2)))
     assert dev == 0.0
