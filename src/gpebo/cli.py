@@ -171,8 +171,35 @@ def load_config_file(path: str) -> dict:
     return out
 
 
+# flags whose values are numbers, so that a value may start with "-"
+_NUMBER_FLAGS = {"--" + _flag(f) for f in fields(RunConfig)
+                 if f.metadata["convert"] in (_parse_floats, _parse_float)}
+
+
+def _starts_negative_number(arg: str) -> bool:
+    try:
+        float(arg.split(",", 1)[0])
+    except ValueError:
+        return False
+    return arg.startswith("-")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reads ``--x0 -1,2`` as ``--x0=-1,2``, which argparse would take for
+    two flags; ``--x0 --horizon 3`` is still refused for lacking a value."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        joined = []
+        for arg in sys.argv[1:] if args is None else args:
+            if joined and joined[-1] in _NUMBER_FLAGS and _starts_negative_number(arg):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gpebo",
         description="Simulate the delayed-measurement state observer benchmark.",
     )

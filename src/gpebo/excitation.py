@@ -130,6 +130,8 @@ def pe_check(
     least one window long.  The products psi psi^T and psi^T psi are
     formed once per stored node and once per window endpoint, each set from
     one call of ``C``; each window adds its two endpoints to its nodes.
+    The windows' Gramians are stacked, and one ``eigvalsh`` per stack finds
+    their smallest eigenvalues.
     """
     if not T > 0.0:
         raise ValueError("window length T must be positive")
@@ -154,14 +156,14 @@ def pe_check(
     ends = np.column_stack((starts, np.minimum(starts + T, times[-1]))).ravel()
     end_q, end_n = (g.reshape((count, 2) + g.shape[1:])
                     for g in _products(_regressor(C, ends, hist_Phi.sample_at(ends))))
-    min_q = np.empty(count)
-    min_n = np.empty(count)
+    G_q = np.empty((count,) + node_q.shape[1:])
+    G_n = np.empty((count,) + node_n.shape[1:])
     for k, start in enumerate(starts.tolist()):
         s, i0, i1 = _window(times, start, T)
-        G_q = _trapezoid(s, np.concatenate((end_q[k, :1], node_q[i0:i1], end_q[k, 1:])))
-        G_n = _trapezoid(s, np.concatenate((end_n[k, :1], node_n[i0:i1], end_n[k, 1:])))
-        min_q[k] = np.linalg.eigvalsh(G_q).min()
-        min_n[k] = np.linalg.eigvalsh(G_n).min()
+        G_q[k] = _trapezoid(s, np.concatenate((end_q[k, :1], node_q[i0:i1], end_q[k, 1:])))
+        G_n[k] = _trapezoid(s, np.concatenate((end_n[k, :1], node_n[i0:i1], end_n[k, 1:])))
+    min_q = np.linalg.eigvalsh(G_q).min(axis=1)
+    min_n = np.linalg.eigvalsh(G_n).min(axis=1)
 
     delta_q = float(min_q.min())
     delta_n = float(min_n.min())

@@ -5,8 +5,8 @@ A run is three passes over the uniform grid t_k = k h:
 1. plant: Z = [x | xi | Phi] obeys Z' = A(t) Z + [Bu Bu 0], which never
    sees the estimator.  With A, B and u called once on all nodes and
    midpoints, each RK4 step's affine map Z_{k+1} = P_k Z_k + r_k [1 1 0]
-   is built with array operations, and a loop applies the maps; the pass
-   keeps node values and node derivatives;
+   is built with array operations, and a blocked prefix-product scan
+   applies the maps; the pass keeps node values and node derivatives;
 2. regression: psi = (C(phi) Phi(phi))^T and y_reg = C(phi) (xi - x)(phi)
    at every stage time (for DREM also at each stage time minus each lag,
    zero before t = 0; at gamma = 0 at the nodes alone), each looked up in
@@ -36,9 +36,9 @@ from .model import NamedScenario, at_times
 from .observer import gradient_update
 
 STATE_NORM_LIMIT = 1e12
-# The plant pass and the Hermite lookups work this many steps or times at
-# once, which bounds the size of their temporaries and with it a run's
-# peak memory.
+# The plant pass scans this many step maps at once (8 doublings at 256),
+# and the Hermite lookups take this many times at once; the block bounds
+# the size of their temporaries and with it a run's peak memory.
 _BLOCK = 256
 
 
@@ -85,7 +85,13 @@ def _plant_pass(sysm, xi0, t, tau):
     becomes the linear ODE Z' = G Z, G = [[A, Bu], [0, 0]].  An RK4 step of
     a linear ODE multiplies by what its stage formulas make of the
     identity, here [[P_k, r_k], [0, 1]]; these are built a block of steps
-    at a time with array operations, and a loop applies them.
+    at a time with array operations.  Within a block, recursive doubling
+    (Blelloch 1990) turns the maps into their prefix products in log2 of
+    the block's length batched matmuls, and one batched product applies
+    them all to the node before the block, whose last node is carried to
+    the next.  The products associate differently from stepping one map
+    at a time, so the nodes match stagewise RK4 to rounding, not bit for
+    bit.
     """
     n, m = sysm.n, sysm.m
     G = np.zeros((len(tau), n + 1, n + 1))
@@ -104,8 +110,15 @@ def _plant_pass(sysm, xi0, t, tau):
         K2 = Gm @ (eye + 0.5 * h * G0)
         K3 = Gm @ (eye + 0.5 * h * K2)
         K4 = G1 @ (eye + h * K3)
-        for k, p in enumerate(eye + (h / 6.0) * (G0 + 2.0 * (K2 + K3) + K4), lo + 1):
-            z = Z[k] = p @ z
+        Q = eye + (h / 6.0) * (G0 + 2.0 * (K2 + K3) + K4)
+        # after the pass at d, Q[j] = P_{lo+j} ... P_{lo+max(0, j-2d+1)};
+        # the right-hand side is a temporary, so the update may be in place
+        d = 1
+        while d < len(Q):
+            Q[d:] = Q[d:] @ Q[:-d]
+            d *= 2
+        Z[lo + 1:lo + 1 + len(Q)] = Q @ z
+        z = Z[lo + len(Q)]
     # the copy drops the bottom row, which the run would otherwise keep
     return Z[:, :n].copy(), G[::2, :n] @ Z
 

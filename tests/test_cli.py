@@ -255,6 +255,32 @@ def test_main_rejects_bad_flag_values(capsys):
     assert main(["--x0", "1,2,3"]) == 2
 
 
+def test_negative_values_need_no_equals_sign(tmp_path, capsys):
+    # "--x0 -1,2" reads like "--x0=-1,2" for every numeric flag, and runs the same
+    parser = build_parser()
+    for flag, text in (("x0", "-1,2"), ("xi0", "-0.5,-3"), ("theta0", "-2e-1,1"),
+                       ("gamma", "-1,2"), ("horizon", "-1e3")):
+        assert parser.parse_args([f"--{flag}", text]) == parser.parse_args([f"--{flag}={text}"])
+    cfg = assemble_config(parser.parse_args(["--x0", "-1,2", "--xi0", "-0.5,-3",
+                                             "--theta0", "-2e-1,1"]))
+    assert (cfg.x0, cfg.xi0, cfg.theta0) == ((-1.0, 2.0), (-0.5, -3.0), (-0.2, 1.0))
+    common = ["--gamma", "5", "--horizon", "0.5", "--step", "1e-2"]
+    spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+    assert main(["--x0", "-1,2", "--theta0", "-2,-1", "--csv", str(spaced)] + common) == 0
+    assert main(["--x0=-1,2", "--theta0=-2,-1", "--csv", str(joined)] + common) == 0
+    assert spaced.read_bytes() == joined.read_bytes()
+    capsys.readouterr()
+    # a negative gain reaches the gain check, not an argparse error
+    assert main(["--gamma", "-1,2"]) == 2
+    assert "gamma values must be positive" in capsys.readouterr().err
+
+
+def test_flag_missing_its_value_exits_2(capsys):
+    for argv in (["--x0", "--horizon", "3"], ["--gamma", "-h"], ["--theta0"]):
+        assert main(argv) == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+
 def test_main_rejects_bad_config_file(tmp_path, capsys):
     p = tmp_path / "bad.cfg"
     p.write_text("nope = 1\n")

@@ -156,13 +156,18 @@ def test_grid_halving_is_fourth_order():
 
 def test_divergence_guard():
     # each RK4 step multiplies x by 1 + 2 + 2 + 4/3 + 2/3 = 7 at h A = 2,
-    # so x first passes 1e12 at node 15
-    scen = _scenario(_const_system([[2000.0]], x0=[1.0]), horizon=0.1)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DivergenceError) as exc:
-            simulate(scen)
-    assert exc.value.t == 15 * 1e-3
+    # so x first passes 1e12 at node 15.  Over 1 s the node values 7^k
+    # overflow to inf near step 365, in the plant pass's second block of
+    # step maps; in the third the carried inf meets a zero in the map's
+    # bottom row and gives nan, which reaches x in the fourth.  Neither may
+    # warn or move the first node named.
+    for horizon in (0.1, 1.0):
+        scen = _scenario(_const_system([[2000.0]], x0=[1.0]), horizon=horizon)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as exc:
+                simulate(scen)
+        assert exc.value.t == 15 * 1e-3
 
 
 def test_estimator_divergence_guard():
@@ -275,13 +280,21 @@ def _stagewise_rk4(A, F, Z0, h, nsteps):
 @settings(max_examples=40, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), m=st.integers(1, 2),
        decay=st.floats(0.0, 2.0), spin=st.floats(0.0, 6.0), w=st.floats(0.1, 10.0),
-       step=st.floats(1e-3, 0.0125), nsteps=st.integers(1, 400))
+       step=st.floats(1e-3, 0.0125), nsteps=st.integers(1, 600))
 @example(seed=0, n=2, m=1, decay=0.5, spin=3.0, w=2.0, step=0.01, nsteps=400)
+# one step, one short of a block of 256 step maps, exactly one, one over,
+# and two blocks and one step
+@example(seed=1, n=3, m=2, decay=0.5, spin=3.0, w=2.0, step=0.01, nsteps=1)
+@example(seed=2, n=2, m=1, decay=0.5, spin=3.0, w=2.0, step=0.01, nsteps=255)
+@example(seed=3, n=2, m=2, decay=0.5, spin=3.0, w=2.0, step=0.01, nsteps=256)
+@example(seed=4, n=1, m=1, decay=0.5, spin=3.0, w=2.0, step=0.01, nsteps=257)
+@example(seed=5, n=3, m=1, decay=0.2, spin=5.0, w=7.0, step=0.005, nsteps=513)
 def test_plant_pass_matches_stagewise_rk4(seed, n, m, decay, spin, w, step, nsteps):
     # A(t) = A0 + A1 sin(w t) with A0 decaying (-decay I) and oscillating
     # (spin times a skew part); B u varies in time through u.  Runs of up
-    # to 400 steps cross the plant pass's blocks of step maps, and a 5 s
-    # horizon keeps the fastest growth far below the divergence guard.
+    # to 600 steps cross two of the plant pass's blocks of step maps, and
+    # a 7.5 s horizon keeps the fastest growth far below the divergence
+    # guard.
     rng = np.random.default_rng(seed)
     S = rng.standard_normal((n, n))
     A0 = -decay * np.eye(n) + spin * (S - S.T) / 2 + 0.3 * rng.standard_normal((n, n))
@@ -299,17 +312,33 @@ def test_plant_pass_matches_stagewise_rk4(seed, n, m, decay, spin, w, step, nste
     )
     res = simulate(_scenario(sysm, horizon=step * nsteps, step=step, xi0=xi0))
     assert len(res.t) == nsteps + 1
+    _assert_matches_stagewise_rk4(res, sysm, xi0, step)
+
+
+def test_plant_pass_matches_stagewise_rk4_over_a_long_run():
+    # a 30 s run carries the node values across about 117 blocks of step
+    # maps, on the sinusoidally delayed benchmark plant
+    scen = builtin_scenario("c3", 0.0, xi0=(0.5, -0.25))
+    res = simulate(scen)
+    assert len(res.t) == 30001
+    _assert_matches_stagewise_rk4(res, scen.system, scen.xi0, scen.step)
+
+
+def _assert_matches_stagewise_rk4(res, sysm, xi0, step):
+    # x, xi and Phi against _stagewise_rk4 on the same plant, and the copy
+    # identity xi - x = Phi (xi0 - x0), within 1e-12 of the reference's size
+    n = sysm.n
 
     def F(t):
-        bu = B @ sysm.u(np.array([t]))[0]
+        bu = sysm.B(np.array([t]))[0] @ sysm.u(np.array([t]))[0]
         return np.column_stack([bu, bu, np.zeros((n, n))])
 
     ref = _stagewise_rk4(lambda t: sysm.A(np.array([t]))[0], F,
-                         np.column_stack([x0, xi0, np.eye(n)]), step, nsteps)
+                         np.column_stack([sysm.x0, xi0, np.eye(n)]), step, len(res.t) - 1)
     scale = 1.0 + np.abs(ref).max()
     for got, want in ((res.x, ref[:, :, 0]), (res.xi, ref[:, :, 1]), (res.Phi, ref[:, :, 2:])):
         assert np.abs(got - want).max() <= 1e-12 * scale
-    identity = res.xi - res.x - np.einsum("kij,j->ki", res.Phi, xi0 - x0)
+    identity = res.xi - res.x - np.einsum("kij,j->ki", res.Phi, xi0 - sysm.x0)
     assert np.abs(identity).max() <= 1e-12 * scale
 
 
