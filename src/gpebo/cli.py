@@ -202,6 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gpebo",
         description="Simulate the delayed-measurement state observer benchmark.",
+        allow_abbrev=False,  # flags in full, as file keys; a prefix would skip the join
     )
     for f in fields(RunConfig):
         parser.add_argument("--" + _flag(f), dest=f.name, default=None,

@@ -16,7 +16,9 @@ integrates that regressor's Gramian over [t, t+T] in the time domain.
 
 Every Gramian is one trapezoid rule over the stored nodes strictly inside
 the window plus the window's two endpoints, with Phi linearly
-interpolated off the nodes.
+interpolated off the nodes.  All three checks call one kernel, which
+forms every window of a call from one evaluation at the nodes and the
+endpoints, so a window's value does not depend on the other windows.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ class ExcitationReport:
 
     window: float
     delta_floor: float
-    stride: float
     starts: np.ndarray
     min_eig_output: np.ndarray
     min_eig_regressor: np.ndarray
@@ -51,40 +52,66 @@ class ExcitationReport:
     pe_regressor: bool
 
 
-def _trapezoid(s, g):
-    """Trapezoid rule over the ascending nodes ``s`` of the samples ``g``
-    stacked on axis 0."""
-    return np.tensordot(0.5 * np.diff(s), g[1:] + g[:-1], axes=1)
+def _gramians(hist_Phi: TrajectoryHistory, C, starts, T: float, delay: DelaySpec = None):
+    """Trapezoidal Gramians of every window [s, s+T] for s in ``starts``.
 
-
-def _window(times, t: float, T: float):
-    """Quadrature nodes of the window [t, t+T]: its endpoints, clipped to
-    the recorded range, around the stored nodes strictly inside it, which
-    are ``times[i0:i1]``.  Returns ``(nodes, i0, i1)``.
-
-    The window must lie inside the recorded range up to a small relative
-    slack.
+    Returns the stacks (q x q, n x n) of the quadratures of psi psi^T and
+    psi^T psi, with psi = C Phi, or psi(tau) = C(phi(tau)) Phi(phi(tau))
+    given ``delay``.  Each window's rule runs over its own two endpoints,
+    clipped to the recorded range, and the stored nodes strictly inside
+    them.  The nodes and all endpoints are evaluated once; the node terms
+    are summed into segments cut at each window's first and last inner
+    node, and each window adds up its own segments, since a difference of
+    running sums would bury a small window under the large ones before it.
     """
-    if not T > 0.0:
+    if T <= 0.0:
         raise ValueError("window length T must be positive")
+    times, Phi = hist_Phi.as_arrays()
+    starts = np.asarray(starts, dtype=float)
     t0, t_end = float(times[0]), float(times[-1])
     tol = 1e-9 * max(1.0, abs(t_end))
-    if t < t0 - tol or t + T > t_end + tol:
+    outside = ~((starts >= t0 - tol) & (starts + T <= t_end + tol))
+    if outside.any():
+        t = float(starts[outside][0])
         raise ValueError(f"window [{t}, {t + T}] outside recorded range [{t0}, {t_end}]")
-    lo, hi = max(t, t0), min(t + T, t_end)
-    i0, i1 = np.searchsorted(times, lo, "right"), np.searchsorted(times, hi, "left")
-    return np.concatenate(([lo], times[i0:i1], [hi])), i0, i1
-
-
-def _regressor(C, s, Phi):
-    """C(s) Phi(s) at every time of ``s``, shape (len(s), q, n)."""
-    return at_times(C, s, (None, Phi.shape[1]), "C(t)") @ Phi
-
-
-def _products(cp):
-    """Per node: the q x q and n x n products psi psi^T and psi^T psi."""
+    lo, hi = np.maximum(starts, t0), np.minimum(starts + T, t_end)
+    # window k's inner nodes are times[a[k]:b[k]], all within times[r0:r0 + m]
+    a, b = np.searchsorted(times, lo, "right"), np.searchsorted(times, hi, "left")
+    inner = b > a
+    r0 = int(a[inner].min(initial=len(times)))
+    m, K = max(int(b[inner].max(initial=0)) - r0, 0), len(starts)
+    s = np.concatenate((times[r0:r0 + m], lo, hi))
+    phi = s if delay is None else at_times(delay, s, (), "phi(t)")
+    Cs = at_times(C, phi, (None, Phi.shape[1]), "C(t)")
+    if delay is None:  # Phi is stored at the nodes
+        cp = np.concatenate((Cs[:m] @ Phi[r0:r0 + m], Cs[m:] @ hist_Phi.sample_at(s[m:])))
+    else:
+        cp = Cs @ hist_Phi.sample_at(phi)
     cpT = cp.transpose(0, 2, 1)
-    return cp @ cpT, cpT @ cp
+
+    # On s, window k runs from lo at m + k over its inner nodes first..last
+    # to hi at m + K + k (with no inner node: lo -> hi, then hi -> hi).  Its
+    # row of ``terms`` indices: the segments from cut k0 to cut k1, padded
+    # with the zero row, then its head (lo -> first) and tail (last -> hi).
+    first, last = np.where(inner, a - r0, 0), np.where(inner, b - 1 - r0, 0)
+    cuts = np.array(sorted({*first.tolist(), *last.tolist()}))  # np.unique loads numpy.ma
+    k0, k1 = np.searchsorted(cuts, first), np.searchsorted(cuts, last)
+    span = k0[:, None] + np.arange(int((k1 - k0).max()))
+    ks, zero = np.arange(K), len(cuts) - 1
+    rows = np.column_stack((np.where(span < k1[:, None], span, zero),
+                            zero + 1 + ks, zero + 1 + K + ks))
+    i = np.concatenate((m + ks, np.where(inner, last, m + K + ks)))
+    j = np.concatenate((np.where(inner, first, m + K + ks), m + K + ks))
+    h_nodes = 0.5 * np.diff(s[:m])[:, None, None]
+    h_ends = 0.5 * (s[j] - s[i])[:, None, None]
+
+    grams = []
+    for g in (cp @ cpT, cpT @ cp):
+        node = g[:m]
+        segs = np.add.reduceat(h_nodes * (node[1:] + node[:-1]), cuts[:-1], axis=0)
+        terms = np.concatenate((segs, np.zeros((1,) + g.shape[1:]), h_ends * (g[i] + g[j])))
+        grams.append(terms[rows].sum(axis=1))
+    return tuple(grams)
 
 
 def pe_integral(hist_Phi: TrajectoryHistory, C, t: float, T: float):
@@ -95,8 +122,7 @@ def pe_integral(hist_Phi: TrajectoryHistory, C, t: float, T: float):
     window endpoints interpolated.  The window must lie inside the
     recorded range up to a small relative slack.
     """
-    s, _, _ = _window(hist_Phi.as_arrays()[0], t, T)
-    return tuple(_trapezoid(s, g) for g in _products(_regressor(C, s, hist_Phi.sample_at(s))))
+    return tuple(g[0].copy() for g in _gramians(hist_Phi, C, [t], T))  # not views of stacks
 
 
 def delayed_pe_integral(
@@ -111,66 +137,38 @@ def delayed_pe_integral(
     or flat need no special case.  The window, and every measurement
     time it reaches, must lie inside the recorded range.
     """
-    s, _, _ = _window(hist_Phi.as_arrays()[0], t, T)
-    phi = at_times(delay, s, (), "phi(t)")
-    return _trapezoid(s, _products(_regressor(C, phi, hist_Phi.sample_at(phi)))[1])
+    return _gramians(hist_Phi, C, [t], T, delay)[1][0].copy()  # not a view of a stack
 
 
-def pe_check(
-    hist_Phi: TrajectoryHistory,
-    C,
-    T: float,
-    delta_floor: float,
-    stride: float = None,
-) -> ExcitationReport:
+def pe_check(hist_Phi: TrajectoryHistory, C, T: float, delta_floor: float) -> ExcitationReport:
     """Scan window starts across the trajectory and report excitation.
 
-    Window starts run from the first node in steps of ``stride`` (default
-    T / 10) as long as the full window fits.  The trajectory must be at
-    least one window long.  The products psi psi^T and psi^T psi are
-    formed once per stored node and once per window endpoint, each set from
-    one call of ``C``; each window adds its two endpoints to its nodes.
-    The windows' Gramians are stacked, and one ``eigvalsh`` per stack finds
+    Window starts run from the first node in steps of T / 10 as long as
+    the full window fits.  The trajectory must be at least one window
+    long.  One kernel call forms every window's Gramians from a single
+    evaluation of ``C`` and Phi, and one ``eigvalsh`` per stack finds
     their smallest eigenvalues.
     """
     if not T > 0.0:
         raise ValueError("window length T must be positive")
     if not delta_floor > 0.0:
         raise ValueError("delta_floor must be positive")
-    if stride is None:
-        stride = T / 10.0
-    if not stride > 0.0:
-        raise ValueError("stride must be positive")
-    times, Phi = hist_Phi.as_arrays()
+    times = hist_Phi.as_arrays()[0]
     t0 = float(times[0])
     span = float(times[-1]) - t0 - T
     if span < 0.0:
         raise ValueError(
             f"trajectory length {float(times[-1]) - t0} is shorter than the window {T}"
         )
-    count = int(np.floor(span / stride + 1e-9)) + 1
-    starts = t0 + stride * np.arange(count)
-
-    node_q, node_n = _products(_regressor(C, times, Phi))
-    # every window's two endpoints, as _window clips them, in one grid
-    ends = np.column_stack((starts, np.minimum(starts + T, times[-1]))).ravel()
-    end_q, end_n = (g.reshape((count, 2) + g.shape[1:])
-                    for g in _products(_regressor(C, ends, hist_Phi.sample_at(ends))))
-    G_q = np.empty((count,) + node_q.shape[1:])
-    G_n = np.empty((count,) + node_n.shape[1:])
-    for k, start in enumerate(starts.tolist()):
-        s, i0, i1 = _window(times, start, T)
-        G_q[k] = _trapezoid(s, np.concatenate((end_q[k, :1], node_q[i0:i1], end_q[k, 1:])))
-        G_n[k] = _trapezoid(s, np.concatenate((end_n[k, :1], node_n[i0:i1], end_n[k, 1:])))
-    min_q = np.linalg.eigvalsh(G_q).min(axis=1)
-    min_n = np.linalg.eigvalsh(G_n).min(axis=1)
+    stride = T / 10.0
+    starts = t0 + stride * np.arange(int(np.floor(span / stride + 1e-9)) + 1)
+    min_q, min_n = (np.linalg.eigvalsh(G).min(axis=1) for G in _gramians(hist_Phi, C, starts, T))
 
     delta_q = float(min_q.min())
     delta_n = float(min_n.min())
     return ExcitationReport(
         window=T,
         delta_floor=delta_floor,
-        stride=stride,
         starts=starts,
         min_eig_output=min_q,
         min_eig_regressor=min_n,

@@ -281,6 +281,14 @@ def test_flag_missing_its_value_exits_2(capsys):
         assert "expected one argument" in capsys.readouterr().err
 
 
+def test_flags_must_be_spelled_in_full(capsys):
+    # a prefix would dodge the negative-value join; no spelling of one is taken
+    for argv in (["--theta", "-1,2"], ["--theta=-1,2"]):
+        assert main(argv + ["--horizon", "0.01"]) == 2
+        assert "unrecognized arguments: --theta" in capsys.readouterr().err
+    assert main(["--theta0", "-1,2", "--horizon", "0.01"]) == 0
+
+
 def test_main_rejects_bad_config_file(tmp_path, capsys):
     p = tmp_path / "bad.cfg"
     p.write_text("nope = 1\n")

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from gpebo import excitation
 from gpebo import (
     DelaySpec,
     LtiOracle,
@@ -62,6 +63,12 @@ def test_window_must_fit_trajectory():
         pe_integral(hist, _unit_C, -1.0, 1.0)
     with pytest.raises(ValueError):
         pe_integral(hist, _unit_C, 0.0, -1.0)
+    # a NaN start or a NaN or infinite length fails the range check itself
+    for t, T in ((math.nan, 0.5), (0.0, math.nan), (0.0, math.inf)):
+        with pytest.raises(ValueError, match=r"^window \["):
+            pe_integral(hist, _unit_C, t, T)
+        with pytest.raises(ValueError, match=r"^window \["):
+            delayed_pe_integral(hist, _unit_C, t, T, DelaySpec.identity())
 
 
 def _benchmark_run(horizon=12.0):
@@ -236,6 +243,56 @@ def test_delayed_pe_matches_gauss_legendre_property(delay, T, frac):
     assert np.abs(G - ref).max() <= 1e-5 * (T + len(kinks))
 
 
+def _per_window_rule(hist, C, t, T, delay=None):
+    """One window's Gramians (q x q, n x n) by the trapezoid rule over its
+    endpoints, clipped to the recorded range, around the stored nodes
+    strictly inside them, as one tensordot."""
+    times = hist.times
+    lo, hi = max(t, times[0]), min(t + T, times[-1])
+    s = np.concatenate(([lo], times[(times > lo) & (times < hi)], [hi]))
+    phi = s if delay is None else delay(s)
+    cp = C(phi) @ hist.sample_at(phi)
+    cpT = cp.transpose(0, 2, 1)
+    return tuple(np.tensordot(0.5 * np.diff(s), g[1:] + g[:-1], axes=1)
+                 for g in (cp @ cpT, cpT @ cp))
+
+
+def _kernel_case(case):
+    """(history, C, starts, T) of one scan the shared kernel is checked on."""
+    if case == "decaying":
+        hist = _decay_phi_history()
+        return hist, _unit_C, pe_check(hist, _unit_C, 2.0, 1e-3).starts, 2.0
+    res = _benchmark_run()
+    hist, C = res.phi_history(), res.scenario.system.C
+    if case == "short windows":  # on a node, off nodes, ending at t_end
+        return hist, C, np.array([3.0, 3.0004, 7.9996, 12.0 - 2e-4]), 2e-4
+    T = {"T=2": 2.0, "off nodes": 1.2345, "whole run": float(res.t[-1] - res.t[0])}[case]
+    return hist, C, pe_check(hist, C, T, 1e-4).starts, T
+
+
+@pytest.mark.parametrize("delay", [None, DelaySpec.sinusoidal(1.0, 0.9, 1.0)])
+@pytest.mark.parametrize("case", ["T=2", "off nodes", "whole run", "short windows", "decaying"])
+def test_kernel_matches_per_window_rule(case, delay):
+    """Every window of one kernel call equals its own trapezoid rule.
+
+    T=2 scans starts on nodes whose ends meet later starts to within an
+    ulp and whose last end is t_end; T=1.2345 puts the starts off the
+    nodes; the whole run is a scan of one window; windows shorter than a
+    step have no inner node; the decaying plant's late windows, down to
+    about 1e-25, sit behind windows of order 0.1.
+    """
+    hist, C, starts, T = _kernel_case(case)
+    if case == "T=2":
+        gaps = starts[10:] - (starts[:-10] + T)
+        assert np.any(gaps != 0.0) and np.abs(gaps).max() <= np.spacing(12.0)
+    if case == "whole run":
+        assert len(starts) == 1
+    grams = excitation._gramians(hist, C, starts, T, delay)
+    for k, t in enumerate(starts.tolist()):
+        for G, ref in zip(grams, _per_window_rule(hist, C, t, T, delay)):
+            assert np.linalg.norm(G[k] - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
 def test_pe_check_constant_scalar():
     hist = _const_phi_history()
     rep = pe_check(hist, _unit_C, T=2.0, delta_floor=1.0)
@@ -266,5 +323,3 @@ def test_pe_check_validation():
         pe_check(hist, _unit_C, T=2.0, delta_floor=1e-3)
     with pytest.raises(ValueError):
         pe_check(hist, _unit_C, T=0.5, delta_floor=0.0)
-    with pytest.raises(ValueError):
-        pe_check(hist, _unit_C, T=0.5, delta_floor=1e-3, stride=-1.0)

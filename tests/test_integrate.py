@@ -391,6 +391,22 @@ def test_regression_identities_hold_through_simulate(seed, n, w, delay, gamma, e
     assert np.abs(resid).max() <= 1e-12 * scale * (1.0 + np.abs(res.theta).max())
 
 
+@settings(max_examples=10, deadline=None, database=None)
+@given(shift=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
+       sid=st.sampled_from(["c1", "c2", "c3"]), estimator=st.sampled_from(["gradient", "drem"]),
+       gamma=st.sampled_from([1.0, 100.0]))
+def test_theta_error_ignores_a_common_shift_of_xi0_and_theta_hat0(shift, sid, estimator, gamma):
+    # theta = xi0 - x0 moves with xi0 and y_reg - psi . theta_hat depends on
+    # theta_hat - theta alone, so shifting xi0 and theta_hat0 by one vector
+    # leaves theta_error unchanged; a regression read at the wrong time breaks it
+    xi0, theta_hat0 = np.array([0.7, -1.3]), np.array([5.0, 2.0])
+    base, moved = (simulate(builtin_scenario(sid, gamma, estimator, horizon=1.5,
+                                             xi0=xi0 + v, theta_hat0=theta_hat0 + v))
+                   for v in (np.zeros(2), np.array(shift)))
+    err = base.theta_error
+    assert np.all(np.abs(moved.theta_error - err) <= 1e-12 * np.maximum(1.0, np.abs(err)))
+
+
 _BAD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf])
 
 

@@ -264,7 +264,8 @@ def test_wrong_shaped_coefficient_fails_naming_the_time():
     res = simulate(builtin_scenario("c1", 0.0, horizon=1.0, step=0.1))
     with pytest.raises(ValueError, match=r"A\(t\) must return shape \(11, 2, 2\), got \(11, 3, 3\)"):
         liouville_det(res.phi_history(), lambda t: np.tile(np.eye(3), (len(t), 1, 1)))
-    with pytest.raises(ValueError, match=r"C\(t\) must return shape \(11, \*, 2\), got \(11, 2\)"):
+    # pe_check evaluates C once: at the 9 nodes inside its 11 windows and their 22 ends
+    with pytest.raises(ValueError, match=r"C\(t\) must return shape \(31, \*, 2\), got \(31, 2\)"):
         pe_check(res.phi_history(), lambda t: np.ones((len(t), 2)), 0.5, 1e-4)
 
 
