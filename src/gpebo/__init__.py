@@ -27,7 +27,7 @@ from .drem import (
     extend_regressor,
     mix,
 )
-from .integrate import DivergenceError, SimulationResult, simulate
+from .integrate import DivergenceError, SimulationResult, StiffnessError, simulate
 from .excitation import (
     ExcitationReport,
     pe_check,
@@ -55,6 +55,7 @@ __all__ = [
     "drem_update",
     "SimulationResult",
     "DivergenceError",
+    "StiffnessError",
     "simulate",
     "ExcitationReport",
     "pe_integral",

@@ -12,7 +12,8 @@ file values, and its flag and field names are its file keys.  Scenario
 and estimator names are case-insensitive in both.  Bad values are
 rejected by the model when :meth:`RunConfig.validate` builds each gain's
 scenario, before anything is simulated.  Exit codes: 0 success, 2
-configuration problem, 3 simulation divergence, 4 output file problem.
+configuration problem (including a gain too large for the step, found
+after the plant pass), 3 simulation divergence, 4 output file problem.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .excitation import pe_check
 from .history import TrajectoryHistory
-from .integrate import DivergenceError, simulate
+from .integrate import DivergenceError, StiffnessError, simulate
 from .model import MAX_SWEEP_NODES, builtin_scenario
 from .report import (
     RunResult,
@@ -284,6 +285,9 @@ def main(argv=None) -> int:
         return 2
     try:
         run(config)
+    except StiffnessError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
         return 3

@@ -12,10 +12,12 @@ A run is three passes over the uniform grid t_k = k h:
    zero before t = 0; at gamma = 0 at the nodes alone), each looked up in
    the cubic Hermite interpolant of the plant nodes, which keeps the
    estimator fourth-order;
-3. estimator: theta_hat alone, RK4 on the gradient law
-   gamma psi (y_reg - psi . theta_hat) or the DREM law
-   gamma Delta (Y_mixed - Delta theta_hat), each called on the plain
-   arrays of the regression build at the stage times.
+3. estimator: theta_hat alone.  The gradient law
+   gamma psi (y_reg - psi . theta_hat) and the DREM law
+   gamma Delta (Y_mixed - Delta theta_hat) are both affine in theta_hat,
+   so their RK4 steps are affine maps too, built from the regression
+   arrays and applied by the same scan as the plant's.  A gain and step
+   that put a stage past RK4's stability limit are refused first.
 
 x, xi and the columns of Phi share one linear recursion, so
 xi - x = Phi (xi(0) - x(0)) holds at the nodes to rounding for any step;
@@ -28,17 +30,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# extend_regressor is not called here (lagged rows come from the Hermite
-# lookup); perfbench/tracer.py wraps it on this module with the other laws.
+# Only mix is called here, the estimator pass scanning the laws' affine form;
+# perfbench/tracer.py wraps all four on this module by name, so they stay.
 from .drem import drem_update, extend_regressor, mix  # noqa: F401
 from .history import TrajectoryHistory
 from .model import NamedScenario, at_times
-from .observer import gradient_update
+from .observer import gradient_update  # noqa: F401
 
 STATE_NORM_LIMIT = 1e12
-# The plant pass scans this many step maps at once (8 doublings at 256),
-# and the Hermite lookups take this many times at once; the block bounds
-# the size of their temporaries and with it a run's peak memory.
+# Largest h lambda_max(M) an estimator stage may have.  RK4's stability
+# interval on the negative real axis ends at -2.7853 (Hairer & Wanner,
+# Solving ODEs II, IV.2); on c1-c3 the first per-step increase of
+# |theta_hat - theta| shows at 2.80 (DREM) and 2.82 (gradient).
+STIFFNESS_LIMIT = 2.785
+# The scans take this many step maps at once (8 doublings at 256), and the
+# Hermite lookups this many times; the block bounds the size of their
+# temporaries and with it a run's peak memory.
 _BLOCK = 256
 
 
@@ -51,6 +58,12 @@ class DivergenceError(RuntimeError):
         self.t = t
 
 
+class StiffnessError(DivergenceError):
+    """Raised before the estimator pass when a stage's h lambda_max(M)
+    passes ``STIFFNESS_LIMIT``, past which its RK4 step can grow the error
+    the law itself never grows; ``t`` is the first such stage time."""
+
+
 def _regression_lags(scenario: NamedScenario) -> tuple:
     """Lags at which the run needs the regression: 0, then DREM's extension."""
     if scenario.estimator != "drem" or scenario.gamma == 0.0:
@@ -58,53 +71,22 @@ def _regression_lags(scenario: NamedScenario) -> tuple:
     return (0.0,) + scenario.drem_delays
 
 
-def _rk4(y0, t, rate):
-    """Classical RK4 over the nodes ``t``; ``rate(j, y)`` is the derivative
-    at stage time index j (node k is 2k, the midpoint after it 2k + 1).
-    Returns the node values."""
-    Y = np.empty((len(t),) + np.shape(y0))
-    y = Y[0] = y0
-    h = t[1] - t[0]
-    half, c = 0.5 * h, h / 6.0
-    for k in range(len(t) - 1):
-        mid = 2 * k + 1
-        k1 = rate(2 * k, y)
-        k2 = rate(mid, y + half * k1)
-        k3 = rate(mid, y + half * k2)
-        k4 = rate(mid + 1, y + h * k3)
-        y = Y[k + 1] = y + c * (k1 + 2.0 * (k2 + k3) + k4)
-    return Y
+def _affine_scan(G, z0, h):
+    """RK4 on z' = G(t) z with step ``h``, G given at every stage time (node
+    k is 2k, the midpoint after it 2k + 1); returns the node values.
 
-
-def _plant_pass(sysm, xi0, t, tau):
-    """RK4 on Z = [x | xi | Phi] over the nodes ``t``, with A and B u taken
-    once at each time of ``tau`` (nodes and midpoints).  Returns the node
-    values and node derivatives.
-
-    With a bottom row [1 1 0 ... 0] carried under Z, Z' = A Z + [Bu Bu 0]
-    becomes the linear ODE Z' = G Z, G = [[A, Bu], [0, 0]].  An RK4 step of
-    a linear ODE multiplies by what its stage formulas make of the
-    identity, here [[P_k, r_k], [0, 1]]; these are built a block of steps
-    at a time with array operations.  Within a block, recursive doubling
-    (Blelloch 1990) turns the maps into their prefix products in log2 of
-    the block's length batched matmuls, and one batched product applies
-    them all to the node before the block, whose last node is carried to
-    the next.  The products associate differently from stepping one map
-    at a time, so the nodes match stagewise RK4 to rounding, not bit for
-    bit.
+    A step of a linear ODE multiplies by what its stage formulas make of
+    the identity; these maps are built a block of steps at a time with
+    array operations.  Within a block, recursive doubling (Blelloch 1990)
+    turns them into prefix products in log2 of its length batched matmuls,
+    and one batched product applies them to the node before the block.
+    This associates differently from stepping one map at a time, so the
+    nodes match stagewise RK4 to rounding, not bit for bit.
     """
-    n, m = sysm.n, sysm.m
-    G = np.zeros((len(tau), n + 1, n + 1))
-    G[:, :n, :n] = at_times(sysm.A, tau, (n, n), "A(t)")
-    G[:, :n, n] = np.einsum("kij,kj->ki", at_times(sysm.B, tau, (n, m), "B(t)"),
-                            at_times(sysm.u, tau, (m,), "u(t)"))
-    h = t[1] - t[0]
-    eye = np.eye(n + 1)
-    Z = np.zeros((len(t), n + 1, n + 2))
-    z = Z[0]
-    z[:n] = np.column_stack([sysm.x0, xi0, np.eye(n)])
-    z[n, :2] = 1.0
-    for lo in range(0, len(t) - 1, _BLOCK):
+    eye = np.eye(len(z0))
+    Z = np.empty((len(G) // 2 + 1,) + z0.shape)
+    z = Z[0] = z0
+    for lo in range(0, len(Z) - 1, _BLOCK):
         g = G[2 * lo:2 * (lo + _BLOCK) + 1]
         G0, Gm, G1 = g[:-1:2], g[1::2], g[2::2]
         K2 = Gm @ (eye + 0.5 * h * G0)
@@ -119,8 +101,66 @@ def _plant_pass(sysm, xi0, t, tau):
             d *= 2
         Z[lo + 1:lo + 1 + len(Q)] = Q @ z
         z = Z[lo + len(Q)]
+    return Z
+
+
+def _plant_pass(sysm, xi0, tau, h):
+    """RK4 on Z = [x | xi | Phi] with A and B u taken once at each stage
+    time of ``tau``; returns the node values and node derivatives.  With a
+    bottom row [1 1 0 ... 0] under Z, Z' = A Z + [Bu Bu 0] is the linear
+    ODE Z' = G Z, G = [[A, Bu], [0, 0]]."""
+    n, m = sysm.n, sysm.m
+    G = np.zeros((len(tau), n + 1, n + 1))
+    G[:, :n, :n] = at_times(sysm.A, tau, (n, n), "A(t)")
+    G[:, :n, n] = np.einsum("kij,kj->ki", at_times(sysm.B, tau, (n, m), "B(t)"),
+                            at_times(sysm.u, tau, (m,), "u(t)"))
+    z0 = np.vstack([np.column_stack([sysm.x0, xi0, np.eye(n)]), np.r_[1.0, 1.0, np.zeros(n)]])
+    Z = _affine_scan(G, z0, h)
     # the copy drops the bottom row, which the run would otherwise keep
     return Z[:, :n].copy(), G[::2, :n] @ Z
+
+
+def _estimator_pass(scenario, M, Y, tau):
+    """RK4 on theta_hat' = v - M theta_hat at the stage times ``tau``, the
+    form of both laws: M = gamma psi psi^T and v = gamma psi y_reg for the
+    gradient law, M = gamma Delta^2 I and v = gamma Delta Y_mixed for DREM.
+    With a unit row under theta_hat this is z' = [[-M, v], [0, 0]] z."""
+    n, gamma = scenario.system.n, scenario.gamma
+    G = np.zeros((len(tau), n + 1, n + 1))
+    if scenario.estimator == "gradient":
+        P = M[:, 0].reshape(len(tau), n, -1)  # psi as (n, q), y_reg as (q, 1)
+        np.matmul(P, P.transpose(0, 2, 1), out=G[:, :n, :n])
+        G[:, :n, n] = (P @ Y[:, 0].reshape(len(tau), -1, 1))[:, :, 0]
+    else:
+        Delta, Y_mixed = mix(M, Y)
+        G[:, range(n), range(n)] = (Delta * Delta)[:, None]
+        G[:, :n, n] = Delta[:, None] * Y_mixed
+    G[:, :n, :n] *= -gamma
+    G[:, :n, n] *= gamma
+    _refuse_stiff_stages(scenario, G, tau)
+    z0 = np.append(scenario.theta_hat0, 1.0)[:, None]
+    return _affine_scan(G, z0, scenario.step)[:, :n, 0].copy()
+
+
+def _refuse_stiff_stages(scenario, G, tau):
+    """Raise StiffnessError if h lambda_max(M), M = -G[:, :n, :n], passes
+    STIFFNESS_LIMIT at a stage time of ``tau``.  DREM's M is a multiple of
+    I and the one-output gradient law's has rank one, so a diagonal entry
+    or the trace gives lambda_max; q outputs need eigvalsh."""
+    n, h = scenario.system.n, scenario.step
+    if scenario.estimator == "drem":
+        lam = -G[:, 0, 0]
+    elif scenario.system.q == 1:
+        lam = -np.einsum("kii->k", G[:, :n, :n])
+    else:
+        lam = -np.linalg.eigvalsh(G[:, :n, :n])[:, 0]
+    stiff = np.flatnonzero(h * lam > STIFFNESS_LIMIT)
+    if stiff.size:
+        t, top = float(tau[stiff[0]]), np.nanmax(lam)
+        raise StiffnessError(t, (
+            f"gamma {scenario.gamma:g} with step {h:g} is past the estimator's RK4 stability "
+            f"limit: h lambda_max(M) passes {STIFFNESS_LIMIT:g} at t={t:.10g} and reaches "
+            f"{h * top:.4g}; the largest safe step for this gamma is {STIFFNESS_LIMIT / top:.4g}"))
 
 
 def _hermite(t, Z, dZ, s):
@@ -221,21 +261,15 @@ def simulate(scenario: NamedScenario) -> SimulationResult:
     # A run that diverges carries on in inf and nan without warnings; the
     # norm guard below then names its first node past the limit.
     with np.errstate(over="ignore", invalid="ignore"):
-        Z, dZ = _plant_pass(sysm, scenario.xi0, t, tau)
+        Z, dZ = _plant_pass(sysm, scenario.xi0, tau, h)
         # open loop nothing reads the midpoints: build the regression at the
         # nodes alone (tau[2k] and t[k] are the same doubles)
         gamma = scenario.gamma
         M, Y = _regression(scenario, t, Z, dZ, t if gamma == 0.0 else tau, lags)
-        psi, y_reg = M[:, 0], Y[:, 0]
         if gamma == 0.0:
             theta_hat = np.tile(scenario.theta_hat0, (len(t), 1))
-        elif scenario.estimator == "gradient":
-            theta_hat = _rk4(scenario.theta_hat0, t,
-                             lambda j, th: gradient_update(psi[j], y_reg[j], th, gamma))
         else:
-            Delta, Y_mixed = mix(M, Y)
-            theta_hat = _rk4(scenario.theta_hat0, t,
-                             lambda j, th: drem_update(Delta[j], Y_mixed[j], th, gamma))
+            theta_hat = _estimator_pass(scenario, M, Y, tau)
 
     worst = np.maximum(np.abs(Z).max(axis=(1, 2)), np.abs(theta_hat).max(axis=1))
     over = np.flatnonzero(~(worst <= STATE_NORM_LIMIT))
@@ -251,6 +285,6 @@ def simulate(scenario: NamedScenario) -> SimulationResult:
         Phi=Z[:, :, 2:],
         theta_hat=theta_hat,
         theta=scenario.xi0 - sysm.x0,
-        psi=psi if gamma == 0.0 else psi[::2].copy(),
-        y_reg=y_reg if gamma == 0.0 else y_reg[::2].copy(),
+        psi=M[:, 0] if gamma == 0.0 else M[::2, 0].copy(),
+        y_reg=Y[:, 0] if gamma == 0.0 else Y[::2, 0].copy(),
     )

@@ -296,9 +296,25 @@ def test_main_rejects_bad_config_file(tmp_path, capsys):
 
 
 def test_main_divergence_exit_code(capsys):
-    code = main(["--scenario", "c1", "--gamma", "1e9", "--horizon", "0.05"])
+    # a state past the norm guard; a gain too large for the step is refused
+    # before the estimator runs instead (test_main_stiff_gain_exit_code)
+    code = main(["--scenario", "c1", "--gamma", "1", "--x0", "1e13,0", "--horizon", "0.05"])
     assert code == 3
     assert "divergence" in capsys.readouterr().err
+
+
+def test_main_stiff_gain_exit_code(tmp_path, capsys):
+    # gamma 1000 passes RK4's stability limit on c1 at t = 4.44 and used to
+    # exit 0 with a wrong estimate; the sweep now stops with exit 2 naming
+    # the gain and the step, and writes nothing
+    out = tmp_path / "run.csv"
+    code = main(["--scenario", "c1", "--gamma", "900,1000", "--horizon", "7", "--csv", str(out)])
+    assert code == 2
+    cap = capsys.readouterr()
+    assert cap.err.startswith("config error: gamma 1000 with step 0.001 is past the estimator's "
+                              "RK4 stability limit: h lambda_max(M) passes 2.785 at t=4.44 ")
+    assert "largest safe step for this gamma is 0.000966" in cap.err
+    assert cap.out == "" and not out.exists()
 
 
 def test_main_io_error_exit_code(tmp_path, capsys):

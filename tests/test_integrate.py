@@ -9,13 +9,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gpebo.integrate as integrate
 from gpebo import (
     DelaySpec,
     DivergenceError,
     LtiOracle,
     NamedScenario,
+    StiffnessError,
     SystemSpec,
     builtin_scenario,
+    drem_update,
+    gradient_update,
+    mix,
     simulate,
 )
 
@@ -171,24 +176,69 @@ def test_divergence_guard():
 
 
 def test_estimator_divergence_guard():
+    # h gamma |psi(0)|^2 = 1e6 at the first stage: the estimator would blow
+    # up from its first step, so the run is refused before it steps, naming
+    # t = 0, without a warning, as a kind of DivergenceError
     scen = builtin_scenario("c1", 1e9, horizon=0.05)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DivergenceError) as exc:
+        with pytest.raises(StiffnessError) as exc:
             simulate(scen)
-    assert exc.value.t == 1e-3
+    assert exc.value.t == 0.0
+    assert isinstance(exc.value, DivergenceError)
 
 
 def test_divergence_names_first_node_of_either_pass():
     # an unstable plant makes psi grow until the gradient law is stiff: the
-    # estimator leaves the guard nodes before the plant does
+    # estimator is refused at a stage before the plant leaves the norm guard
     sysm = _const_system([[50.0]], x0=[1.0])
     kw = dict(horizon=1.0, step=1e-2, xi0=np.array([2.0]))
     with pytest.raises(DivergenceError) as plant:
         simulate(_scenario(sysm, gamma=0.0, **kw))
     with pytest.raises(DivergenceError) as both:
         simulate(_scenario(sysm, gamma=1.0, **kw))
+    assert isinstance(both.value, StiffnessError)
     assert both.value.t < plant.value.t
+
+
+@pytest.mark.parametrize("horizon", [7.0, 10.0])
+def test_gain_past_the_rk4_limit_is_refused(horizon):
+    # at gamma 1000, h gamma |psi|^2 first passes STIFFNESS_LIMIT at t = 4.44
+    # on c1; unguarded, the run returned |theta_err| 1.4e5 from 1.4 at 7 s
+    # and a state-norm error at 10 s.  The error names gamma, the step, the
+    # time and a step that would do.
+    with pytest.raises(StiffnessError, match=r"^gamma 1000 with step 0\.001 .* at t=4\.44 .*"
+                                             r"largest safe step for this gamma is 0\.0009") as exc:
+        simulate(builtin_scenario("c1", 1000.0, horizon=horizon))
+    assert exc.value.t == pytest.approx(4.44, abs=1e-12)
+
+
+def test_gain_inside_the_rk4_limit_runs():
+    # gamma 900 peaks at h gamma |psi|^2 = 2.66, and the Lyapunov function
+    # |theta_err|^2 / gamma never increases by a step
+    res = simulate(builtin_scenario("c1", 900.0, horizon=10.0))
+    V = (res.theta_error ** 2).sum(axis=1) / 900.0
+    assert np.diff(V).max() <= 1e-9
+
+
+def _q_output_scenario(gamma):
+    # full-state measurement C = I through a constant delay: psi is (n, q)
+    sysm = replace(builtin_scenario("c1", 0.0).system, q=2,
+                   C=lambda t: np.tile(np.eye(2), (len(t), 1, 1)))
+    return _scenario(sysm, gamma=gamma, horizon=2.0, step=2e-3, delay=DelaySpec.constant(0.5),
+                     xi0=np.array([0.5, -1.0]), theta_hat0=np.array([1.0, 2.0]))
+
+
+def test_stiffness_guard_covers_drem_and_q_outputs():
+    # DREM's stiffness is h gamma Delta^2.  With q outputs the gradient law's
+    # is h gamma times the top eigenvalue of psi^T psi, here at most 2.06
+    # over the run (its trace reaches 2.54): at h = 2e-3, gamma 625 runs at
+    # 2.57, and 700 is refused at 2.88.
+    with pytest.raises(StiffnessError, match="^gamma 1e\\+06 "):
+        simulate(builtin_scenario("c1", 1e6, estimator="drem", horizon=2.0))
+    assert np.isfinite(simulate(_q_output_scenario(625.0)).theta_hat).all()
+    with pytest.raises(StiffnessError, match="^gamma 700 "):
+        simulate(_q_output_scenario(700.0))
 
 
 def test_simulate_deterministic():
@@ -340,6 +390,49 @@ def _assert_matches_stagewise_rk4(res, sysm, xi0, step):
         assert np.abs(got - want).max() <= 1e-12 * scale
     identity = res.xi - res.x - np.einsum("kij,j->ki", res.Phi, xi0 - sysm.x0)
     assert np.abs(identity).max() <= 1e-12 * scale
+
+
+def _stagewise_law_rk4(rate, theta_hat0, h, nsteps):
+    # reference: RK4 on theta_hat' = rate(j, theta_hat) one stage at a time,
+    # j the stage time index (node k is 2k, the midpoint after it 2k + 1)
+    th = [np.asarray(theta_hat0, dtype=float)]
+    for k in range(nsteps):
+        y = th[-1]
+        k1 = rate(2 * k, y)
+        k2 = rate(2 * k + 1, y + h / 2 * k1)
+        k3 = rate(2 * k + 1, y + h / 2 * k2)
+        k4 = rate(2 * k + 2, y + h * k3)
+        th.append(y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+    return np.array(th)
+
+
+@pytest.mark.parametrize("sid, estimator, gamma", [
+    (sid, estimator, gamma) for sid in ("c1", "c2", "c3") for estimator in ("gradient", "drem")
+    for gamma in (1.0, 10.0, 100.0)] + [("q2", "gradient", gamma) for gamma in (1.0, 10.0, 100.0)])
+def test_estimator_scan_is_the_documented_law(monkeypatch, sid, estimator, gamma):
+    # the scanned theta_hat against RK4 stepping gradient_update or
+    # drem_update one stage at a time on the run's own stage arrays, over
+    # 1000 steps (four blocks of step maps); "q2" is the q-output gradient
+    rows = []
+    build = integrate._regression
+    monkeypatch.setattr(integrate, "_regression", lambda *a: rows.append(build(*a)) or rows[-1])
+    scen = (_q_output_scenario(gamma) if sid == "q2" else
+            builtin_scenario(sid, gamma, estimator, horizon=2.0, step=2e-3))
+    res = simulate(scen)
+    (M, Y), = rows
+    if estimator == "gradient":
+        def rate(j, th):
+            return gradient_update(M[j, 0], Y[j, 0], th, gamma)
+    else:
+        Delta, Y_mixed = mix(M, Y)
+
+        def rate(j, th):
+            return drem_update(Delta[j], Y_mixed[j], th, gamma)
+    ref = _stagewise_law_rk4(rate, scen.theta_hat0, scen.step, len(res.t) - 1)
+    assert len(M) == 2 * len(res.t) - 1
+    assert np.abs(res.theta_hat - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())
+    # the run moved theta_hat, so the comparison is not between two constants
+    assert np.abs(ref[-1] - ref[0]).max() > 1e-3
 
 
 def _random_plant(rng, n, w):
