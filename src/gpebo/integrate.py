@@ -61,7 +61,9 @@ class DivergenceError(RuntimeError):
 class StiffnessError(DivergenceError):
     """Raised before the estimator pass when a stage's h lambda_max(M)
     passes ``STIFFNESS_LIMIT``, past which its RK4 step can grow the error
-    the law itself never grows; ``t`` is the first such stage time."""
+    the law itself never grows; ``t`` is the first such stage time.  A
+    plant that leaves the norm guard is a DivergenceError instead: its
+    growing psi makes any gain stiff, and no step would do."""
 
 
 def _regression_lags(scenario: NamedScenario) -> tuple:
@@ -120,7 +122,7 @@ def _plant_pass(sysm, xi0, tau, h):
     return Z[:, :n].copy(), G[::2, :n] @ Z
 
 
-def _estimator_pass(scenario, M, Y, tau):
+def _estimator_pass(scenario, M, Y, tau, refuse_stiff):
     """RK4 on theta_hat' = v - M theta_hat at the stage times ``tau``, the
     form of both laws: M = gamma psi psi^T and v = gamma psi y_reg for the
     gradient law, M = gamma Delta^2 I and v = gamma Delta Y_mixed for DREM.
@@ -137,7 +139,8 @@ def _estimator_pass(scenario, M, Y, tau):
         G[:, :n, n] = Delta[:, None] * Y_mixed
     G[:, :n, :n] *= -gamma
     G[:, :n, n] *= gamma
-    _refuse_stiff_stages(scenario, G, tau)
+    if refuse_stiff:
+        _refuse_stiff_stages(scenario, G, tau)
     z0 = np.append(scenario.theta_hat0, 1.0)[:, None]
     return _affine_scan(G, z0, scenario.step)[:, :n, 0].copy()
 
@@ -250,7 +253,9 @@ def simulate(scenario: NamedScenario) -> SimulationResult:
     number of steps.  A zero scenario gain freezes theta_hat, which turns
     the run into an open-loop diagnostic of the observer copy.  A
     DivergenceError names the first node where x, xi, Phi or theta_hat
-    leaves the norm guard (or the finite floats).
+    leaves the norm guard (or the finite floats).  If the plant stays
+    inside it, a StiffnessError refuses a gain too large for the step
+    before the estimator runs.
     """
     sysm = scenario.system
     lags = _regression_lags(scenario)
@@ -262,6 +267,7 @@ def simulate(scenario: NamedScenario) -> SimulationResult:
     # norm guard below then names its first node past the limit.
     with np.errstate(over="ignore", invalid="ignore"):
         Z, dZ = _plant_pass(sysm, scenario.xi0, tau, h)
+        plant = np.abs(Z).max(axis=(1, 2))
         # open loop nothing reads the midpoints: build the regression at the
         # nodes alone (tau[2k] and t[k] are the same doubles)
         gamma = scenario.gamma
@@ -269,9 +275,10 @@ def simulate(scenario: NamedScenario) -> SimulationResult:
         if gamma == 0.0:
             theta_hat = np.tile(scenario.theta_hat0, (len(t), 1))
         else:
-            theta_hat = _estimator_pass(scenario, M, Y, tau)
+            refuse_stiff = bool((plant <= STATE_NORM_LIMIT).all())
+            theta_hat = _estimator_pass(scenario, M, Y, tau, refuse_stiff)
 
-    worst = np.maximum(np.abs(Z).max(axis=(1, 2)), np.abs(theta_hat).max(axis=1))
+    worst = np.maximum(plant, np.abs(theta_hat).max(axis=1))
     over = np.flatnonzero(~(worst <= STATE_NORM_LIMIT))
     if over.size:
         tk, m = float(t[over[0]]), float(worst[over[0]])
