@@ -13,13 +13,15 @@ and estimator names are case-insensitive in both.  Bad values are
 rejected by the model when :meth:`RunConfig.validate` builds each gain's
 scenario, before anything is simulated.  Exit codes: 0 success, 2
 configuration problem (including a gain too large for the step, found
-after the plant pass), 3 simulation divergence, 4 output file problem.
+after the plant pass), 3 simulation divergence, 4 output file problem
+(a missing output directory is found before anything is simulated).
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -229,6 +231,9 @@ def assemble_config(args: argparse.Namespace) -> RunConfig:
 
 def run(config: RunConfig) -> RunResult:
     """Simulate every gain in the sweep and emit the requested outputs."""
+    for path in (config.csv, config.svg, config.pe_report):
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(f"no directory to write {path} in")
     start = time.perf_counter()
     runs = [simulate(scenario) for scenario in config.scenarios()]
     duration = time.perf_counter() - start

@@ -78,12 +78,14 @@ class TrajectoryHistory:
                 f"query time {s[~inside][0]} outside recorded range [{times[0]}, {times[-1]}]"
             )
         i = np.searchsorted(times, s, side="right") - 1
-        j = np.minimum(i + 1, len(times) - 1)
-        v0 = values[i]
-        on_node = s == times[i]
-        w = (s - times[i]) / np.where(on_node, 1.0, times[j] - times[i])
-        w = w.reshape((-1,) + (1,) * (v0.ndim - 1))
-        return np.where(on_node.reshape(w.shape), v0, v0 + (values[j] - v0) * w)
+        out = values[i]  # on-node queries keep the stored value
+        off = np.flatnonzero(s != times[i])  # strictly between nodes i and i + 1
+        if off.size:
+            k = i[off]
+            w = (s[off] - times[k]) / (times[k + 1] - times[k])
+            v0 = out[off]
+            out[off] = v0 + (values[k + 1] - v0) * w.reshape((-1,) + (1,) * (v0.ndim - 1))
+        return out
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The stored ``(times, values)`` arrays; values stack on axis 0.

@@ -71,10 +71,6 @@ def _atomic_text(path: str, writer) -> None:
         raise
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
-
 def csv_header(n: int) -> str:
     cols = ["t", "gamma"]
     for base in ("x", "xhat", "e", "theta", "thetahat"):
@@ -85,29 +81,36 @@ def csv_header(n: int) -> str:
 def emit_csv(result: RunResult, path: str) -> None:
     """Write the sweep as one flat CSV table, blocks ordered by gamma.
 
-    ``"%.17g" % v`` gives the same text as ``_fmt(v)``; rows are converted
-    to Python floats a block at a time to keep the temporaries small.
+    Every value is written as ``format(v, ".17g")`` writes it.  Each gain's
+    row template holds its ``gamma`` and ``theta`` text; ``t`` and ``x`` are
+    formatted once and reused while a run's ``t`` and ``x`` have the bits
+    of the previous run's (no gain moves the plant).  The other columns
+    fill the template with one ``%`` call per ``_CSV_BLOCK`` rows.
     """
     n = result.runs[0].x.shape[1]
-    row = ",".join(["%.17g"] * (2 + 5 * n)) + "\n"
+    vec = ",".join(["%.17g"] * n)
+    m = 2 + 3 * n  # values per row: t text, x text, xhat, e, theta_hat
 
     def writer(fh):
         fh.write(csv_header(n) + "\n")
+        plant = None
         for gamma, run in result.ordered():
-            N = len(run.t)
-            table = np.column_stack(
-                [
-                    run.t,
-                    np.full(N, gamma),
-                    run.x,
-                    run.xhat,
-                    run.estimation_error,
-                    np.tile(run.theta, (N, 1)),
-                    run.theta_hat,
-                ]
-            )
-            for lo in range(0, N, _CSV_BLOCK):
-                fh.write("".join([row % tuple(r) for r in table[lo:lo + _CSV_BLOCK].tolist()]))
+            key = (run.x.shape, run.t.tobytes(), run.x.tobytes())
+            if key != plant:  # texts[lo]: the t and x text of block lo's rows, interleaved
+                plant, tx, texts = key, np.column_stack([run.t, run.x]), {}
+            theta = vec % tuple(np.asarray(run.theta, float).tolist())
+            row = f"%s,{float(gamma):.17g},%s,{','.join(['%.17g'] * (2 * n))},{theta},{vec}\n"
+            table = np.column_stack([run.xhat, run.estimation_error, run.theta_hat])
+            for lo in range(0, len(run.t), _CSV_BLOCK):
+                block = table[lo:lo + _CSV_BLOCK]
+                if lo not in texts:
+                    values = tuple(tx[lo:lo + _CSV_BLOCK].ravel().tolist())
+                    texts[lo] = (f"%.17g\n{vec}\n" * len(block) % values).split("\n")
+                args = [None] * (len(block) * m)
+                args[0::m], args[1::m] = texts[lo][:-1:2], texts[lo][1::2]
+                for j, col in enumerate(block.T.tolist()):
+                    args[2 + j::m] = col
+                fh.write(row * len(block) % tuple(args))
 
     _atomic_text(path, writer)
 
@@ -207,7 +210,8 @@ def emit_svg(result: RunResult, path: str) -> None:
         for ci, ((gamma, run), err) in enumerate(zip(pairs, errs)):
             color = _PALETTE[ci % len(_PALETTE)]
             idx = _thin(len(run.t))
-            pts = " ".join(f"{sx(run.t[i]):.2f},{sy(err[i]):.2f}" for i in idx)
+            xy = np.column_stack([sx(run.t[idx]), sy(err[idx])])
+            pts = " ".join(["%.2f,%.2f"] * len(idx)) % tuple(xy.ravel().tolist())
             parts.append(
                 f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
                 f'points="{pts}"/>'
@@ -246,11 +250,10 @@ def format_pe_summary(report: ExcitationReport) -> str:
 def write_pe_report(report: ExcitationReport, path: str) -> None:
     """Write the per-window minimum eigenvalues as a small CSV table."""
 
+    rows = np.column_stack([report.starts, report.min_eig_output, report.min_eig_regressor])
+
     def writer(fh):
         fh.write("window_start,min_eig_output,min_eig_regressor\n")
-        for s, mq, mn in zip(
-            report.starts, report.min_eig_output, report.min_eig_regressor
-        ):
-            fh.write(f"{_fmt(s)},{_fmt(mq)},{_fmt(mn)}\n")
+        fh.write("%.17g,%.17g,%.17g\n" * len(rows) % tuple(rows.ravel().tolist()))
 
     _atomic_text(path, writer)

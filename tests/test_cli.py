@@ -325,6 +325,20 @@ def test_main_io_error_exit_code(tmp_path, capsys):
     assert not bad.exists()
 
 
+@pytest.mark.parametrize("flag", ["--csv", "--svg", "--pe-report"])
+def test_missing_output_directory_is_refused_before_simulating(tmp_path, capsys, monkeypatch,
+                                                               flag):
+    def no_simulation(scenario):
+        raise AssertionError("simulate was called")
+
+    monkeypatch.setattr(cli, "simulate", no_simulation)
+    bad = tmp_path / "missing" / "out.txt"
+    assert main(["--horizon", "1", "--pe-window", "1", flag, str(bad)]) == 4
+    cap = capsys.readouterr()
+    assert cap.err == f"output error: no directory to write {bad} in\n" and cap.out == ""
+    assert not list(tmp_path.iterdir())
+
+
 def test_main_pe_report(tmp_path, capsys):
     path = tmp_path / "pe.csv"
     code = main([

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from gpebo import RunResult, builtin_scenario, emit_csv, emit_svg, simulate
+from gpebo.cli import main
 from gpebo.excitation import pe_check
-from gpebo.report import _CSV_BLOCK, csv_header, format_pe_summary, write_pe_report
+from gpebo.report import (_CSV_BLOCK, SVG_MAX_POINTS, _thin, csv_header, format_pe_summary,
+                          write_pe_report)
 
 
 def _sweep(gammas=(1.0, 10.0), horizon=1.0, scenario="c1", estimator="gradient"):
@@ -104,6 +106,52 @@ def test_csv_text_matches_per_value_formatting(tmp_path):
         assert f",{token}," in text or f",{token}\n" in text
 
 
+def _per_value_csv(result):
+    """The CSV text with every value written by format(v, ".17g") on its own."""
+    n = result.runs[0].x.shape[1]
+    lines = [csv_header(n)]
+    for gamma, run in result.ordered():
+        for k in range(len(run.t)):
+            row = [run.t[k], gamma, *run.x[k], *run.xhat[k], *run.estimation_error[k],
+                   *run.theta, *run.theta_hat[k]]
+            lines.append(",".join(format(float(v), ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_formats_t_and_x_again_when_they_change(tmp_path):
+    # t and x text is reused from the previous run only while both have
+    # the same bits: runs on two horizons differ in t; runs that differ in
+    # x past the first block, or in the sign of a zero (which equal
+    # compares would miss), differ in x only
+    long, short = _sweep(gammas=(1.0,), horizon=0.6), _sweep(gammas=(10.0,), horizon=0.4)
+    horizons = replace(long, gammas=[1.0, 10.0], runs=long.runs + short.runs)
+    base = _sweep(gammas=(1.0, 10.0, 100.0), horizon=0.6)
+    assert len(base.runs[0].t) > _CSV_BLOCK + 10
+    xs = [run.x.copy() for run in base.runs]
+    xs[1][_CSV_BLOCK + 10, 0] = np.nextafter(xs[1][_CSV_BLOCK + 10, 0], np.inf)
+    xs[1][_CSV_BLOCK + 3, 1] = 0.0
+    xs[2] = xs[1].copy()
+    xs[2][_CSV_BLOCK + 3, 1] = -0.0
+    moved = replace(base, runs=[replace(run, x=x) for run, x in zip(base.runs, xs)])
+    for result in (horizons, moved):
+        path = tmp_path / "out.csv"
+        emit_csv(result, str(path))
+        assert path.read_text() == _per_value_csv(result)
+
+
+def test_cli_sweep_csv_matches_per_value_formatting(tmp_path, capsys):
+    # the CLI's gains share one plant, so every run after the first reuses
+    # the t and x text
+    path = tmp_path / "run.csv"
+    assert main(["--scenario", "c3", "--gamma", "1,10,100", "--horizon", "0.6",
+                 "--csv", str(path)]) == 0
+    result = _sweep(gammas=(1.0, 10.0, 100.0), horizon=0.6, scenario="c3")
+    first = result.runs[0]
+    for run in result.runs[1:]:
+        assert run.t.tobytes() == first.t.tobytes() and run.x.tobytes() == first.x.tobytes()
+    assert path.read_text() == _per_value_csv(result)
+
+
 def test_csv_deterministic_bytes(tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
@@ -153,6 +201,34 @@ def test_svg_thins_long_runs(tmp_path):
     for p in polys:
         npts = len(p.attrib["points"].split())
         assert npts <= 2001
+
+
+@pytest.mark.parametrize("horizon", [0.5, 2.5])
+def test_svg_polylines_match_per_point_formatting(tmp_path, horizon):
+    # every vertex as f"{sx(t):.2f},{sy(e):.2f}" on scalars, with the
+    # figure's layout: 0.5 s (501 nodes) is drawn whole, 2.5 s is thinned
+    result = _sweep(gammas=(1.0, 10.0, 100.0), horizon=horizon, scenario="c2")
+    path = tmp_path / "fig.svg"
+    emit_svg(result, str(path))
+    pairs = result.ordered()
+    t = pairs[0][1].t
+    t_lo, t_hi = float(t[0]), float(t[-1])
+    left, plot_w, top, panel_h, panel_gap = 70, 960 - 70 - 190, 48, 240, 58
+    expected = []
+    for comp in range(2):
+        py = top + comp * (panel_h + panel_gap)
+        errs = [run.estimation_error[:, comp] for _, run in pairs]
+        y_lo, y_hi = min(float(e.min()) for e in errs), max(float(e.max()) for e in errs)
+        pad = 0.04 * (y_hi - y_lo)
+        y_lo, y_hi = y_lo - pad, y_hi + pad
+        for (_, run), e in zip(pairs, errs):
+            idx = _thin(len(run.t))
+            assert (len(idx) < len(run.t)) == (horizon > 2.0) == (len(t) > SVG_MAX_POINTS)
+            expected.append(" ".join(
+                f"{left + (run.t[i] - t_lo) / (t_hi - t_lo) * plot_w:.2f},"
+                f"{py + (y_hi - e[i]) / (y_hi - y_lo) * panel_h:.2f}" for i in idx))
+    polys = ET.fromstring(path.read_text()).findall(".//{http://www.w3.org/2000/svg}polyline")
+    assert [p.attrib["points"] for p in polys] == expected
 
 
 def test_run_result_validation():

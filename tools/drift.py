@@ -2,7 +2,7 @@
 
     python tools/drift.py --against HEAD~1 [--bound 1e-12]
 
-Checks ``<ref>`` out with ``git worktree`` into a temporary directory and
+Extracts ``<ref>`` with ``git archive`` into a temporary directory and
 runs one probe in a subprocess on each tree, importing that tree's
 ``src/gpebo``.  The probe records:
 
@@ -133,12 +133,10 @@ def main(argv=None) -> int:
                          capture_output=True, text=True, check=True).stdout.strip()
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp) / "ref"
-        subprocess.run(git + ["worktree", "add", "--quiet", "--detach", str(tree), sha],
-                       check=True)
-        try:
-            ref = _run_probe(tree, Path(tmp) / "ref.npz")
-        finally:
-            subprocess.run(git + ["worktree", "remove", "--force", str(tree)], check=True)
+        tree.mkdir()
+        archive = subprocess.run(git + ["archive", sha], capture_output=True, check=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
+        ref = _run_probe(tree, Path(tmp) / "ref.npz")
         new = _run_probe(ROOT, Path(tmp) / "new.npz")
     print(f"against {args.against} ({sha[:12]}), bound {args.bound:g}")
     ok = compare(ref, new, args.bound)
