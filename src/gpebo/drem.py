@@ -55,18 +55,18 @@ def extend_regressor(
 def adjugate(M: np.ndarray) -> np.ndarray:
     """Adjugate (transposed cofactor matrix); satisfies adj(M) M = det(M) I.
 
-    ``M`` is one square matrix or a stack of them on the leading axes.
-    Sizes up to 3 use closed-form cofactors; larger well-conditioned
-    matrices go through det(M) inv(M), with a minor-expansion fallback
-    when M is singular.
+    ``M`` is one square matrix or a stack of them on the leading axes, in
+    one batched call.  Sizes 2 and 3 use closed-form cofactors; others take
+    adj(M)[c, r] = (-1)^(r+c) det(M without row r, column c), one det call
+    on all n^2 minors (n^2 (n-1)^2 floats held per matrix), singular M
+    included: slower than det(M) inv(M) on wholly nonsingular stacks of
+    n >= 6, but a DREM stack starts singular.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
         raise ValueError("adjugate requires a square matrix")
     n = M.shape[-1]
-    if n == 1:
-        return np.ones_like(M)
-    if n <= 3:
+    if n in (2, 3):
         # entry (r, c) of every matrix in the stack is P[r][c]
         P = np.moveaxis(M, (-2, -1), (0, 1))
         if n == 2:
@@ -80,20 +80,10 @@ def adjugate(M: np.ndarray) -> np.ndarray:
                 [d * h - e * g, b * g - a * h, a * e - b * d],
             ]
         return np.moveaxis(np.array(cof), (0, 1), (-2, -1))
-    if M.ndim > 2:
-        return np.array([adjugate(m) for m in M.reshape(-1, n, n)]).reshape(M.shape)
-    det = np.linalg.det(M)
-    scale = np.abs(M).max()
-    if scale > 0 and abs(det) > 1e-12 * scale**n:
-        return det * np.linalg.inv(M)
-    adj = np.empty((n, n))
-    for r in range(n):
-        rows = [rr for rr in range(n) if rr != r]
-        for c in range(n):
-            cols = [cc for cc in range(n) if cc != c]
-            minor = M[np.ix_(rows, cols)]
-            adj[c, r] = (-1.0) ** (r + c) * np.linalg.det(minor)
-    return adj
+    # keep[r] lists the indices other than r; minors[..., c, r] drops row r and column c
+    keep = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    minors = M[..., keep[None, :, :, None], keep[:, None, None, :]]
+    return (-1.0) ** np.add.outer(range(n), range(n)) * np.linalg.det(minors)
 
 
 def mix(M: np.ndarray, Y_stack: np.ndarray) -> tuple:
@@ -106,11 +96,9 @@ def mix(M: np.ndarray, Y_stack: np.ndarray) -> tuple:
     """
     M = np.asarray(M, dtype=float)
     Y_stack = np.asarray(Y_stack, dtype=float)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-        raise ValueError("mixing requires a square stacked regressor")
+    adj = adjugate(M)  # raises ValueError unless M is square
     if Y_stack.shape != M.shape[:-1]:
         raise ValueError("Y_stack length must match the stacked regressor")
-    adj = adjugate(M)
     # det(M) by cofactor expansion along the first row
     Delta = (M[..., 0, :] * adj[..., :, 0]).sum(axis=-1)
     return Delta, (adj @ Y_stack[..., None])[..., 0]

@@ -100,7 +100,8 @@ def emit_csv(result: RunResult, path: str) -> None:
                 plant, tx, texts = key, np.column_stack([run.t, run.x]), {}
             theta = vec % tuple(np.asarray(run.theta, float).tolist())
             row = f"%s,{float(gamma):.17g},%s,{','.join(['%.17g'] * (2 * n))},{theta},{vec}\n"
-            table = np.column_stack([run.xhat, run.estimation_error, run.theta_hat])
+            xhat = run.xhat
+            table = np.column_stack([xhat, run.x - xhat, run.theta_hat])
             for lo in range(0, len(run.t), _CSV_BLOCK):
                 block = table[lo:lo + _CSV_BLOCK]
                 if lo not in texts:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import gpebo.cli as cli
-from gpebo import builtin_scenario, pe_check, simulate
+from gpebo import SimulationResult, builtin_scenario, pe_check, simulate
 from gpebo.cli import (MAX_SWEEP_NODES, ConfigError, RunConfig, assemble_config, build_parser,
                        load_config_file, main)
 
@@ -232,6 +233,19 @@ def test_main_happy_path_writes_outputs(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "gamma=1" in out and "gamma=10" in out
     assert str(csv) in out
+
+
+def test_sweep_reads_xhat_at_most_twice_per_run(tmp_path, monkeypatch, capsys):
+    # xhat is a product over the whole run: the CSV and the SVG read it once
+    # each, and the summary line computes the last node's error alone
+    seen = []
+    fget = SimulationResult.xhat.fget
+    monkeypatch.setattr(SimulationResult, "xhat", property(lambda r: seen.append(r) or fget(r)))
+    code = main(["--scenario", "c3", "--gamma", "1,10,100", "--horizon", "1", "--step", "1e-2",
+                 "--csv", str(tmp_path / "out.csv"), "--svg", str(tmp_path / "fig.svg")])
+    assert code == 0
+    reads = Counter(map(id, seen))
+    assert len(reads) == 3 and max(reads.values()) <= 2
 
 
 def test_main_summary_only(capsys):

@@ -125,6 +125,13 @@ def test_mix_singular():
     assert np.all(np.isfinite(Y_mixed))
 
 
+def test_mix_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="square"):
+        mix(np.zeros((2, 3)), np.zeros(2))
+    with pytest.raises(ValueError, match="Y_stack"):
+        mix(np.eye(2), np.zeros(3))
+
+
 def test_mix_stack_matches_each_matrix():
     rng = np.random.default_rng(41)
     for n in (1, 2, 3, 4):
@@ -180,12 +187,31 @@ def test_adjugate_larger_sizes():
     det = np.linalg.det(M)
     assert np.abs(adjugate(M) @ M - det * np.eye(4)).max() <= 1e-9
 
-    # rank-deficient 4x4 goes through the minor-expansion fallback
+    # a rank-deficient 4x4 takes the same cofactor rule as a regular one
     S = rng.uniform(-1.0, 1.0, size=(4, 4))
     S[3] = S[0]
     got = adjugate(S)
     assert np.abs(got @ S).max() <= 1e-9
     assert np.all(np.isfinite(got))
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 6])
+def test_adjugate_stack_matches_cofactor_oracle(n):
+    # one batched call on a stack holding regular members, members with one
+    # zero row and, from n = 2, members with two zero rows, whose every
+    # minor keeps a zero row so that adj(M) is exactly 0
+    rng = np.random.default_rng(43 + n)
+    S = rng.uniform(-1.0, 1.0, size=(3, 4, n, n))
+    S[1, :, rng.integers(n)] = 0.0
+    if n > 1:
+        S[2, :, :2] = 0.0
+    got = adjugate(S)
+    assert got.shape == S.shape
+    for k in np.ndindex(S.shape[:2]):
+        ref = np.array(_cofactor_adjugate(S[k].tolist()))
+        assert np.abs(got[k] - ref).max() <= 1e-13
+    if n > 1:
+        assert np.all(got[2] == 0.0)
 
 
 def test_adjugate_rejects_non_square():

@@ -498,6 +498,42 @@ def test_regression_identities_hold_through_simulate(seed, n, w, delay, gamma, e
     assert np.abs(resid).max() <= 1e-12 * scale * (1.0 + np.abs(res.theta).max())
 
 
+def _coupled_oscillators():
+    # two time-varying oscillators, the second driving the first, both forced
+    # by sin(t) and measured through the sum of their positions
+    B = np.array([[0.0], [1.0], [0.0], [1.0]])
+    C = np.array([[1.0, 0.0, 1.0, 0.0]])
+
+    def A(t):
+        out = np.zeros((len(t), 4, 4))
+        out[:, 0, 1] = out[:, 2, 3] = 1.0
+        out[:, 1, 0] = -np.sin(t) ** 2
+        out[:, 1, 2] = np.cos(2.0 * t)
+        out[:, 3, 2] = -9.0 - np.cos(t)
+        return out
+
+    return SystemSpec(n=4, m=1, q=1, A=A,
+                      B=lambda t: np.broadcast_to(B, t.shape + B.shape),
+                      C=lambda t: np.broadcast_to(C, t.shape + C.shape),
+                      u=lambda t: np.sin(t)[:, None], x0=np.array([1.0, -1.0, 0.5, 0.0]))
+
+
+def test_drem_on_a_four_state_plant():
+    # the built-in plants have two states; here DREM mixes 4 x 4 extended
+    # regressors, zero-filled and singular until the third lag is covered at t = 1.5
+    res = simulate(_scenario(_coupled_oscillators(), gamma=10.0, horizon=10.0,
+                             delay=DelaySpec.constant(0.5), estimator="drem",
+                             xi0=np.array([0.5, 0.5, -0.5, 1.0])))
+    for name in ("x", "xi", "Phi", "theta_hat", "psi", "y_reg"):
+        assert np.isfinite(getattr(res, name)).all(), name
+    err = np.abs(res.theta_error)
+    assert np.diff(err, axis=0).max() <= 1e-9
+    assert err[-1].max() <= 1e-6 * err[0].min()
+    scale = 1.0 + max(np.abs(res.x).max(), np.abs(res.xi).max(), np.abs(res.Phi).max())
+    identity = res.x - res.xi + np.einsum("kij,j->ki", res.Phi, res.theta)
+    assert np.abs(identity).max() <= 1e-12 * scale
+
+
 @settings(max_examples=10, deadline=None, database=None)
 @given(shift=st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
        sid=st.sampled_from(["c1", "c2", "c3"]), estimator=st.sampled_from(["gradient", "drem"]),

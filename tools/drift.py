@@ -8,6 +8,8 @@ runs one probe in a subprocess on each tree, importing that tree's
 
 - the 21 default-horizon runs, c1-c3 x gradient gamma 0/1/10/100 and
   DREM 1/10/100: x, xi, Phi, theta_hat, psi and y_reg;
+- the same six arrays of a 30 s DREM run at gamma 10 on the 4-state plant
+  of :func:`drem4_scenario`, which mixes 4 x 4 extended regressors;
 - on 4 s open-loop c1-c3 runs: ``pe_check``'s smallest eigenvalues at
   T = 1 and 2, ``delayed_pe_integral`` at starts 0, 0.2, ..., 2 with
   T = 2, and ``liouville_det``;
@@ -38,6 +40,32 @@ SCENARIOS = ("c1", "c2", "c3")
 RUNS = [("gradient", g) for g in (0.0, 1.0, 10.0, 100.0)] + [("drem", g) for g in (1.0, 10.0, 100.0)]
 
 
+def drem4_scenario(horizon: float = 30.0):
+    """DREM at gamma 10, h = 1e-3 and constant delay 0.5 on a 4-state plant:
+    two coupled time-varying oscillators, both forced by sin(t) and
+    measured through the sum of their positions."""
+    from gpebo import DelaySpec, NamedScenario, SystemSpec
+
+    B = np.array([[0.0], [1.0], [0.0], [1.0]])
+    C = np.array([[1.0, 0.0, 1.0, 0.0]])
+
+    def A(t):
+        out = np.zeros((len(t), 4, 4))
+        out[:, 0, 1] = out[:, 2, 3] = 1.0
+        out[:, 1, 0] = -np.sin(t) ** 2
+        out[:, 1, 2] = np.cos(2.0 * t)
+        out[:, 3, 2] = -9.0 - np.cos(t)
+        return out
+
+    system = SystemSpec(n=4, m=1, q=1, A=A,
+                        B=lambda t: np.broadcast_to(B, t.shape + B.shape),
+                        C=lambda t: np.broadcast_to(C, t.shape + C.shape),
+                        u=lambda t: np.sin(t)[:, None], x0=np.array([1.0, -1.0, 0.5, 0.0]))
+    return NamedScenario(id="drem4", system=system, delay=DelaySpec.constant(0.5), gamma=10.0,
+                         estimator="drem", horizon=horizon, step=1e-3,
+                         xi0=np.array([0.5, 0.5, -0.5, 1.0]), theta_hat0=np.zeros(4))
+
+
 def probe(out: str) -> None:
     """Record every probed output of the gpebo on the import path in ``out``."""
     from gpebo import builtin_scenario, delayed_pe_integral, liouville_det, pe_check, simulate
@@ -59,6 +87,9 @@ def probe(out: str) -> None:
         data[f"pe/{sid}/delayed_pe_integral"] = np.array(
             [delayed_pe_integral(hist, C, 0.2 * i, 2.0, scenario.delay) for i in range(11)])
         data[f"pe/{sid}/liouville_det"] = np.array(liouville_det(hist, scenario.system.A))
+    res = simulate(drem4_scenario())
+    for name in ("x", "xi", "Phi", "theta_hat", "psi", "y_reg"):
+        data[f"drem4/{name}"] = getattr(res, name)
     with tempfile.TemporaryDirectory() as tmp:
         for sid in SCENARIOS:
             for estimator in ("gradient", "drem"):
