@@ -246,8 +246,7 @@ def run(config: RunConfig) -> RunResult:
         duration=duration,
     )
     for gamma, rr in result.ordered():
-        xhat = rr.xi[-1] - np.einsum("ij,j->i", rr.Phi[-1], rr.theta_hat[-1])  # last node alone
-        final_err = float(abs(rr.x[-1] - xhat).max())
+        final_err = float(abs(rr.x[-1] - rr.xhat_at(-1)).max())
         final_terr = float(abs(rr.theta_error[-1]).max())
         print(
             f"scenario={config.scenario} estimator={config.estimator} "

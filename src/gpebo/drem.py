@@ -21,6 +21,9 @@ import numpy as np
 
 from .history import TrajectoryHistory
 
+# adjugate's minors, n^2 (n-1)^2 floats a matrix, are taken this many matrices at a time
+_BLOCK = 256
+
 
 def default_ext_delays(n: int, spacing: float = 0.5) -> tuple:
     """n - 1 equally spaced lags: (spacing, 2 spacing, ...)."""
@@ -56,34 +59,27 @@ def adjugate(M: np.ndarray) -> np.ndarray:
     """Adjugate (transposed cofactor matrix); satisfies adj(M) M = det(M) I.
 
     ``M`` is one square matrix or a stack of them on the leading axes, in
-    one batched call.  Sizes 2 and 3 use closed-form cofactors; others take
+    one batched call.  Size 2 uses closed-form cofactors; the others take
     adj(M)[c, r] = (-1)^(r+c) det(M without row r, column c), one det call
-    on all n^2 minors (n^2 (n-1)^2 floats held per matrix), singular M
+    on all n^2 minors of ``_BLOCK`` matrices at a time, singular M
     included: slower than det(M) inv(M) on wholly nonsingular stacks of
     n >= 6, but a DREM stack starts singular.
     """
     M = np.asarray(M, dtype=float)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-        raise ValueError("adjugate requires a square matrix")
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2] or M.shape[-1] == 0:
+        raise ValueError(f"adjugate requires a nonempty square matrix, got shape {M.shape}")
     n = M.shape[-1]
-    if n in (2, 3):
-        # entry (r, c) of every matrix in the stack is P[r][c]
-        P = np.moveaxis(M, (-2, -1), (0, 1))
-        if n == 2:
-            (a, b), (c, d) = P
-            cof = [[d, -b], [-c, a]]
-        else:
-            (a, b, c), (d, e, f), (g, h, i) = P
-            cof = [
-                [e * i - f * h, c * h - b * i, b * f - c * e],
-                [f * g - d * i, a * i - c * g, c * d - a * f],
-                [d * h - e * g, b * g - a * h, a * e - b * d],
-            ]
-        return np.moveaxis(np.array(cof), (0, 1), (-2, -1))
-    # keep[r] lists the indices other than r; minors[..., c, r] drops row r and column c
+    if n == 2:
+        (a, b), (c, d) = np.moveaxis(M, (-2, -1), (0, 1))
+        return np.moveaxis(np.array([[d, -b], [-c, a]]), (0, 1), (-2, -1))
+    # keep[r] lists the indices other than r; minors[k, c, r] drops row r and column c
     keep = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
-    minors = M[..., keep[None, :, :, None], keep[:, None, None, :]]
-    return (-1.0) ** np.add.outer(range(n), range(n)) * np.linalg.det(minors)
+    flat = M.reshape(-1, n, n)
+    minor_det = np.empty_like(flat)
+    for lo in range(0, len(flat), _BLOCK):
+        minors = flat[lo:lo + _BLOCK, keep[None, :, :, None], keep[:, None, None, :]]
+        minor_det[lo:lo + _BLOCK] = np.linalg.det(minors)
+    return (-1.0) ** np.add.outer(range(n), range(n)) * minor_det.reshape(M.shape)
 
 
 def mix(M: np.ndarray, Y_stack: np.ndarray) -> tuple:

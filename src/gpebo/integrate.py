@@ -229,7 +229,11 @@ class SimulationResult:
     @property
     def xhat(self) -> np.ndarray:
         """State estimate xi - Phi theta_hat at every node."""
-        return self.xi - np.einsum("kij,kj->ki", self.Phi, self.theta_hat)
+        return self.xhat_at(slice(None))
+
+    def xhat_at(self, k) -> np.ndarray:
+        """State estimate xi - Phi theta_hat at node ``k``, an index or a slice."""
+        return self.xi[k] - np.einsum("...ij,...j->...i", self.Phi[k], self.theta_hat[k])
 
     @property
     def estimation_error(self) -> np.ndarray:

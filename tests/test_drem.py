@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import gpebo.drem as drem
 from gpebo import (
     TrajectoryHistory,
     adjugate,
@@ -134,9 +135,10 @@ def test_mix_rejects_bad_shapes():
 
 def test_mix_stack_matches_each_matrix():
     rng = np.random.default_rng(41)
-    for n in (1, 2, 3, 4):
+    for n in range(1, 7):
         M = rng.uniform(-2.0, 2.0, size=(5, n, n))
-        M[1, -1] = M[1, 0]  # one singular matrix in the stack
+        M[1, -1] = M[1, 0]  # singular matrices in the stack
+        M[2, :2] = 0.0
         Y = rng.uniform(-2.0, 2.0, size=(5, n))
         Delta, Y_mixed = mix(M, Y)
         for k in range(5):
@@ -166,6 +168,21 @@ def test_adjugate_matches_cofactor_oracle():
             assert np.abs(got - ref).max() <= 1e-12
             det_ref = _laplace_det(M.tolist())
             assert np.abs(got @ M - det_ref * np.eye(n)).max() <= 1e-12
+    # one batched call on a stack holding regular members, members with one
+    # zero row and, from n = 2, members with two zero rows, whose every
+    # minor keeps a zero row so that adj(M) is exactly 0
+    for n in range(1, 7):
+        S = rng.uniform(-1.0, 1.0, size=(3, 4, n, n))
+        S[1, :, rng.integers(n)] = 0.0
+        if n > 1:
+            S[2, :, :2] = 0.0
+        got = adjugate(S)
+        assert got.shape == S.shape
+        for k in np.ndindex(S.shape[:2]):
+            ref = np.array(_cofactor_adjugate(S[k].tolist()))
+            assert np.abs(got[k] - ref).max() <= 1e-13
+        if n > 1:
+            assert np.all(got[2] == 0.0)
 
 
 def test_adjugate_agrees_with_lu_route_on_overlap():
@@ -194,29 +211,17 @@ def test_adjugate_larger_sizes():
     assert np.abs(got @ S).max() <= 1e-9
     assert np.all(np.isfinite(got))
 
-
-@pytest.mark.parametrize("n", [1, 4, 5, 6])
-def test_adjugate_stack_matches_cofactor_oracle(n):
-    # one batched call on a stack holding regular members, members with one
-    # zero row and, from n = 2, members with two zero rows, whose every
-    # minor keeps a zero row so that adj(M) is exactly 0
-    rng = np.random.default_rng(43 + n)
-    S = rng.uniform(-1.0, 1.0, size=(3, 4, n, n))
-    S[1, :, rng.integers(n)] = 0.0
-    if n > 1:
-        S[2, :, :2] = 0.0
-    got = adjugate(S)
-    assert got.shape == S.shape
-    for k in np.ndindex(S.shape[:2]):
-        ref = np.array(_cofactor_adjugate(S[k].tolist()))
-        assert np.abs(got[k] - ref).max() <= 1e-13
-    if n > 1:
-        assert np.all(got[2] == 0.0)
+    # a stack longer than two blocks gives each member's own adjugate
+    T = rng.uniform(-1.0, 1.0, size=(2 * drem._BLOCK + 3, 4, 4))
+    T[drem._BLOCK - 1:drem._BLOCK + 1, 0] = 0.0  # singular members either side of a block edge
+    assert np.array_equal(adjugate(T), np.array([adjugate(m) for m in T]))
 
 
 def test_adjugate_rejects_non_square():
     with pytest.raises(ValueError):
         adjugate(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="nonempty square"):
+        adjugate(np.zeros((0, 0)))
 
 
 def test_drem_update_zero_delta():
