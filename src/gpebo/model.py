@@ -30,9 +30,9 @@ GridFn = Callable[[np.ndarray], np.ndarray]  # 1-D times -> values stacked on ax
 _DELAY_KINDS = ("identity", "constant", "sinusoidal", "custom")
 _ESTIMATORS = ("gradient", "drem")
 # Grid nodes one run may hold, and one CLI sweep summed over its gains.  A
-# simulation peaks near 620 bytes per node (DREM 617; gradient 441) and
+# simulation peaks near 510 bytes per node (DREM 512; gradient 408) and
 # keeps 112 bytes per node, and a sweep keeps every gain's run, so a sweep
-# at the limit peaks near 1.25 GB (measured with tracemalloc on 30 s
+# at the limit peaks near 1.0 GB (measured with tracemalloc on 30 s
 # gain-100 runs).
 MAX_SWEEP_NODES = 2_000_000
 

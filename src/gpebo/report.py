@@ -116,11 +116,8 @@ def emit_csv(result: RunResult, path: str) -> None:
     _atomic_text(path, writer)
 
 
-def _thin(N: int, limit: int = SVG_MAX_POINTS) -> np.ndarray:
-    if N <= limit:
-        return np.arange(N)
-    stride = int(np.ceil(N / limit))
-    idx = np.arange(0, N, stride)
+def _thin(N: int) -> np.ndarray:
+    idx = np.arange(0, N, int(np.ceil(N / SVG_MAX_POINTS)))
     if idx[-1] != N - 1:
         idx = np.append(idx, N - 1)
     return idx

@@ -27,6 +27,10 @@ from gpebo import (
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+# the plants of tools/drift.py's probes, so that each is written once
+_spec = importlib.util.spec_from_file_location("drift", ROOT / "tools" / "drift.py")
+drift = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(drift)
 
 
 def _const_system(A, C=None, n=None, x0=None):
@@ -239,14 +243,6 @@ def test_gain_inside_the_rk4_limit_runs():
     assert np.diff(V).max() <= 1e-9
 
 
-def _q_output_scenario(gamma):
-    # full-state measurement C = I through a constant delay: psi is (n, q)
-    sysm = replace(builtin_scenario("c1", 0.0).system, q=2,
-                   C=lambda t: np.tile(np.eye(2), (len(t), 1, 1)))
-    return _scenario(sysm, gamma=gamma, horizon=2.0, step=2e-3, delay=DelaySpec.constant(0.5),
-                     xi0=np.array([0.5, -1.0]), theta_hat0=np.array([1.0, 2.0]))
-
-
 def test_stiffness_guard_covers_drem_and_q_outputs():
     # DREM's stiffness is h gamma Delta^2.  With q outputs the gradient law's
     # is h gamma times the top eigenvalue of psi^T psi, here at most 2.06
@@ -254,9 +250,9 @@ def test_stiffness_guard_covers_drem_and_q_outputs():
     # 2.57, and 700 is refused at 2.88.
     with pytest.raises(StiffnessError, match="^gamma 1e\\+06 "):
         simulate(builtin_scenario("c1", 1e6, estimator="drem", horizon=2.0))
-    assert np.isfinite(simulate(_q_output_scenario(625.0)).theta_hat).all()
+    assert np.isfinite(simulate(drift.q2_scenario(625.0)).theta_hat).all()
     with pytest.raises(StiffnessError, match="^gamma 700 "):
-        simulate(_q_output_scenario(700.0))
+        simulate(drift.q2_scenario(700.0))
 
 
 def test_simulate_deterministic():
@@ -300,6 +296,24 @@ def test_open_loop_builds_regression_at_nodes_only():
     for name in ("t", "x", "xi", "Phi", "psi", "y_reg"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert np.array_equal(a.theta_hat, np.tile(scen.theta_hat0, (3001, 1)))
+
+
+@pytest.mark.parametrize("estimator, gamma, drem_delays, rows", [
+    ("drem", 10.0, None, 12002), ("gradient", 10.0, (0.5,), 6001), ("gradient", 0.0, None, 3001)])
+def test_regression_is_one_lookup_over_every_lag(estimator, gamma, drem_delays, rows):
+    # one delay call and one C call on every row the run reads: the 6001
+    # stage times of 3 s at lags 0 and 0.5 for DREM, at lag 0 alone for the
+    # gradient law whatever drem_delays it was built with, the nodes at gamma 0
+    scen = builtin_scenario("c3", gamma, estimator, horizon=3.0, drem_delays=drem_delays)
+    delays, Cs = [], []
+    counted = replace(
+        scen, delay=DelaySpec.custom(lambda t: delays.append(len(t)) or scen.delay(t)),
+        system=replace(scen.system, C=lambda t: Cs.append(len(t)) or scen.system.C(t)))
+    a = simulate(counted)
+    b = simulate(builtin_scenario("c3", gamma, estimator, horizon=3.0))
+    assert delays == Cs == [rows]
+    for name in ("theta_hat", "psi", "y_reg"):
+        assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
 def test_delayed_scenario_uses_history():
@@ -434,7 +448,7 @@ def test_estimator_scan_is_the_documented_law(monkeypatch, sid, estimator, gamma
     rows = []
     build = integrate._regression
     monkeypatch.setattr(integrate, "_regression", lambda *a: rows.append(build(*a)) or rows[-1])
-    scen = (_q_output_scenario(gamma) if sid == "q2" else
+    scen = (drift.q2_scenario(gamma) if sid == "q2" else
             builtin_scenario(sid, gamma, estimator, horizon=2.0, step=2e-3))
     res = simulate(scen)
     (M, Y), = rows
@@ -505,9 +519,6 @@ def test_regression_identities_hold_through_simulate(seed, n, w, delay, gamma, e
 def test_drem_on_a_four_state_plant():
     # the 4-state run tools/drift.py probes, cut to 10 s: DREM mixes 4 x 4
     # regressors, zero-filled and singular until the third lag is covered at t = 1.5
-    spec = importlib.util.spec_from_file_location("drift", ROOT / "tools" / "drift.py")
-    drift = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(drift)
     err = np.abs(simulate(drift.drem4_scenario(10.0)).theta_error)
     assert np.diff(err, axis=0).max() <= 1e-9
     assert err[-1].max() <= 1e-6 * err[0].min()

@@ -10,6 +10,8 @@ runs one probe in a subprocess on each tree, importing that tree's
   DREM 1/10/100: x, xi, Phi, theta_hat, psi and y_reg;
 - the same six arrays of a 30 s DREM run at gamma 10 on the 4-state plant
   of :func:`drem4_scenario`, which mixes 4 x 4 extended regressors;
+- the same six arrays of a 2 s gradient run at gamma 10 on the two-output
+  plant of :func:`q2_scenario`, whose stiffness needs eigvalsh;
 - on 4 s open-loop c1-c3 runs: ``pe_check``'s smallest eigenvalues at
   T = 1 and 2, ``delayed_pe_integral`` at starts 0, 0.2, ..., 2 with
   T = 2, and ``liouville_det``;
@@ -66,6 +68,21 @@ def drem4_scenario(horizon: float = 30.0):
                          xi0=np.array([0.5, 0.5, -0.5, 1.0]), theta_hat0=np.zeros(4))
 
 
+def q2_scenario(gamma: float):
+    """The gradient law at ``gamma`` over 2 s, h = 2e-3 and constant delay
+    0.5 on the c1 plant measured in full, C = I: q = 2 outputs, so psi is
+    2 x 2."""
+    from dataclasses import replace
+
+    from gpebo import DelaySpec, NamedScenario, builtin_scenario
+
+    system = replace(builtin_scenario("c1", 0.0).system, q=2,
+                     C=lambda t: np.tile(np.eye(2), (len(t), 1, 1)))
+    return NamedScenario(id="q2", system=system, delay=DelaySpec.constant(0.5), gamma=gamma,
+                         estimator="gradient", horizon=2.0, step=2e-3,
+                         xi0=np.array([0.5, -1.0]), theta_hat0=np.array([1.0, 2.0]))
+
+
 def probe(out: str) -> None:
     """Record every probed output of the gpebo on the import path in ``out``."""
     from gpebo import builtin_scenario, delayed_pe_integral, liouville_det, pe_check, simulate
@@ -87,9 +104,10 @@ def probe(out: str) -> None:
         data[f"pe/{sid}/delayed_pe_integral"] = np.array(
             [delayed_pe_integral(hist, C, 0.2 * i, 2.0, scenario.delay) for i in range(11)])
         data[f"pe/{sid}/liouville_det"] = np.array(liouville_det(hist, scenario.system.A))
-    res = simulate(drem4_scenario())
-    for name in ("x", "xi", "Phi", "theta_hat", "psi", "y_reg"):
-        data[f"drem4/{name}"] = getattr(res, name)
+    for key, scenario in (("drem4", drem4_scenario()), ("q2", q2_scenario(10.0))):
+        res = simulate(scenario)
+        for name in ("x", "xi", "Phi", "theta_hat", "psi", "y_reg"):
+            data[f"{key}/{name}"] = getattr(res, name)
     with tempfile.TemporaryDirectory() as tmp:
         for sid in SCENARIOS:
             for estimator in ("gradient", "drem"):
