@@ -5,8 +5,8 @@ reduces state reconstruction to estimating the constant initial mismatch
 between copy and plant, and recovers the state algebraically from the
 estimate.  The package bundles the plant/scenario definitions, the
 three-pass fixed-step integrator, gradient and decoupled (regressor-mixing)
-estimators, excitation diagnostics, closed-form reference solutions, and
-a CLI that renders sweep reports.  The CLI lives in ``gpebo.cli`` and is
+estimators, excitation diagnostics, the determinant certificate, and a CLI
+that renders sweep reports.  The CLI lives in ``gpebo.cli`` and is
 not imported here, so ``python -m gpebo.cli`` runs it without a warning.
 """
 
@@ -34,7 +34,7 @@ from .excitation import (
     pe_integral,
     delayed_pe_integral,
 )
-from .oracle import LtiOracle, liouville_det, matrix_exponential
+from .oracle import liouville_det
 from .report import RunResult, emit_csv, emit_svg, format_pe_summary, write_pe_report
 
 __version__ = "0.1.0"
@@ -61,8 +61,6 @@ __all__ = [
     "pe_integral",
     "delayed_pe_integral",
     "pe_check",
-    "LtiOracle",
-    "matrix_exponential",
     "liouville_det",
     "RunResult",
     "emit_csv",

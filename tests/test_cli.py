@@ -424,15 +424,50 @@ def test_main_help_exits_zero(capsys):
     assert "--scenario" in capsys.readouterr().out
 
 
-def test_module_entry_point_runs_without_warnings():
-    # the package does not import gpebo.cli, so runpy finds it unloaded
+def _run_python(*args):
+    """A fresh interpreter with this checkout's gpebo first on its path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-W", "error", "-m", "gpebo.cli", "--help"],
-                          capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_module_entry_point_runs_without_warnings():
+    # the package does not import gpebo.cli, so runpy finds it unloaded
+    done = _run_python("-W", "error", "-m", "gpebo.cli", "--help")
     assert done.returncode == 0, done.stderr
     assert "--scenario" in done.stdout
+
+
+_NUMPY_ONLY = """
+import sys
+import gpebo, gpebo.cli
+from gpebo import builtin_scenario, delayed_pe_integral, liouville_det, pe_check, simulate
+
+out = sys.argv[1]
+code = gpebo.cli.main(["--scenario", "c3", "--estimator", "drem", "--gamma", "1,10",
+                       "--horizon", "3", "--pe-window", "2", "--csv", out + "/s.csv",
+                       "--svg", out + "/s.svg", "--pe-report", out + "/s.pe"])
+assert code == 0, code
+scenario = builtin_scenario("c2", 0.0, horizon=4.0)
+res = simulate(scenario)
+hist, C = res.phi_history(), scenario.system.C
+pe_check(hist, C, 2.0, 1e-4)
+delayed_pe_integral(hist, C, 0.0, 2.0, scenario.delay)
+liouville_det(hist, scenario.system.A)
+print("loaded:", *sorted(m for m in sys.modules
+                         if m.split(".")[0] == "scipy" or m.startswith("numpy.ma.") or m == "numpy.ma"))
+"""
+
+
+def test_package_runs_on_numpy_alone(tmp_path):
+    # pyproject declares numpy as the only dependency; excitation's window
+    # cuts avoid np.unique, which would load numpy.ma into every run
+    done = _run_python("-c", _NUMPY_ONLY, str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "loaded:"
+    assert {p.name for p in tmp_path.iterdir()} == {"s.csv", "s.svg", "s.pe"}
 
 
 def test_main_config_file_end_to_end(tmp_path):

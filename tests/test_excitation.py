@@ -13,9 +13,6 @@ from scipy.optimize import brentq
 from gpebo import excitation
 from gpebo import (
     DelaySpec,
-    LtiOracle,
-    NamedScenario,
-    SystemSpec,
     TrajectoryHistory,
     builtin_scenario,
     pe_check,
@@ -192,14 +189,19 @@ def test_delayed_pe_frozen_map_integrates_constant_regressor():
     assert np.abs(G - 2.0 * psi0.T @ psi0).max() <= 1e-14
 
 
-_ROTATION = LtiOracle(np.array([[0.0, 1.5], [-1.5, 0.0]]))  # w = 1.5
 _SPAN = 8.0
+
+
+def _rotation_phi(v):
+    """Phi(v) = exp(A v) of the rotation A = [[0, w], [-w, 0]], w = 1.5."""
+    c, s = math.cos(1.5 * v), math.sin(1.5 * v)
+    return np.array([[c, s], [-s, c]])
 
 
 @functools.cache
 def _rotation_history():
     times = 1e-3 * np.arange(8001)
-    return TrajectoryHistory.from_grid(times, np.stack([_ROTATION.phi(v) for v in times.tolist()]))
+    return TrajectoryHistory.from_grid(times, np.stack([_rotation_phi(v) for v in times.tolist()]))
 
 
 def _raw(delay, v):
@@ -235,7 +237,7 @@ def test_delayed_pe_matches_gauss_legendre_property(delay, T, frac):
     C = np.array([[1.0, 0.0]])
     G = delayed_pe_integral(hist, lambda s: np.broadcast_to(C, s.shape + C.shape), t, T, delay)
     kinks = _delay_kinks(delay, t, T)
-    ref = _tau_quadrature(_ROTATION.phi, C, delay, t, T, kinks)
+    ref = _tau_quadrature(_rotation_phi, C, delay, t, T, kinks)
     # With w = 1.5, phi' <= 2.5 and |phi''| <= 2.25, |g''| <= 63 for the
     # entries g of psi^T psi: the trapezoid on h = 1e-3 is within
     # 5.3e-6 T, interpolating Phi adds 5.6e-7 T, and each kink at most

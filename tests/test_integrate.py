@@ -15,7 +15,6 @@ import gpebo.integrate as integrate
 from gpebo import (
     DelaySpec,
     DivergenceError,
-    LtiOracle,
     NamedScenario,
     StiffnessError,
     SystemSpec,
@@ -154,17 +153,6 @@ def test_open_loop_emulator_decay():
     err = np.linalg.norm(res.estimation_error, axis=1)
     pred = np.exp(-res.t) * np.linalg.norm(res.theta_hat[0] - res.theta)
     assert np.abs(err - pred).max() <= 1e-9
-
-
-def test_grid_halving_is_fourth_order():
-    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    oracle = LtiOracle(A)
-    errs = []
-    for h in (0.1, 0.05, 0.025, 0.0125):
-        res = simulate(_scenario(_const_system(A), horizon=10.0, step=h))
-        errs.append(np.abs(res.Phi[-1] - oracle.phi(float(res.t[-1]))).max())
-    ratios = [a / b for a, b in zip(errs, errs[1:])]
-    assert all(r >= 12.0 for r in ratios)
 
 
 def test_divergence_guard():

@@ -18,10 +18,12 @@ runs one probe in a subprocess on each tree, importing that tree's
 - the bytes of the CLI's CSV, SVG and excitation report for c1-c3 with
   either law at gammas 1, 10 and 100 over 10 s.
 
-It prints the largest absolute difference of each array, the run where it
-occurs, and whether each file is byte for byte equal.  The exit status is
-1 when a difference exceeds ``--bound`` or an array's shape or presence
-differs between the trees, else 0; differing bytes are reported only.
+It prints the line count of ``src/gpebo/*.py`` in both trees (what
+``wc -l`` reports), the largest absolute difference of each array, the run
+where it occurs, and whether each file is byte for byte equal.  The exit
+status is 1 when a difference exceeds ``--bound`` or an array's shape or
+presence differs between the trees, else 0; differing bytes and the line
+counts are reported only.
 """
 
 from __future__ import annotations
@@ -124,6 +126,11 @@ def probe(out: str) -> None:
     np.savez(out, **data)
 
 
+def _package_lines(tree: Path) -> int:
+    """Newline count of ``src/gpebo/*.py`` under ``tree``, as ``wc -l`` totals it."""
+    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "gpebo").glob("*.py"))
+
+
 def _run_probe(tree: Path, out: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     subprocess.run([sys.executable, str(Path(__file__).resolve()), "--probe", str(out)],
@@ -187,7 +194,9 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
         ref = _run_probe(tree, Path(tmp) / "ref.npz")
         new = _run_probe(ROOT, Path(tmp) / "new.npz")
+        lines = _package_lines(tree), _package_lines(ROOT)
     print(f"against {args.against} ({sha[:12]}), bound {args.bound:g}")
+    print("src/gpebo/*.py: {:,} -> {:,} lines".format(*lines))
     ok = compare(ref, new, args.bound)
     print("within bound" if ok else "DRIFT ABOVE BOUND")
     return 0 if ok else 1
