@@ -137,10 +137,13 @@ class RunConfig:
         if nodes > MAX_SWEEP_NODES:
             raise ConfigError(f"the sweep needs {nodes:.10g} grid nodes, more than the limit of "
                               f"{MAX_SWEEP_NODES}; raise step or lower horizon")
-        # the scan needs one whole window on the grid t_k = k * step
+        # the scan needs one whole window on the grid t_k = k * step, and its
+        # stride T / 10 no shorter than a step: at most one start per node
         grid_end = steps * self.step
         if self.pe_report and self.pe_window > min(self.horizon, grid_end):
             raise ConfigError(f"pe-window {self.pe_window:g} exceeds the horizon {self.horizon:g}")
+        if self.pe_report and self.pe_window < 10.0 * self.step:
+            raise ConfigError(f"pe-window {self.pe_window:g} is shorter than 10 steps")
 
 
 def _flag(f) -> str:

@@ -18,7 +18,8 @@ Every Gramian is one trapezoid rule over the stored nodes strictly inside
 the window plus the window's two endpoints, with Phi linearly
 interpolated off the nodes.  All three checks call one kernel, which
 forms every window of a call from one evaluation at the nodes and the
-endpoints, so a window's value does not depend on the other windows.
+endpoints.  Each window sums its own node terms, so it reads the same in
+a scan as on its own, bit for bit.
 """
 
 from __future__ import annotations
@@ -59,9 +60,8 @@ def _gramians(hist_Phi: TrajectoryHistory, C, starts, T: float, delay: DelaySpec
     psi^T psi, with psi = C Phi, or psi(tau) = C(phi(tau)) Phi(phi(tau))
     given ``delay``.  Each window's rule runs over its own two endpoints,
     clipped to the recorded range, and the stored nodes strictly inside
-    them.  The nodes and all endpoints are evaluated once; the node terms
-    are summed into segments cut at each window's first and last inner
-    node, and each window adds up its own segments, since a difference of
+    them.  The nodes and all endpoints are evaluated once.  Each window
+    sums its own node terms as one ``reduceat`` span, since a difference of
     running sums would bury a small window under the large ones before it.
     """
     if T <= 0.0:
@@ -82,24 +82,15 @@ def _gramians(hist_Phi: TrajectoryHistory, C, starts, T: float, delay: DelaySpec
     m, K = max(int(b[inner].max(initial=0)) - r0, 0), len(starts)
     s = np.concatenate((times[r0:r0 + m], lo, hi))
     phi = s if delay is None else at_times(delay, s, (), "phi(t)")
-    Cs = at_times(C, phi, (None, Phi.shape[1]), "C(t)")
-    if delay is None:  # Phi is stored at the nodes
-        cp = np.concatenate((Cs[:m] @ Phi[r0:r0 + m], Cs[m:] @ hist_Phi.sample_at(s[m:])))
-    else:
-        cp = Cs @ hist_Phi.sample_at(phi)
+    cp = at_times(C, phi, (None, Phi.shape[1]), "C(t)") @ hist_Phi.sample_at(phi)
     cpT = cp.transpose(0, 2, 1)
 
     # On s, window k runs from lo at m + k over its inner nodes first..last
-    # to hi at m + K + k (with no inner node: lo -> hi, then hi -> hi).  Its
-    # row of ``terms`` indices: the segments from cut k0 to cut k1, padded
-    # with the zero row, then its head (lo -> first) and tail (last -> hi).
-    first, last = np.where(inner, a - r0, 0), np.where(inner, b - 1 - r0, 0)
-    cuts = np.array(sorted({*first.tolist(), *last.tolist()}))  # np.unique loads numpy.ma
-    k0, k1 = np.searchsorted(cuts, first), np.searchsorted(cuts, last)
-    span = k0[:, None] + np.arange(int((k1 - k0).max()))
-    ks, zero = np.arange(K), len(cuts) - 1
-    rows = np.column_stack((np.where(span < k1[:, None], span, zero),
-                            zero + 1 + ks, zero + 1 + K + ks))
+    # to hi at m + K + k (with no inner node: lo -> hi, then hi -> hi).  It
+    # sums the trapezoids first..last - 1 as one reduceat span (both ends at
+    # the zero row after them if it has < 2 inner nodes), then head and tail.
+    first, last, ks = a - r0, b - 1 - r0, np.arange(K)
+    span = np.where((last > first)[:, None], np.column_stack((first, last)), max(m - 1, 0))
     i = np.concatenate((m + ks, np.where(inner, last, m + K + ks)))
     j = np.concatenate((np.where(inner, first, m + K + ks), m + K + ks))
     h_nodes = 0.5 * np.diff(s[:m])[:, None, None]
@@ -108,9 +99,9 @@ def _gramians(hist_Phi: TrajectoryHistory, C, starts, T: float, delay: DelaySpec
     grams = []
     for g in (cp @ cpT, cpT @ cp):
         node = g[:m]
-        segs = np.add.reduceat(h_nodes * (node[1:] + node[:-1]), cuts[:-1], axis=0)
-        terms = np.concatenate((segs, np.zeros((1,) + g.shape[1:]), h_ends * (g[i] + g[j])))
-        grams.append(terms[rows].sum(axis=1))
+        terms = np.concatenate((h_nodes * (node[1:] + node[:-1]), np.zeros((1,) + g.shape[1:])))
+        ends = h_ends * (g[i] + g[j])
+        grams.append(np.add.reduceat(terms, span.ravel(), axis=0)[::2] + ends[:K] + ends[K:])
     return tuple(grams)
 
 

@@ -58,15 +58,29 @@ def test_validate_rejects_non_finite_values(field, value):
         cfg.validate()
 
 
-def test_validate_pe_window_against_horizon():
+def test_validate_pe_window_against_horizon(tmp_path, capsys):
     with pytest.raises(ConfigError):
         RunConfig(horizon=2.0, pe_window=5.0, pe_report="pe.csv").validate()
     # a window past the grid's last node, which rounds the horizon down
     with pytest.raises(ConfigError):
         RunConfig(horizon=2.004, step=1e-2, pe_window=2.002, pe_report="pe.csv").validate()
     RunConfig(horizon=2.0, pe_window=2.0, pe_report="pe.csv").validate()
+    # a window shorter than 10 steps would start more than one window per node
+    with pytest.raises(ConfigError, match="shorter than 10 steps"):
+        RunConfig(horizon=1.0, gammas=(1.0,), pe_window=1e-4, pe_report="pe.csv").validate()
+    with pytest.raises(ConfigError, match="shorter than 10 steps"):
+        RunConfig(horizon=1.0, step=1e-2, pe_window=0.099, pe_report="pe.csv").validate()
+    RunConfig(horizon=1.0, step=1e-2, pe_window=0.1, pe_report="pe.csv").validate()
+    path = tmp_path / "pe.csv"
+    assert main(["--horizon", "1", "--gamma", "1", "--pe-window", "1e-4",
+                 "--pe-report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "simulated" not in captured.out
+    assert "shorter than 10 steps" in captured.err
+    assert not path.exists()
     # without a scan the window is never used
     RunConfig(horizon=3.0, pe_window=5.0).validate()
+    RunConfig(horizon=1.0, pe_window=1e-4).validate()
 
 
 def test_validate_rejects_oversized_grid():
@@ -462,8 +476,8 @@ print("loaded:", *sorted(m for m in sys.modules
 
 
 def test_package_runs_on_numpy_alone(tmp_path):
-    # pyproject declares numpy as the only dependency; excitation's window
-    # cuts avoid np.unique, which would load numpy.ma into every run
+    # pyproject declares numpy as the only dependency, and no run may load
+    # scipy or numpy.ma (np.unique, for one, loads numpy.ma)
     done = _run_python("-c", _NUMPY_ONLY, str(tmp_path))
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "loaded:"

@@ -268,20 +268,25 @@ def _kernel_case(case):
     hist, C = res.phi_history(), res.scenario.system.C
     if case == "short windows":  # on a node, off nodes, ending at t_end
         return hist, C, np.array([3.0, 3.0004, 7.9996, 12.0 - 2e-4]), 2e-4
+    if case == "one inner node":  # one node inside, two (8 and 8.001) from 7.9996
+        return hist, C, np.array([3.0, 3.0004, 7.9996, 12.0 - 1.5e-3]), 1.5e-3
     T = {"T=2": 2.0, "off nodes": 1.2345, "whole run": float(res.t[-1] - res.t[0])}[case]
     return hist, C, pe_check(hist, C, T, 1e-4).starts, T
 
 
 @pytest.mark.parametrize("delay", [None, DelaySpec.sinusoidal(1.0, 0.9, 1.0)])
-@pytest.mark.parametrize("case", ["T=2", "off nodes", "whole run", "short windows", "decaying"])
+@pytest.mark.parametrize("case", ["T=2", "off nodes", "whole run", "short windows",
+                                  "one inner node", "decaying"])
 def test_kernel_matches_per_window_rule(case, delay):
-    """Every window of one kernel call equals its own trapezoid rule.
+    """Every window of one kernel call equals its own trapezoid rule, and
+    the kernel's value for that window alone, bit for bit.
 
     T=2 scans starts on nodes whose ends meet later starts to within an
     ulp and whose last end is t_end; T=1.2345 puts the starts off the
     nodes; the whole run is a scan of one window; windows shorter than a
-    step have no inner node; the decaying plant's late windows, down to
-    about 1e-25, sit behind windows of order 0.1.
+    step have no inner node, and windows of 1.5 steps one, except one
+    with two; the decaying plant's late windows, down to about 1e-25, sit
+    behind windows of order 0.1.
     """
     hist, C, starts, T = _kernel_case(case)
     if case == "T=2":
@@ -293,6 +298,8 @@ def test_kernel_matches_per_window_rule(case, delay):
     for k, t in enumerate(starts.tolist()):
         for G, ref in zip(grams, _per_window_rule(hist, C, t, T, delay)):
             assert np.linalg.norm(G[k] - ref) <= 1e-13 * np.linalg.norm(ref)
+        for G, alone in zip(grams, excitation._gramians(hist, C, [t], T, delay)):
+            assert np.array_equal(G[k], alone[0])
 
 
 def test_pe_check_constant_scalar():

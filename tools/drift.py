@@ -13,8 +13,10 @@ runs one probe in a subprocess on each tree, importing that tree's
 - the same six arrays of a 2 s gradient run at gamma 10 on the two-output
   plant of :func:`q2_scenario`, whose stiffness needs eigvalsh;
 - on 4 s open-loop c1-c3 runs: ``pe_check``'s smallest eigenvalues at
-  T = 1 and 2, ``delayed_pe_integral`` at starts 0, 0.2, ..., 2 with
-  T = 2, and ``liouville_det``;
+  T = 1 and 2, at T = 1.2345 (21 of its 23 starts off the nodes) and at
+  T = 0.0015 (26,657 windows of one or two inner nodes each),
+  ``delayed_pe_integral`` at starts 0, 0.2, ..., 2 with T = 2, and
+  ``liouville_det``;
 - the bytes of the CLI's CSV, SVG and excitation report for c1-c3 with
   either law at gammas 1, 10 and 100 over 10 s.
 
@@ -99,7 +101,7 @@ def probe(out: str) -> None:
         scenario = builtin_scenario(sid, 0.0, horizon=4.0)
         res = simulate(scenario)
         hist, C = res.phi_history(), scenario.system.C
-        for T in (1.0, 2.0):
+        for T in (1.0, 2.0, 1.2345, 0.0015):
             report = pe_check(hist, C, T, 1e-4)
             for name in ("min_eig_output", "min_eig_regressor"):
                 data[f"pe/{sid}/T{T:g}/{name}"] = getattr(report, name)
