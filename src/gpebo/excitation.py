@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .history import TrajectoryHistory
-from .model import DelaySpec, at_times
+from .model import MAX_SWEEP_NODES, DelaySpec, at_times
 
 
 @dataclass
@@ -136,9 +136,10 @@ def pe_check(hist_Phi: TrajectoryHistory, C, T: float, delta_floor: float) -> Ex
 
     Window starts run from the first node in steps of T / 10 as long as
     the full window fits.  The trajectory must be at least one window
-    long.  One kernel call forms every window's Gramians from a single
-    evaluation of ``C`` and Phi, and one ``eigvalsh`` per stack finds
-    their smallest eigenvalues.
+    long, and a window so short that it would start ``MAX_SWEEP_NODES``
+    windows or more is refused before anything is allocated.  One kernel
+    call forms every window's Gramians from a single evaluation of ``C``
+    and Phi, and one ``eigvalsh`` per stack finds their smallest eigenvalues.
     """
     if not T > 0.0:
         raise ValueError("window length T must be positive")
@@ -152,6 +153,9 @@ def pe_check(hist_Phi: TrajectoryHistory, C, T: float, delta_floor: float) -> Ex
             f"trajectory length {float(times[-1]) - t0} is shorter than the window {T}"
         )
     stride = T / 10.0
+    if not span < stride * (MAX_SWEEP_NODES - 1):
+        raise ValueError(f"window {T} is too short: a scan at stride T / 10 would start at least "
+                         f"MAX_SWEEP_NODES = {MAX_SWEEP_NODES} windows")
     starts = t0 + stride * np.arange(int(np.floor(span / stride + 1e-9)) + 1)
     min_q, min_n = (np.linalg.eigvalsh(G).min(axis=1) for G in _gramians(hist_Phi, C, starts, T))
 

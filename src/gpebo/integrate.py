@@ -6,7 +6,8 @@ A run is three passes over the uniform grid t_k = k h:
    sees the estimator.  With A, B and u called once on all nodes and
    midpoints, each RK4 step's affine map Z_{k+1} = P_k Z_k + r_k [1 1 0]
    is built with array operations, and a blocked prefix-product scan
-   applies the maps; the pass keeps node values and node derivatives;
+   applies the maps; the pass keeps node values and node derivatives.  A
+   step past RK4's stability region for some frozen A(t) is refused first;
 2. regression: psi = (C(phi) Phi(phi))^T and y_reg = C(phi) (xi - x)(phi)
    at the times simulate picks (every stage time; for DREM also each
    stage time minus each lag, zero before t = 0; at gamma = 0 the nodes
@@ -61,11 +62,12 @@ class DivergenceError(RuntimeError):
 
 
 class StiffnessError(DivergenceError):
-    """Raised before the estimator pass when a stage's h lambda_max(M)
-    passes ``STIFFNESS_LIMIT``, past which its RK4 step can grow the error
-    the law itself never grows; ``t`` is the first such stage time.  A
-    plant that leaves the norm guard is a DivergenceError instead: its
-    growing psi makes any gain stiff, and no step would do."""
+    """Raised when the step is past RK4's stability limit at stage time
+    ``t``, the first such: before the plant pass if RK4 grows a mode of the
+    frozen A(t) with Re lambda <= 0, before the estimator pass if a stage's
+    h lambda_max(M) passes ``STIFFNESS_LIMIT``, where the step can grow the
+    error the law itself never grows.  A plant that leaves the norm guard
+    is a DivergenceError instead: its growing psi makes any gain stiff."""
 
 
 def _affine_scan(G, z0, h):
@@ -101,6 +103,28 @@ def _affine_scan(G, z0, h):
     return Z
 
 
+def _refuse_stiff_plant(A, tau, h):
+    """Return ``A``, or raise StiffnessError where RK4's step ``h`` grows a
+    mode of A(tau) with Re lambda <= 0, to the rounding that puts a neutral
+    mode on either side of 0: an alarm for the step, not a stability proof
+    of an LTV plant.  RK4 is stable on |z| <= 2.6, Re z <= 0, and h ||A||_F
+    bounds |h lambda|, so only stages past that take eigenvalues; a far
+    non-normal A pays them at each.  A non-finite A is left to the norm guard."""
+    flagged = np.flatnonzero(np.einsum("kij,kij->k", A, A) > (2.6 / h) ** 2)
+    if not flagged.size:
+        return A
+    flagged = flagged[np.isfinite(A[flagged]).all(axis=(1, 2))]
+    z = h * np.linalg.eigvals(A[flagged])
+    R = 1.0 + z * (1.0 + z * (0.5 + z * (1.0 / 6.0 + z / 24.0)))
+    grows = ((z.real <= 1e-12 * np.abs(z)) & (np.abs(R) > 1.0 + 1e-12)).any(axis=1)
+    if grows.any():
+        t, top = float(tau[flagged[grows][0]]), np.abs(z).max() / h
+        raise StiffnessError(t, f"the plant's step {h:g} is past RK4's stability region at "
+                             f"t={t:.10g}, where it grows a mode of A(t) with Re lambda <= 0; "
+                             f"2.6 / max|lambda| = {2.6 / top:.4g} is a safe step")
+    return A
+
+
 def _plant_pass(sysm, xi0, tau, h):
     """RK4 on Z = [x | xi | Phi] with A and B u taken once at each stage
     time of ``tau``; returns the node values and node derivatives.  With a
@@ -108,7 +132,8 @@ def _plant_pass(sysm, xi0, tau, h):
     ODE Z' = G Z, G = [[A, Bu], [0, 0]]."""
     n, m = sysm.n, sysm.m
     G = np.zeros((len(tau), n + 1, n + 1))
-    G[:, :n, :n] = at_times(sysm.A, tau, (n, n), "A(t)")
+    # screened before G holds it: the contiguous A is twice as fast to screen
+    G[:, :n, :n] = _refuse_stiff_plant(at_times(sysm.A, tau, (n, n), "A(t)"), tau, h)
     G[:, :n, n] = np.einsum("kij,kj->ki", at_times(sysm.B, tau, (n, m), "B(t)"),
                             at_times(sysm.u, tau, (m,), "u(t)"))
     z0 = np.vstack([np.column_stack([sysm.x0, xi0, np.eye(n)]), np.r_[1.0, 1.0, np.zeros(n)]])
@@ -239,9 +264,10 @@ def simulate(scenario: NamedScenario) -> SimulationResult:
     The grid is t_k = k h with the horizon rounded to the nearest whole
     number of steps.  A zero scenario gain freezes theta_hat, which turns
     the run into an open-loop diagnostic of the observer copy.  A
-    DivergenceError names the first node where x, xi, Phi or theta_hat
-    leaves the norm guard (or the finite floats).  If the plant stays
-    inside it, a StiffnessError refuses a gain too large for the step
+    StiffnessError refuses a step too long for the plant before the plant
+    pass.  A DivergenceError names the first node where x, xi, Phi or
+    theta_hat leaves the norm guard (or the finite floats).  If the plant
+    stays inside it, a StiffnessError refuses a gain too large for the step
     before the estimator runs.
     """
     sysm = scenario.system
@@ -260,7 +286,7 @@ def simulate(scenario: NamedScenario) -> SimulationResult:
             M, Y = _regression(scenario, t, Z, dZ, t, (0.0,))
             theta_hat = np.tile(scenario.theta_hat0, (len(t), 1))
         else:
-            lags = scenario.drem_delays if scenario.estimator == "drem" else ()
+            lags = scenario.drem_delays or ()
             M, Y = _regression(scenario, t, Z, dZ, tau, (0.0,) + lags)
             theta_hat = _estimator_pass(scenario, M, Y, tau, (plant <= STATE_NORM_LIMIT).all())
 

@@ -27,7 +27,6 @@ from .drem import default_ext_delays
 
 GridFn = Callable[[np.ndarray], np.ndarray]  # 1-D times -> values stacked on axis 0
 
-_DELAY_KINDS = ("identity", "constant", "sinusoidal", "custom")
 _ESTIMATORS = ("gradient", "drem")
 # Grid nodes one run may hold, and one CLI sweep summed over its gains.  A
 # simulation peaks near 510 bytes per node (DREM 512; gradient 408) and
@@ -108,70 +107,57 @@ def eval_system(spec: SystemSpec, t: float):
 
 @dataclass(frozen=True)
 class DelaySpec:
-    """Measurement time map ``phi(t)``, clamped into ``[0, t]``.
+    """Measurement time map ``phi(t)``, clamped into ``[0, t]``:
 
-    Built-in kinds:
+        phi(t) = clamp(t - (base + amplitude * sin(frequency * t)), 0, t),
 
-    * ``identity``     phi(t) = t (no delay)
-    * ``constant``     phi(t) = t - tau
-    * ``sinusoidal``   phi(t) = t - (base + amplitude * sin(frequency * t))
-    * ``custom``       phi(t) = fn(t)
-
-    It takes an array of times to phi at each, in the same shape; so must ``fn``.
+    or ``clamp(fn(t), 0, t)`` for a custom map, which takes no other
+    parameter; ``constant(tau)`` is ``base = tau``.  It takes an array of
+    times to phi at each, in the same shape; so must ``fn``.
     """
 
-    kind: str
-    tau: float = 0.0
     base: float = 0.0
     amplitude: float = 0.0
     frequency: float = 0.0
     fn: Optional[GridFn] = None
 
     def __post_init__(self):
-        if self.kind not in _DELAY_KINDS:
-            raise ValueError(f"unknown delay kind {self.kind!r}")
-        for name in ("tau", "base", "amplitude", "frequency"):
+        for name in ("base", "amplitude", "frequency"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"delay {name} must be finite, got {getattr(self, name)!r}")
-        if self.kind == "constant" and self.tau < 0:
-            raise ValueError("constant delay tau must be nonnegative")
-        if self.kind == "custom" and self.fn is None:
-            raise ValueError("custom delay requires fn")
+        plain = (self.base, self.amplitude, self.frequency) == (0.0, 0.0, 0.0)
+        if self.fn is not None and not (callable(self.fn) and plain):
+            raise ValueError(f"delay fn {self.fn!r} must be callable and take no other parameter")
 
     @classmethod
     def identity(cls) -> "DelaySpec":
-        return cls(kind="identity")
+        return cls()
 
     @classmethod
     def constant(cls, tau: float) -> "DelaySpec":
-        return cls(kind="constant", tau=float(tau))
+        if not 0.0 <= tau < math.inf:
+            raise ValueError(f"constant delay tau must be nonnegative and finite, got {tau!r}")
+        return cls(base=float(tau))
 
     @classmethod
     def sinusoidal(cls, base: float, amplitude: float, frequency: float) -> "DelaySpec":
-        return cls(
-            kind="sinusoidal",
-            base=float(base),
-            amplitude=float(amplitude),
-            frequency=float(frequency),
-        )
+        return cls(float(base), float(amplitude), float(frequency))
 
     @classmethod
     def custom(cls, fn) -> "DelaySpec":
-        return cls(kind="custom", fn=fn)
+        if fn is None:
+            raise ValueError("custom delay requires fn")
+        return cls(fn=fn)
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
-        if self.kind == "identity":
-            return t
-        if self.kind == "constant":
-            raw = t - self.tau
-        elif self.kind == "sinusoidal":
-            raw = t - (self.base + self.amplitude * np.sin(self.frequency * t))
-        else:
+        if self.fn is not None:
             raw = np.asarray(self.fn(t), dtype=float)
             if raw.shape != t.shape:
                 raise ValueError(f"delay fn must return the shape {t.shape} of its times, "
                                  f"got {raw.shape}")
+        else:
+            raw = t - (self.base + self.amplitude * np.sin(self.frequency * t))
         if not np.isfinite(raw).all():
             k = np.flatnonzero(~np.isfinite(raw))[0]
             raise ValueError(f"delay map is not finite at t={float(t.flat[k])}: "
@@ -187,9 +173,9 @@ class NamedScenario:
 
     ``gamma`` is the scalar adaptation gain; zero is allowed and freezes
     the parameter estimate, which is useful for open-loop diagnostics.
-    ``drem_delays`` holds the regressor-extension delays used when
-    ``estimator == "drem"``; None selects :func:`default_ext_delays`,
-    resolved here.  DREM needs a single-output plant and ``n - 1`` delays.
+    ``drem_delays`` holds the DREM law's regressor-extension delays; None
+    selects :func:`default_ext_delays`, resolved here.  DREM needs a
+    single-output plant and ``n - 1`` delays; a gradient scenario takes none.
 
     Every parameter is checked when the scenario is built: a shape, a
     non-finite value or an out-of-range gain, step, horizon or delay
@@ -227,19 +213,19 @@ class NamedScenario:
         n = self.system.n
         object.__setattr__(self, "xi0", _finite_vector("xi0", self.xi0, n))
         object.__setattr__(self, "theta_hat0", _finite_vector("theta_hat0", self.theta_hat0, n))
-        delays = self.drem_delays
-        if delays is None and self.estimator == "drem":
-            delays = default_ext_delays(n)
-        if delays is not None:
-            d = tuple(float(v) for v in delays)
-            if not all(0.0 < v < math.inf for v in d) or any(b <= a for a, b in zip(d, d[1:])):
-                raise ValueError("drem_delays must be positive, finite and strictly increasing")
-            object.__setattr__(self, "drem_delays", d)
-        if self.estimator == "drem":
-            if self.system.q != 1:
-                raise ValueError("drem estimation supports single-output plants")
-            if len(self.drem_delays) != n - 1:
-                raise ValueError(f"drem needs {n - 1} drem_delays, got {len(self.drem_delays)}")
+        if self.estimator == "gradient":
+            if self.drem_delays is not None:
+                raise ValueError("the gradient estimator takes no drem_delays")
+            return
+        d = default_ext_delays(n) if self.drem_delays is None else self.drem_delays
+        d = tuple(float(v) for v in d)
+        if not all(0.0 < v < math.inf for v in d) or any(b <= a for a, b in zip(d, d[1:])):
+            raise ValueError("drem_delays must be positive, finite and strictly increasing")
+        if self.system.q != 1:
+            raise ValueError("drem estimation supports single-output plants")
+        if len(d) != n - 1:
+            raise ValueError(f"drem needs {n - 1} drem_delays, got {len(d)}")
+        object.__setattr__(self, "drem_delays", d)
 
     @property
     def steps(self) -> int:
@@ -287,9 +273,9 @@ def benchmark_system(x0=None) -> SystemSpec:
 
 
 _SCENARIO_DELAYS = {
-    "c1": DelaySpec.identity,
-    "c2": lambda: DelaySpec.constant(1.0),
-    "c3": lambda: DelaySpec.sinusoidal(1.0, 0.9, 1.0),
+    "c1": DelaySpec.identity(),
+    "c2": DelaySpec.constant(1.0),
+    "c3": DelaySpec.sinusoidal(1.0, 0.9, 1.0),
 }
 
 
@@ -321,7 +307,7 @@ def builtin_scenario(
     return NamedScenario(
         id=key,
         system=system,
-        delay=_SCENARIO_DELAYS[key](),
+        delay=_SCENARIO_DELAYS[key],
         gamma=float(gamma),
         estimator=estimator,
         horizon=float(horizon),

@@ -205,9 +205,7 @@ def _rotation_history():
 
 
 def _raw(delay, v):
-    """The constant or sinusoidal map before its clamp into [0, v]."""
-    if delay.kind == "constant":
-        return v - delay.tau
+    """The map's formula before its clamp into [0, v]."""
     return v - (delay.base + delay.amplitude * math.sin(delay.frequency * v))
 
 
@@ -332,3 +330,10 @@ def test_pe_check_validation():
         pe_check(hist, _unit_C, T=2.0, delta_floor=1e-3)
     with pytest.raises(ValueError):
         pe_check(hist, _unit_C, T=0.5, delta_floor=0.0)
+    # a window so short that the scan would start MAX_SWEEP_NODES windows or
+    # more is refused, naming it, before anything is allocated: T / 10
+    # underflows to 0 at 5e-324, and 1e-300 asks for ~1e301 starts
+    for T in (5e-324, 1e-300):
+        with pytest.raises(ValueError, match="window"):
+            pe_check(hist, _unit_C, T=T, delta_floor=1e-3)
+    assert len(pe_check(hist, _unit_C, T=1e-4, delta_floor=1e-3).starts) == 99991

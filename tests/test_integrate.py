@@ -243,6 +243,51 @@ def test_stiffness_guard_covers_drem_and_q_outputs():
         simulate(drift.q2_scenario(700.0))
 
 
+def test_plant_step_past_the_rk4_region_is_refused():
+    # A = -3000 I decays, but RK4 at h A = -3 multiplies it by R(-3) = 1.375
+    # a step: unguarded, gamma 0 returned 8.2e6 in each entry of x(T) (exact
+    # 7e-66) and gamma 1 blamed the gain.  Both are refused at t = 0 naming
+    # the plant's step, before either pass runs; at h = 9e-4, R(-2.7) = 0.88
+    # and it runs.
+    sysm = _const_system(-3000.0 * np.eye(2), x0=[1.0, -1.0])
+    for gamma in (0.0, 1.0):
+        with pytest.raises(StiffnessError, match="plant's step 0.001 .* at t=0,") as exc:
+            simulate(_scenario(sysm, gamma=gamma, horizon=0.05))
+        assert exc.value.t == 0.0 and "gamma" not in str(exc.value)
+    res = simulate(_scenario(sysm, gamma=1.0, horizon=0.05, step=9e-4))
+    assert np.abs(res.x[-1]).max() < 1.0
+    # a rotation at 3000 rad/s, h w = 3, in the basis T: its eigenvalues
+    # round to Re = +5.7e-14, and unguarded it returned det Phi(T) = 5.7e17
+    # where the exact value is 1
+    T = np.array([[0.4, 0.3], [0.0, 0.5]])
+    rotation = T @ np.array([[0.0, 3000.0], [-3000.0, 0.0]]) @ np.linalg.inv(T)
+    with pytest.raises(StiffnessError, match="plant's step 0.001 .* at t=0,"):
+        simulate(_scenario(_const_system(rotation, x0=[1.0, 0.0]), horizon=0.05))
+    # c1's modes +-i |sin t| sit on the imaginary axis, and 3 |sin 1.5| is
+    # past RK4's reach there, 2 sqrt(2): a step of 3 returned det Phi(30) =
+    # 0.193 although tr A = 0
+    with pytest.raises(StiffnessError, match="plant's step 3 .* at t=1.5,") as exc:
+        simulate(builtin_scenario("c1", 0.0, step=3.0))
+    assert exc.value.t == 1.5
+    # the screen leaves h ||A||_F <= 2.6 unchecked, which is sound only if
+    # RK4's R(z) stays within 1 on the half-disk |z| <= 2.6, Re z <= 0; the
+    # margin is thin there: max |R| = 0.981 at |z| = 2.6, 122.5 degrees
+    r, th = np.meshgrid(np.linspace(0.0, 2.6, 261), np.radians(np.linspace(90.0, 270.0, 361)))
+    z = (r * np.exp(1j * th)).ravel()
+    assert np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24).max() <= 1.0
+    # the guard's own rule on the same grid, as A = [[x, -y], [y, x]] / h
+    # with modes z and its conjugate, passes every stage, and refuses a
+    # mode at |z| = 2.75, 123 degrees, where |R(z)| = 1.18
+    h = 1e-3
+    A = np.stack([np.stack([z.real, -z.imag], -1), np.stack([z.imag, z.real], -1)], -2) / h
+    tau = h * np.arange(len(z))
+    assert integrate._refuse_stiff_plant(A, tau, h) is A
+    c, s = 2.75 * math.cos(math.radians(123.0)), 2.75 * math.sin(math.radians(123.0))
+    A[-1] = np.array([[c, -s], [s, c]]) / h
+    with pytest.raises(StiffnessError, match=r"plant's step 0\.001 .* at t=94\.22,"):
+        integrate._refuse_stiff_plant(A, tau, h)
+
+
 def test_simulate_deterministic():
     a = simulate(builtin_scenario("c3", 10.0, horizon=2.0))
     b = simulate(builtin_scenario("c3", 10.0, horizon=2.0))
@@ -286,13 +331,13 @@ def test_open_loop_builds_regression_at_nodes_only():
     assert np.array_equal(a.theta_hat, np.tile(scen.theta_hat0, (3001, 1)))
 
 
-@pytest.mark.parametrize("estimator, gamma, drem_delays, rows", [
-    ("drem", 10.0, None, 12002), ("gradient", 10.0, (0.5,), 6001), ("gradient", 0.0, None, 3001)])
-def test_regression_is_one_lookup_over_every_lag(estimator, gamma, drem_delays, rows):
+@pytest.mark.parametrize("estimator, gamma, rows", [
+    ("drem", 10.0, 12002), ("gradient", 10.0, 6001), ("gradient", 0.0, 3001)])
+def test_regression_is_one_lookup_over_every_lag(estimator, gamma, rows):
     # one delay call and one C call on every row the run reads: the 6001
     # stage times of 3 s at lags 0 and 0.5 for DREM, at lag 0 alone for the
-    # gradient law whatever drem_delays it was built with, the nodes at gamma 0
-    scen = builtin_scenario("c3", gamma, estimator, horizon=3.0, drem_delays=drem_delays)
+    # gradient law, the nodes at gamma 0
+    scen = builtin_scenario("c3", gamma, estimator, horizon=3.0)
     delays, Cs = [], []
     counted = replace(
         scen, delay=DelaySpec.custom(lambda t: delays.append(len(t)) or scen.delay(t)),
@@ -559,7 +604,7 @@ def test_bad_input_fails_at_construction(field, bad, wrong_length):
 
     def build():
         if field == "tau":
-            kw["delay"] = DelaySpec(kind="constant", tau=bad)
+            kw["delay"] = DelaySpec.constant(bad)
         return NamedScenario(system=SystemSpec(**sysm), **kw)
 
     with pytest.raises(ValueError, match=field):

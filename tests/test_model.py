@@ -22,6 +22,8 @@ from gpebo.model import MAX_SWEEP_NODES
 
 def test_identity_delay_passthrough():
     assert DelaySpec.identity()(5.0) == 5.0
+    # clamped into [0, t] like every other map
+    assert DelaySpec.identity()(-1.0) == 0.0
 
 
 def test_constant_delay():
@@ -77,12 +79,14 @@ def test_non_finite_delay_raises(value):
 
 
 def test_delay_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="tau"):
         DelaySpec.constant(-0.5)
     with pytest.raises(ValueError):
-        DelaySpec(kind="weird")
+        DelaySpec(base=1.0, fn=lambda t: t)
     with pytest.raises(ValueError):
-        DelaySpec(kind="custom")
+        DelaySpec.custom(None)
+    with pytest.raises(ValueError, match="callable"):
+        DelaySpec(fn=3.0)
 
 
 def test_benchmark_system_at_zero():
@@ -126,13 +130,12 @@ def test_eval_system_shape_mismatch():
 
 def test_builtin_scenario_delays():
     s1 = builtin_scenario("c1", 100.0, estimator="gradient")
-    assert s1.delay.kind == "identity"
+    assert s1.delay == DelaySpec.identity() == DelaySpec(0.0, 0.0, 0.0, None)
     s2 = builtin_scenario("c2", 10.0, estimator="drem")
-    assert s2.delay.kind == "constant" and s2.delay.tau == 1.0
+    assert s2.delay == DelaySpec.constant(1.0) == DelaySpec(1.0, 0.0, 0.0, None)
     assert s2.delay(0.4) == 0.0
     s3 = builtin_scenario("c3", 1.0)
-    assert s3.delay.kind == "sinusoidal"
-    assert (s3.delay.base, s3.delay.amplitude, s3.delay.frequency) == (1.0, 0.9, 1.0)
+    assert s3.delay == DelaySpec.sinusoidal(1.0, 0.9, 1.0) == DelaySpec(1.0, 0.9, 1.0, None)
 
 
 def test_builtin_scenario_defaults():
@@ -215,6 +218,7 @@ def test_system_spec_validation():
     (dict(theta_hat0=[-math.inf, 0.0]), "theta_hat0"),
     (dict(estimator="drem", drem_delays=(0.5, 1.0)), "drem_delays"),
     (dict(estimator="drem", drem_delays=(math.inf,)), "drem_delays"),
+    (dict(drem_delays=(0.5,)), "drem_delays"),
 ])
 def test_builtin_scenario_rejects_bad_value_at_construction(kw, name):
     # each is rejected when the scenario is built, naming the parameter
@@ -236,9 +240,8 @@ def test_drem_scenario_resolves_default_delays():
 
 @pytest.mark.parametrize("field", ["tau", "base", "amplitude", "frequency"])
 def test_delay_rejects_non_finite_parameters(field):
-    kind = "constant" if field == "tau" else "sinusoidal"
     with pytest.raises(ValueError, match=field):
-        DelaySpec(kind=kind, **{field: math.nan})
+        DelaySpec.constant(math.nan) if field == "tau" else DelaySpec(**{field: math.nan})
 
 
 def test_wrong_shaped_coefficient_fails_naming_the_time():
@@ -307,6 +310,7 @@ def _scalar_delay(kind, t):
     docstring, clamped into [0, t]."""
     raw = {"identity": t, "constant": t - 1.0,
            "sinusoidal": t - (1.0 + 0.9 * math.sin(1.0 * t)),
+           "formula": t - (1.0 + 0.5 * math.sin(2.0 * t)),
            "custom": t - 1.0 - 0.9 * math.sin(t)}[kind]
     return max(0.0, min(t, raw))
 
@@ -331,6 +335,7 @@ def test_builtins_equal_scalar_formulas_on_the_stage_grid():
         "identity": DelaySpec.identity(),
         "constant": DelaySpec.constant(1.0),
         "sinusoidal": DelaySpec.sinusoidal(1.0, 0.9, 1.0),
+        "formula": DelaySpec(1.0, 0.5, 2.0),
         "custom": DelaySpec.custom(lambda t: t - 1.0 - 0.9 * np.sin(t)),
     }
     for kind, delay in delays.items():

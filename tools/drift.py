@@ -18,7 +18,10 @@ runs one probe in a subprocess on each tree, importing that tree's
   ``delayed_pe_integral`` at starts 0, 0.2, ..., 2 with T = 2, and
   ``liouville_det``;
 - the bytes of the CLI's CSV, SVG and excitation report for c1-c3 with
-  either law at gammas 1, 10 and 100 over 10 s.
+  either law at gammas 1, 10 and 100 over 10 s;
+- the delay maps of c1-c3, ``DelaySpec.sinusoidal(0.5, 2.0, 3.0)`` and one
+  custom map on a 30 s stage grid (60,001 times), each built through the
+  classmethods.
 
 It prints the line count of ``src/gpebo/*.py`` in both trees (what
 ``wc -l`` reports), the largest absolute difference of each array, the run
@@ -89,7 +92,8 @@ def q2_scenario(gamma: float):
 
 def probe(out: str) -> None:
     """Record every probed output of the gpebo on the import path in ``out``."""
-    from gpebo import builtin_scenario, delayed_pe_integral, liouville_det, pe_check, simulate
+    from gpebo import (DelaySpec, builtin_scenario, delayed_pe_integral, liouville_det,
+                       pe_check, simulate)
     from gpebo.cli import main
 
     data = {}
@@ -125,6 +129,12 @@ def probe(out: str) -> None:
                 for ext in ("csv", "svg", "pe") if code == 0 else ():
                     with open(f"{stem}.{ext}", "rb") as fh:
                         data[f"bytes/{sid}-{estimator}.{ext}"] = np.frombuffer(fh.read(), np.uint8)
+    stages = 0.5e-3 * np.arange(60001)
+    delays = [(sid, builtin_scenario(sid, 0.0).delay) for sid in SCENARIOS] + [
+        ("sinusoidal", DelaySpec.sinusoidal(0.5, 2.0, 3.0)),
+        ("custom", DelaySpec.custom(lambda t: t - 0.3 - 0.1 * np.sin(t)))]
+    for name, delay in delays:
+        data[f"delay/{name}"] = delay(stages)
     np.savez(out, **data)
 
 
