@@ -18,9 +18,8 @@ A run is three passes over the uniform grid t_k = k h:
    gamma psi (y_reg - psi . theta_hat) and the DREM law
    gamma Delta (Y_mixed - Delta theta_hat) are both affine in theta_hat,
    so their RK4 steps are affine maps too, built from the regression
-   arrays and applied by the same scan as the plant's.  Each law reads
-   its stiffness h lambda_max(M) where it forms M, and a gain and step
-   that put a stage past RK4's stability limit are refused first.
+   arrays and applied by the same scan as the plant's, and a gain and step
+   that grow a mode of a frozen -M are refused first by the plant's rule.
 
 x, xi and the columns of Phi share one linear recursion, so
 xi - x = Phi (xi(0) - x(0)) holds at the nodes to rounding for any step;
@@ -41,11 +40,6 @@ from .model import NamedScenario, at_times
 from .observer import gradient_update  # noqa: F401
 
 STATE_NORM_LIMIT = 1e12
-# Largest h lambda_max(M) an estimator stage may have.  RK4's stability
-# interval on the negative real axis ends at -2.7853 (Hairer & Wanner,
-# Solving ODEs II, IV.2); on c1-c3 the first per-step increase of
-# |theta_hat - theta| shows at 2.80 (DREM) and 2.82 (gradient).
-STIFFNESS_LIMIT = 2.785
 # The scans take this many step maps at once (8 doublings at 256), and the
 # Hermite lookups this many times; the block bounds the size of their
 # temporaries and with it a run's peak memory.
@@ -62,12 +56,11 @@ class DivergenceError(RuntimeError):
 
 
 class StiffnessError(DivergenceError):
-    """Raised when the step is past RK4's stability limit at stage time
-    ``t``, the first such: before the plant pass if RK4 grows a mode of the
-    frozen A(t) with Re lambda <= 0, before the estimator pass if a stage's
-    h lambda_max(M) passes ``STIFFNESS_LIMIT``, where the step can grow the
-    error the law itself never grows.  A plant that leaves the norm guard
-    is a DivergenceError instead: its growing psi makes any gain stiff."""
+    """Raised when RK4's step grows a mode with Re lambda <= 0 at stage
+    time ``t``, the first such: of the frozen A(t) before the plant pass,
+    of the frozen -M(t) before the estimator pass, where the step would
+    grow an error the law itself never grows.  A plant that leaves the norm
+    guard is a DivergenceError instead: its growing psi makes any gain stiff."""
 
 
 def _affine_scan(G, z0, h):
@@ -103,13 +96,14 @@ def _affine_scan(G, z0, h):
     return Z
 
 
-def _refuse_stiff_plant(A, tau, h):
-    """Return ``A``, or raise StiffnessError where RK4's step ``h`` grows a
-    mode of A(tau) with Re lambda <= 0, to the rounding that puts a neutral
-    mode on either side of 0: an alarm for the step, not a stability proof
-    of an LTV plant.  RK4 is stable on |z| <= 2.6, Re z <= 0, and h ||A||_F
-    bounds |h lambda|, so only stages past that take eigenvalues; a far
-    non-normal A pays them at each.  A non-finite A is left to the norm guard."""
+def _refuse_stiff(A, tau, h, who):
+    """Return ``A``, or raise StiffnessError blaming ``who`` where RK4's
+    step ``h`` grows a mode of A(tau) with Re lambda <= 0, to the rounding
+    that puts a neutral mode on either side of 0: an alarm for the step,
+    not a stability proof of an LTV system.  RK4 is stable on |z| <= 2.6,
+    Re z <= 0, and h ||A||_F bounds |h lambda|, so only stages past that
+    take eigenvalues; a far non-normal A pays them at each.  A non-finite
+    A is left to the norm guard."""
     flagged = np.flatnonzero(np.einsum("kij,kij->k", A, A) > (2.6 / h) ** 2)
     if not flagged.size:
         return A
@@ -119,8 +113,8 @@ def _refuse_stiff_plant(A, tau, h):
     grows = ((z.real <= 1e-12 * np.abs(z)) & (np.abs(R) > 1.0 + 1e-12)).any(axis=1)
     if grows.any():
         t, top = float(tau[flagged[grows][0]]), np.abs(z).max() / h
-        raise StiffnessError(t, f"the plant's step {h:g} is past RK4's stability region at "
-                             f"t={t:.10g}, where it grows a mode of A(t) with Re lambda <= 0; "
+        raise StiffnessError(t, f"{who} {h:g} is past RK4's stability region at t={t:.10g}, "
+                             f"where it grows a mode with Re lambda <= 0; "
                              f"2.6 / max|lambda| = {2.6 / top:.4g} is a safe step")
     return A
 
@@ -133,7 +127,7 @@ def _plant_pass(sysm, xi0, tau, h):
     n, m = sysm.n, sysm.m
     G = np.zeros((len(tau), n + 1, n + 1))
     # screened before G holds it: the contiguous A is twice as fast to screen
-    G[:, :n, :n] = _refuse_stiff_plant(at_times(sysm.A, tau, (n, n), "A(t)"), tau, h)
+    G[:, :n, :n] = _refuse_stiff(at_times(sysm.A, tau, (n, n), "A(t)"), tau, h, "the plant's step")
     G[:, :n, n] = np.einsum("kij,kj->ki", at_times(sysm.B, tau, (n, m), "B(t)"),
                             at_times(sysm.u, tau, (m,), "u(t)"))
     z0 = np.vstack([np.column_stack([sysm.x0, xi0, np.eye(n)]), np.r_[1.0, 1.0, np.zeros(n)]])
@@ -147,9 +141,7 @@ def _estimator_pass(scenario, M, Y, tau, refuse_stiff):
     form of both laws: M = gamma psi psi^T and v = gamma psi y_reg for the
     gradient law, M = gamma Delta^2 I and v = gamma Delta Y_mixed for DREM.
     With a unit row under theta_hat this is z' = [[-M, v], [0, 0]] z.
-    If ``refuse_stiff``, a stage whose h lambda_max(M) passes STIFFNESS_LIMIT
-    raises StiffnessError: lambda_max is gamma Delta^2 for DREM and, M having
-    rank one, the trace for one output; q outputs need eigvalsh."""
+    If ``refuse_stiff``, the plant's rule screens the -M block first."""
     n, gamma, h = scenario.system.n, scenario.gamma, scenario.step
     G = np.zeros((len(tau), n + 1, n + 1))
     if scenario.estimator == "drem":
@@ -163,15 +155,8 @@ def _estimator_pass(scenario, M, Y, tau, refuse_stiff):
         G[:, :n, n] = (P @ Y[:, 0].reshape(len(tau), -1, 1))[:, :, 0]
         G[:, :n, :n] *= -gamma
         G[:, :n, n] *= gamma
-        lam = -(np.einsum("kii->k", G[:, :n, :n]) if P.shape[2] == 1
-                else np.linalg.eigvalsh(G[:, :n, :n])[:, 0])
-    stiff = np.flatnonzero(h * lam > STIFFNESS_LIMIT)
-    if refuse_stiff and stiff.size:
-        t, top = float(tau[stiff[0]]), np.nanmax(lam)
-        raise StiffnessError(t, (
-            f"gamma {gamma:g} with step {h:g} is past the estimator's RK4 stability "
-            f"limit: h lambda_max(M) passes {STIFFNESS_LIMIT:g} at t={t:.10g} and reaches "
-            f"{h * top:.4g}; the largest safe step for this gamma is {STIFFNESS_LIMIT / top:.4g}"))
+    if refuse_stiff:
+        _refuse_stiff(G[:, :n, :n], tau, h, f"gamma {gamma:g} with step")
     z0 = np.append(scenario.theta_hat0, 1.0)[:, None]
     return _affine_scan(G, z0, h)[:, :n, 0].copy()
 

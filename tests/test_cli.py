@@ -332,16 +332,16 @@ def test_main_divergence_exit_code(capsys):
 
 
 def test_main_stiff_gain_exit_code(tmp_path, capsys):
-    # gamma 1000 passes RK4's stability limit on c1 at t = 4.44 and used to
+    # gamma 1000 passes RK4's stability region on c1 at t = 4.44 and used to
     # exit 0 with a wrong estimate; the sweep now stops with exit 2 naming
     # the gain and the step, and writes nothing
     out = tmp_path / "run.csv"
     code = main(["--scenario", "c1", "--gamma", "900,1000", "--horizon", "7", "--csv", str(out)])
     assert code == 2
     cap = capsys.readouterr()
-    assert cap.err.startswith("config error: gamma 1000 with step 0.001 is past the estimator's "
-                              "RK4 stability limit: h lambda_max(M) passes 2.785 at t=4.44 ")
-    assert "largest safe step for this gamma is 0.000966" in cap.err
+    assert cap.err.startswith("config error: gamma 1000 with step 0.001 is past RK4's "
+                              "stability region at t=4.44, ")
+    assert "2.6 / max|lambda| = 0.0009019 is a safe step" in cap.err
     assert cap.out == "" and not out.exists()
 
 

@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -58,6 +59,11 @@ def _scenario(system, gamma=0.0, horizon=1.0, step=1e-3, theta_hat0=None, **kw):
         xi0=kw.pop("xi0", np.zeros(n)),
         theta_hat0=np.zeros(n) if theta_hat0 is None else np.asarray(theta_hat0, float),
     )
+
+
+def _named_step(exc):
+    """The safe step a StiffnessError's message names."""
+    return float(re.search(r"= (\S+) is a safe step$", str(exc.value)).group(1))
 
 
 def test_rhs_all_zero():
@@ -213,14 +219,18 @@ def test_divergence_names_first_node_of_either_pass():
 
 @pytest.mark.parametrize("horizon", [7.0, 10.0])
 def test_gain_past_the_rk4_limit_is_refused(horizon):
-    # at gamma 1000, h gamma |psi|^2 first passes STIFFNESS_LIMIT at t = 4.44
-    # on c1; unguarded, the run returned |theta_err| 1.4e5 from 1.4 at 7 s
-    # and a state-norm error at 10 s.  The error names gamma, the step, the
-    # time and a step that would do.
-    with pytest.raises(StiffnessError, match=r"^gamma 1000 with step 0\.001 .* at t=4\.44 .*"
-                                             r"largest safe step for this gamma is 0\.0009") as exc:
-        simulate(builtin_scenario("c1", 1000.0, horizon=horizon))
+    # at gamma 1000, h gamma |psi|^2 first passes RK4's real-axis bound
+    # 2.7853 at t = 4.44 on c1; unguarded, the run returned |theta_err| 1.4e5
+    # from 1.4 at 7 s and a state-norm error at 10 s.  The error names gamma,
+    # the step, the time and a safe step, which is 2.6 over the largest
+    # gamma |psi|^2 of the run, and a run at that step runs.
+    scenario = builtin_scenario("c1", 1000.0, horizon=horizon)
+    safe = {7.0: r"0\.0009019", 10.0: r"0\.0008897"}[horizon]
+    message = rf"^gamma 1000 with step 0\.001 .* at t=4\.44, .* = {safe} is a safe step$"
+    with pytest.raises(StiffnessError, match=message) as exc:
+        simulate(scenario)
     assert exc.value.t == pytest.approx(4.44, abs=1e-12)
+    assert np.isfinite(simulate(replace(scenario, step=_named_step(exc))).theta_hat).all()
 
 
 def test_gain_inside_the_rk4_limit_runs():
@@ -232,29 +242,36 @@ def test_gain_inside_the_rk4_limit_runs():
 
 
 def test_stiffness_guard_covers_drem_and_q_outputs():
-    # DREM's stiffness is h gamma Delta^2.  With q outputs the gradient law's
-    # is h gamma times the top eigenvalue of psi^T psi, here at most 2.06
+    # DREM's -M is -gamma Delta^2 I.  With q outputs the gradient law's top
+    # mode is gamma times the top eigenvalue of psi^T psi, here at most 2.06
     # over the run (its trace reaches 2.54): at h = 2e-3, gamma 625 runs at
-    # 2.57, and 700 is refused at 2.88.
-    with pytest.raises(StiffnessError, match="^gamma 1e\\+06 "):
-        simulate(builtin_scenario("c1", 1e6, estimator="drem", horizon=2.0))
+    # h lambda = 2.57, and 700 is refused at 2.88.  A run at the step either
+    # refusal names runs; the old DREM rule named 1.121e-05, which it then
+    # refused at t = 0.500005.
+    drem = builtin_scenario("c1", 1e6, estimator="drem", horizon=2.0)
+    for scenario, head, t in ((drem, r"gamma 1e\+06 with step 0\.001 ", 0.5),
+                              (drift.q2_scenario(700.0), r"gamma 700 with step 0\.002 ", 1.488)):
+        message = f"^{head}.* at t={t:g}, .* is a safe step$"
+        with pytest.raises(StiffnessError, match=message) as exc:
+            simulate(scenario)
+        assert exc.value.t == pytest.approx(t, abs=1e-12)
+        assert np.isfinite(simulate(replace(scenario, step=_named_step(exc))).theta_hat).all()
     assert np.isfinite(simulate(drift.q2_scenario(625.0)).theta_hat).all()
-    with pytest.raises(StiffnessError, match="^gamma 700 "):
-        simulate(drift.q2_scenario(700.0))
 
 
 def test_plant_step_past_the_rk4_region_is_refused():
     # A = -3000 I decays, but RK4 at h A = -3 multiplies it by R(-3) = 1.375
     # a step: unguarded, gamma 0 returned 8.2e6 in each entry of x(T) (exact
     # 7e-66) and gamma 1 blamed the gain.  Both are refused at t = 0 naming
-    # the plant's step, before either pass runs; at h = 9e-4, R(-2.7) = 0.88
-    # and it runs.
+    # the plant's step, before either pass runs; at the safe step named,
+    # 2.6 / 3000, R(-2.6) = 0.76 and it runs.
     sysm = _const_system(-3000.0 * np.eye(2), x0=[1.0, -1.0])
     for gamma in (0.0, 1.0):
         with pytest.raises(StiffnessError, match="plant's step 0.001 .* at t=0,") as exc:
             simulate(_scenario(sysm, gamma=gamma, horizon=0.05))
         assert exc.value.t == 0.0 and "gamma" not in str(exc.value)
-    res = simulate(_scenario(sysm, gamma=1.0, horizon=0.05, step=9e-4))
+        assert _named_step(exc) == pytest.approx(2.6 / 3000.0, rel=1e-3)
+    res = simulate(_scenario(sysm, gamma=1.0, horizon=0.05, step=_named_step(exc)))
     assert np.abs(res.x[-1]).max() < 1.0
     # a rotation at 3000 rad/s, h w = 3, in the basis T: its eigenvalues
     # round to Re = +5.7e-14, and unguarded it returned det Phi(T) = 5.7e17
@@ -281,11 +298,19 @@ def test_plant_step_past_the_rk4_region_is_refused():
     h = 1e-3
     A = np.stack([np.stack([z.real, -z.imag], -1), np.stack([z.imag, z.real], -1)], -2) / h
     tau = h * np.arange(len(z))
-    assert integrate._refuse_stiff_plant(A, tau, h) is A
+    assert integrate._refuse_stiff(A, tau, h, "the plant's step") is A
     c, s = 2.75 * math.cos(math.radians(123.0)), 2.75 * math.sin(math.radians(123.0))
     A[-1] = np.array([[c, -s], [s, c]]) / h
     with pytest.raises(StiffnessError, match=r"plant's step 0\.001 .* at t=94\.22,"):
-        integrate._refuse_stiff_plant(A, tau, h)
+        integrate._refuse_stiff(A, tau, h, "the plant's step")
+    # an estimator's -M decays along the negative real axis, where RK4's
+    # stability interval ends at R(-x) = 1, x = 2.78529 (Hairer & Wanner,
+    # Solving ODEs II, IV.2): the same rule passes -(x / h) I just inside
+    # it and refuses it just outside
+    inside, outside = (-(x / h) * np.tile(np.eye(2), (3, 1, 1)) for x in (2.7852, 2.7854))
+    assert integrate._refuse_stiff(inside, tau[:3], h, "gamma 1 with step") is inside
+    with pytest.raises(StiffnessError, match=r"^gamma 1 with step 0\.001 .* at t=0,"):
+        integrate._refuse_stiff(outside, tau[:3], h, "gamma 1 with step")
 
 
 def test_simulate_deterministic():

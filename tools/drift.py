@@ -11,7 +11,7 @@ runs one probe in a subprocess on each tree, importing that tree's
 - the same six arrays of a 30 s DREM run at gamma 10 on the 4-state plant
   of :func:`drem4_scenario`, which mixes 4 x 4 extended regressors;
 - the same six arrays of a 2 s gradient run at gamma 10 on the two-output
-  plant of :func:`q2_scenario`, whose stiffness needs eigvalsh;
+  plant of :func:`q2_scenario`, whose psi is 2 x 2;
 - on 4 s open-loop c1-c3 runs: ``pe_check``'s smallest eigenvalues at
   T = 1 and 2, at T = 1.2345 (21 of its 23 starts off the nodes) and at
   T = 0.0015 (26,657 windows of one or two inner nodes each),
@@ -19,6 +19,10 @@ runs one probe in a subprocess on each tree, importing that tree's
   ``liouville_det``;
 - the bytes of the CLI's CSV, SVG and excitation report for c1-c3 with
   either law at gammas 1, 10 and 100 over 10 s;
+- the refusal time ``StiffnessError.t`` (nan if the run runs) of the
+  A = -3000 I plant at h = 1e-3, of c1 and c3 with the gradient law at
+  gamma 1000 over 10 s and 30 s, of c1 with DREM at gamma 1e6 over 2 s,
+  and of :func:`q2_scenario` at gamma 700;
 - the delay maps of c1-c3, ``DelaySpec.sinusoidal(0.5, 2.0, 3.0)`` and one
   custom map on a 30 s stage grid (60,001 times), each built through the
   classmethods.
@@ -90,10 +94,30 @@ def q2_scenario(gamma: float):
                          xi0=np.array([0.5, -1.0]), theta_hat0=np.array([1.0, 2.0]))
 
 
+def stiff_scenarios() -> dict:
+    """Runs past RK4's stability region, by probe key: the plant's step on
+    A = -3000 I, and the gain with the step on the others."""
+    from dataclasses import replace
+
+    from gpebo import builtin_scenario
+
+    c1 = builtin_scenario("c1", 0.0, horizon=0.05)
+    A = -3000.0 * np.eye(2)
+    runs = {"plant-3000I": replace(c1, system=replace(
+        c1.system, A=lambda t: np.broadcast_to(A, t.shape + A.shape)))}
+    for sid in ("c1", "c3"):
+        for horizon in (10.0, 30.0):
+            runs[f"{sid}-gradient-1000-{horizon:g}s"] = builtin_scenario(sid, 1000.0,
+                                                                         horizon=horizon)
+    runs["c1-drem-1e6-2s"] = builtin_scenario("c1", 1e6, estimator="drem", horizon=2.0)
+    runs["q2-gradient-700"] = q2_scenario(700.0)
+    return runs
+
+
 def probe(out: str) -> None:
     """Record every probed output of the gpebo on the import path in ``out``."""
-    from gpebo import (DelaySpec, builtin_scenario, delayed_pe_integral, liouville_det,
-                       pe_check, simulate)
+    from gpebo import (DelaySpec, StiffnessError, builtin_scenario, delayed_pe_integral,
+                       liouville_det, pe_check, simulate)
     from gpebo.cli import main
 
     data = {}
@@ -129,6 +153,12 @@ def probe(out: str) -> None:
                 for ext in ("csv", "svg", "pe") if code == 0 else ():
                     with open(f"{stem}.{ext}", "rb") as fh:
                         data[f"bytes/{sid}-{estimator}.{ext}"] = np.frombuffer(fh.read(), np.uint8)
+    for key, scenario in stiff_scenarios().items():
+        try:
+            simulate(scenario)
+            data[f"stiff/{key}"] = np.array(np.nan)
+        except StiffnessError as exc:
+            data[f"stiff/{key}"] = np.array(exc.t)
     stages = 0.5e-3 * np.arange(60001)
     delays = [(sid, builtin_scenario(sid, 0.0).delay) for sid in SCENARIOS] + [
         ("sinusoidal", DelaySpec.sinusoidal(0.5, 2.0, 3.0)),
