@@ -22,7 +22,6 @@ from .history import TrajectoryHistory
 from .observer import gradient_update
 from .drem import (
     adjugate,
-    default_ext_delays,
     drem_update,
     extend_regressor,
     mix,
@@ -48,7 +47,6 @@ __all__ = [
     "eval_system",
     "TrajectoryHistory",
     "gradient_update",
-    "default_ext_delays",
     "adjugate",
     "extend_regressor",
     "mix",

@@ -14,7 +14,8 @@ rejected by the model when :meth:`RunConfig.validate` builds each gain's
 scenario, before anything is simulated.  Exit codes: 0 success, 2
 configuration problem (including a gain too large for the step, found
 after the plant pass), 3 simulation divergence, 4 output file problem
-(a missing output directory is found before anything is simulated).
+(a path that is empty or a directory, or whose directory is missing, is
+refused before anything is simulated).
 """
 
 from __future__ import annotations
@@ -139,9 +140,10 @@ class RunConfig:
                               f"{MAX_SWEEP_NODES}; raise step or lower horizon")
         # the scan needs one whole window on the grid t_k = k * step, and its
         # stride T / 10 no shorter than a step: at most one start per node
-        grid_end = steps * self.step
-        if self.pe_report and self.pe_window > min(self.horizon, grid_end):
-            raise ConfigError(f"pe-window {self.pe_window:g} exceeds the horizon {self.horizon:g}")
+        end = min(self.horizon, steps * self.step)
+        if self.pe_report and self.pe_window > end:
+            what = "the horizon" if end == self.horizon else "the grid's last node"
+            raise ConfigError(f"pe-window {self.pe_window:g} exceeds {what} {end:g}")
         if self.pe_report and self.pe_window < 10.0 * self.step:
             raise ConfigError(f"pe-window {self.pe_window:g} is shorter than 10 steps")
 
@@ -234,8 +236,10 @@ def assemble_config(args: argparse.Namespace) -> RunConfig:
 
 def run(config: RunConfig) -> RunResult:
     """Simulate every gain in the sweep and emit the requested outputs."""
-    for path in (config.csv, config.svg, config.pe_report):
-        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+    for path in (p for p in (config.csv, config.svg, config.pe_report) if p is not None):
+        if not path or os.path.isdir(path):
+            raise OSError(f"output path {path!r} is empty or a directory")
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise FileNotFoundError(f"no directory to write {path} in")
     start = time.perf_counter()
     runs = [simulate(scenario) for scenario in config.scenarios()]

@@ -25,11 +25,6 @@ from .history import TrajectoryHistory
 _BLOCK = 256
 
 
-def default_ext_delays(n: int) -> tuple:
-    """n - 1 lags 0.5 apart: (0.5, 1.0, ...)."""
-    return tuple(0.5 * i for i in range(1, n))
-
-
 def extend_regressor(
     t: float,
     ext_delays: tuple,

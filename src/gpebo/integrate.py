@@ -165,10 +165,10 @@ def _hermite(t, Z, dZ, s):
     """Cubic Hermite interpolant of the node data at the times ``s``.
 
     The local coordinate is taken over each interval's own length, so a
-    time on a node returns that node's value exactly.
+    time on a node returns that node's value exactly.  The times ``s``
+    lie in ``[t[0], t[-1]]``, the last on the last interval.
     """
-    # not np.clip, which takes about 3x as long on a block of indices
-    i = np.minimum(np.maximum(np.searchsorted(t, s, side="right") - 1, 0), len(t) - 2)
+    i = np.minimum(np.searchsorted(t, s, side="right") - 1, len(t) - 2)
     dt = t[i + 1] - t[i]
     u = ((s - t[i]) / dt)[:, None, None]
     dt = dt[:, None, None]
@@ -184,7 +184,7 @@ def _regression(scenario, t, Z, dZ, times, lags):
     phi(times - d) a block at a time.  Rows where times - d < 0 are zero."""
     n, q = scenario.system.n, scenario.system.q
     s = (times[:, None] - np.asarray(lags)).ravel()
-    phi = at_times(scenario.delay, np.maximum(s, 0.0), (), "phi(t)")
+    phi = scenario.delay(np.maximum(s, 0.0))
     C = at_times(scenario.system.C, phi, (q, n), "C(t)")
     psi, y_reg = np.empty((len(s), q, n)), np.empty((len(s), q))
     for lo in range(0, len(s), _BLOCK):

@@ -12,7 +12,8 @@ started.
 The callables take a whole grid at once: a 1-D float array of times in,
 their values at those times stacked on axis 0 out, shape-checked by
 :func:`at_times`.  The dataclasses here are the only validator of a run's
-parameters: each rejects a bad value, naming it, when it is built.
+parameters: each rejects a bad value, naming it, when it is built, and a
+scenario takes no delay map but a :class:`DelaySpec`, which clamps.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-
-from .drem import default_ext_delays
 
 GridFn = Callable[[np.ndarray], np.ndarray]  # 1-D times -> values stacked on axis 0
 
@@ -77,6 +76,9 @@ class SystemSpec:
     def __post_init__(self):
         if self.n < 1 or self.m < 1 or self.q < 1:
             raise ValueError("dimensions n, m, q must be positive")
+        for name in ("A", "B", "C", "u"):
+            if not callable(getattr(self, name)):
+                raise ValueError(f"{name} must be callable, got {getattr(self, name)!r}")
         object.__setattr__(self, "x0", _finite_vector("x0", self.x0, self.n))
 
 
@@ -105,15 +107,16 @@ def eval_system(spec: SystemSpec, t: float):
         (spec.C, (q, n), "C(t)"), (spec.u, (m,), "u(t)")))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DelaySpec:
     """Measurement time map ``phi(t)``, clamped into ``[0, t]``:
 
         phi(t) = clamp(t - (base + amplitude * sin(frequency * t)), 0, t),
 
     or ``clamp(fn(t), 0, t)`` for a custom map, which takes no other
-    parameter; ``constant(tau)`` is ``base = tau``.  It takes an array of
-    times to phi at each, in the same shape; so must ``fn``.
+    parameter.  The fields are keyword-only: ``DelaySpec()`` is no delay,
+    ``DelaySpec(base=tau)`` a constant lag ``tau >= 0``.  It takes an array
+    of times to phi at each, in the same shape; so must ``fn``.
     """
 
     base: float = 0.0
@@ -125,29 +128,11 @@ class DelaySpec:
         for name in ("base", "amplitude", "frequency"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"delay {name} must be finite, got {getattr(self, name)!r}")
+        if self.base < 0.0:
+            raise ValueError(f"delay base must be nonnegative, got {self.base!r}")
         plain = (self.base, self.amplitude, self.frequency) == (0.0, 0.0, 0.0)
         if self.fn is not None and not (callable(self.fn) and plain):
             raise ValueError(f"delay fn {self.fn!r} must be callable and take no other parameter")
-
-    @classmethod
-    def identity(cls) -> "DelaySpec":
-        return cls()
-
-    @classmethod
-    def constant(cls, tau: float) -> "DelaySpec":
-        if not 0.0 <= tau < math.inf:
-            raise ValueError(f"constant delay tau must be nonnegative and finite, got {tau!r}")
-        return cls(base=float(tau))
-
-    @classmethod
-    def sinusoidal(cls, base: float, amplitude: float, frequency: float) -> "DelaySpec":
-        return cls(float(base), float(amplitude), float(frequency))
-
-    @classmethod
-    def custom(cls, fn) -> "DelaySpec":
-        if fn is None:
-            raise ValueError("custom delay requires fn")
-        return cls(fn=fn)
 
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -174,15 +159,15 @@ class NamedScenario:
     ``gamma`` is the scalar adaptation gain; zero is allowed and freezes
     the parameter estimate, which is useful for open-loop diagnostics.
     ``drem_delays`` holds the DREM law's regressor-extension delays; None
-    selects :func:`default_ext_delays`, resolved here.  DREM needs a
+    selects the ``n - 1`` lags ``0.5 i``, resolved here.  DREM needs a
     single-output plant and ``n - 1`` delays; a gradient scenario takes none.
 
-    Every parameter is checked when the scenario is built: a shape, a
-    non-finite value or an out-of-range gain, step, horizon or delay
-    raises ValueError naming it, before anything is simulated; so does a
-    step so small that horizon / step overflows or that the grid holds
-    more than ``MAX_SWEEP_NODES`` nodes.  :attr:`steps` is the grid's step
-    count that every reader of the grid uses.
+    Every parameter is checked when the scenario is built: a member of the
+    wrong class, a shape, a non-finite value or an out-of-range gain, step,
+    horizon or delay raises ValueError naming it, before anything is
+    simulated; so does a step so small that horizon / step overflows or
+    that the grid holds more than ``MAX_SWEEP_NODES`` nodes.  :attr:`steps`
+    is the grid's step count that every reader of the grid uses.
     """
 
     id: str
@@ -197,6 +182,9 @@ class NamedScenario:
     drem_delays: Optional[tuple] = None
 
     def __post_init__(self):
+        for name, kind in (("system", SystemSpec), ("delay", DelaySpec)):
+            if not isinstance(getattr(self, name), kind):
+                raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         if self.estimator not in _ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
         if not 0.0 <= self.gamma < math.inf:
@@ -217,7 +205,7 @@ class NamedScenario:
             if self.drem_delays is not None:
                 raise ValueError("the gradient estimator takes no drem_delays")
             return
-        d = default_ext_delays(n) if self.drem_delays is None else self.drem_delays
+        d = tuple(0.5 * i for i in range(1, n)) if self.drem_delays is None else self.drem_delays
         d = tuple(float(v) for v in d)
         if not all(0.0 < v < math.inf for v in d) or any(b <= a for a, b in zip(d, d[1:])):
             raise ValueError("drem_delays must be positive, finite and strictly increasing")
@@ -273,9 +261,9 @@ def benchmark_system(x0=None) -> SystemSpec:
 
 
 _SCENARIO_DELAYS = {
-    "c1": DelaySpec.identity(),
-    "c2": DelaySpec.constant(1.0),
-    "c3": DelaySpec.sinusoidal(1.0, 0.9, 1.0),
+    "c1": DelaySpec(),
+    "c2": DelaySpec(base=1.0),
+    "c3": DelaySpec(base=1.0, amplitude=0.9, frequency=1.0),
 }
 
 

@@ -104,7 +104,7 @@ def test_criterion_03_lti_oracle_equivalence():
     def rot_err(h):
         scen = NamedScenario(
             id="rot", system=_const_system(A, [[1.0, 0.0]]),
-            delay=DelaySpec.identity(), gamma=0.0, estimator="gradient",
+            delay=DelaySpec(), gamma=0.0, estimator="gradient",
             horizon=10.0, step=h, xi0=np.zeros(2), theta_hat0=np.zeros(2),
         )
         res = simulate(scen)
@@ -220,7 +220,7 @@ def test_criterion_06_drem_decoupling(drem_runs):
 def test_criterion_07_frozen_estimator_decays_open_loop():
     sysm = _const_system(-np.eye(2), np.zeros((1, 2)), x0=[1.0, -1.0])
     scen = NamedScenario(
-        id="openloop", system=sysm, delay=DelaySpec.identity(), gamma=100.0,
+        id="openloop", system=sysm, delay=DelaySpec(), gamma=100.0,
         estimator="gradient", horizon=16.0, step=1e-3,
         xi0=np.zeros(2), theta_hat0=np.zeros(2),
     )
@@ -238,7 +238,7 @@ def test_criterion_07_frozen_estimator_decays_open_loop():
 def test_criterion_08_pe_checker_discrimination(gradient_runs):
     scalar = NamedScenario(
         id="decay", system=_const_system([[-1.0]], [[1.0]], x0=[1.0]),
-        delay=DelaySpec.identity(), gamma=0.0, estimator="gradient",
+        delay=DelaySpec(), gamma=0.0, estimator="gradient",
         horizon=30.0, step=1e-3, xi0=np.zeros(1), theta_hat0=np.zeros(1),
     )
     res_scalar = simulate(scalar)
@@ -253,7 +253,7 @@ def test_criterion_08_pe_checker_discrimination(gradient_runs):
     pe_ok = rep_bench.pe_regressor and rep_bench.delta_regressor >= 1e-4
 
     _, Gn = pe_integral(hist, C, 1.0, 5.0)
-    G4 = delayed_pe_integral(hist, C, 1.0, 5.0, DelaySpec.identity())
+    G4 = delayed_pe_integral(hist, C, 1.0, 5.0, DelaySpec())
     ident_dev = float(np.abs(G4 - Gn).max())
     ident_ok = ident_dev <= 1e-8
 

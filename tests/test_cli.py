@@ -59,10 +59,11 @@ def test_validate_rejects_non_finite_values(field, value):
 
 
 def test_validate_pe_window_against_horizon(tmp_path, capsys):
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^pe-window 5 exceeds the horizon 2$"):
         RunConfig(horizon=2.0, pe_window=5.0, pe_report="pe.csv").validate()
-    # a window past the grid's last node, which rounds the horizon down
-    with pytest.raises(ConfigError):
+    # a window past the grid's last node, which rounds the horizon down: the
+    # message names the node, not the longer horizon
+    with pytest.raises(ConfigError, match="^pe-window 2.002 exceeds the grid's last node 2$"):
         RunConfig(horizon=2.004, step=1e-2, pe_window=2.002, pe_report="pe.csv").validate()
     RunConfig(horizon=2.0, pe_window=2.0, pe_report="pe.csv").validate()
     # a window shorter than 10 steps would start more than one window per node
@@ -364,6 +365,14 @@ def test_missing_output_directory_is_refused_before_simulating(tmp_path, capsys,
     assert main(["--horizon", "1", "--pe-window", "1", flag, str(bad)]) == 4
     cap = capsys.readouterr()
     assert cap.err == f"output error: no directory to write {bad} in\n" and cap.out == ""
+    assert not list(tmp_path.iterdir())
+    # an empty path would write nothing and exit 0, a directory would fail
+    # only after the sweep: both are refused first, naming the path
+    for bad in ("", str(tmp_path)):
+        assert main(["--horizon", "1", "--pe-window", "1", flag, bad]) == 4
+        cap = capsys.readouterr()
+        assert cap.err == f"output error: output path {bad!r} is empty or a directory\n"
+        assert cap.out == ""
     assert not list(tmp_path.iterdir())
 
 

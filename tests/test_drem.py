@@ -7,10 +7,12 @@ import pytest
 
 import gpebo.drem as drem
 from gpebo import (
+    DelaySpec,
+    NamedScenario,
+    SystemSpec,
     TrajectoryHistory,
     adjugate,
     builtin_scenario,
-    default_ext_delays,
     drem_update,
     extend_regressor,
     mix,
@@ -53,9 +55,19 @@ def test_config_validation():
 
 
 def test_default_ext_delays():
-    assert default_ext_delays(1) == ()
-    assert default_ext_delays(2) == (0.5,)
-    assert default_ext_delays(3) == (0.5, 1.0)
+    # a DREM scenario built without drem_delays gets the n - 1 lags 0.5 i
+    for n, lags in ((1, ()), (2, (0.5,)), (3, (0.5, 1.0))):
+        system = SystemSpec(
+            n=n, m=1, q=1,
+            A=lambda t, n=n: np.zeros(t.shape + (n, n)),
+            B=lambda t, n=n: np.zeros(t.shape + (n, 1)),
+            C=lambda t, n=n: np.zeros(t.shape + (1, n)),
+            u=lambda t: np.zeros(t.shape + (1,)),
+            x0=np.zeros(n),
+        )
+        assert NamedScenario(id="drem", system=system, delay=DelaySpec(), gamma=1.0,
+                             estimator="drem", horizon=1.0, step=1e-3, xi0=np.zeros(n),
+                             theta_hat0=np.zeros(n)).drem_delays == lags
 
 
 def _ramp_history(tmax=2.0, step=0.5):

@@ -65,7 +65,7 @@ def test_window_must_fit_trajectory():
         with pytest.raises(ValueError, match=r"^window \["):
             pe_integral(hist, _unit_C, t, T)
         with pytest.raises(ValueError, match=r"^window \["):
-            delayed_pe_integral(hist, _unit_C, t, T, DelaySpec.identity())
+            delayed_pe_integral(hist, _unit_C, t, T, DelaySpec())
 
 
 def _benchmark_run(horizon=12.0):
@@ -110,7 +110,7 @@ def test_delayed_pe_identity_delay_equals_plain_integral():
     hist = res.phi_history()
     C = res.scenario.system.C
     _, Gn = pe_integral(hist, C, 1.0, 5.0)
-    G4 = delayed_pe_integral(hist, C, 1.0, 5.0, DelaySpec.identity())
+    G4 = delayed_pe_integral(hist, C, 1.0, 5.0, DelaySpec())
     assert np.abs(G4 - Gn).max() <= 1e-8
 
 
@@ -118,7 +118,7 @@ def test_delayed_pe_constant_delay_shifts_window():
     res = _benchmark_run()
     hist = res.phi_history()
     C = res.scenario.system.C
-    G4 = delayed_pe_integral(hist, C, 3.0, 4.0, DelaySpec.constant(1.0))
+    G4 = delayed_pe_integral(hist, C, 3.0, 4.0, DelaySpec(base=1.0))
     _, Gn = pe_integral(hist, C, 2.0, 4.0)
     assert np.abs(G4 - Gn).max() <= 1e-10
 
@@ -127,7 +127,7 @@ def test_delayed_pe_sinusoidal_delay_is_finite_spd():
     res = _benchmark_run()
     hist = res.phi_history()
     C = res.scenario.system.C
-    d = DelaySpec.sinusoidal(1.0, 0.9, 1.0)  # rate 1 - 0.9 cos(s) in [0.1, 1.9]
+    d = DelaySpec(base=1.0, amplitude=0.9, frequency=1.0)  # rate 1 - 0.9 cos(s) in [0.1, 1.9]
     G = delayed_pe_integral(hist, C, 4.0, 5.0, d)
     assert np.all(np.isfinite(G))
     assert np.abs(G - G.T).max() <= 1e-12
@@ -169,8 +169,8 @@ def test_delayed_pe_matches_tau_domain_quadrature(benchmark_phi):
     C = res.scenario.system.C(np.zeros(1))[0]
     # a map with a plateau on [1, 2], where it is flat, and c3's sinusoid,
     # clamped at zero until t* and leaving the clamp with a kink
-    plateau = DelaySpec.custom(lambda t: np.minimum(t, np.maximum(1.0, t - 1.0)))
-    c3 = DelaySpec.sinusoidal(1.0, 0.9, 1.0)
+    plateau = DelaySpec(fn=lambda t: np.minimum(t, np.maximum(1.0, t - 1.0)))
+    c3 = DelaySpec(base=1.0, amplitude=0.9, frequency=1.0)
     t_star = brentq(lambda t: t - 1.0 - 0.9 * math.sin(t), 1.0, 2.0, xtol=1e-15)
     for delay, kinks, t, T in ((plateau, (1.0, 2.0), 0.5, 2.5), (c3, (t_star,), 0.2, 2.0),
                                (c3, (t_star,), 4.0, 5.0)):
@@ -183,7 +183,7 @@ def test_delayed_pe_frozen_map_integrates_constant_regressor():
     res = _benchmark_run()
     hist = res.phi_history()
     C = res.scenario.system.C
-    frozen = DelaySpec.custom(np.zeros_like)
+    frozen = DelaySpec(fn=np.zeros_like)
     G = delayed_pe_integral(hist, C, 1.0, 2.0, frozen)
     psi0 = C(np.zeros(1))[0] @ hist.sample(0.0)
     assert np.abs(G - 2.0 * psi0.T @ psi0).max() <= 1e-14
@@ -221,9 +221,9 @@ def _delay_kinks(delay, t, T):
 
 
 _delays = st.one_of(
-    st.builds(DelaySpec.constant, st.floats(0.0, 2.0)),
-    st.builds(DelaySpec.sinusoidal, st.floats(0.0, 2.0), st.floats(0.0, 1.0),
-              st.floats(0.0, 1.5)),
+    st.builds(DelaySpec, base=st.floats(0.0, 2.0)),
+    st.builds(DelaySpec, base=st.floats(0.0, 2.0), amplitude=st.floats(0.0, 1.0),
+              frequency=st.floats(0.0, 1.5)),
 )
 
 
@@ -272,7 +272,7 @@ def _kernel_case(case):
     return hist, C, pe_check(hist, C, T, 1e-4).starts, T
 
 
-@pytest.mark.parametrize("delay", [None, DelaySpec.sinusoidal(1.0, 0.9, 1.0)])
+@pytest.mark.parametrize("delay", [None, DelaySpec(base=1.0, amplitude=0.9, frequency=1.0)])
 @pytest.mark.parametrize("case", ["T=2", "off nodes", "whole run", "short windows",
                                   "one inner node", "decaying"])
 def test_kernel_matches_per_window_rule(case, delay):

@@ -53,7 +53,7 @@ def _const_system(A, C=None, n=None, x0=None):
 def _scenario(system, gamma=0.0, horizon=1.0, step=1e-3, theta_hat0=None, **kw):
     n = system.n
     return NamedScenario(
-        id="test", system=system, delay=kw.pop("delay", DelaySpec.identity()),
+        id="test", system=system, delay=kw.pop("delay", DelaySpec()),
         gamma=gamma, estimator=kw.pop("estimator", "gradient"),
         horizon=horizon, step=step,
         xi0=kw.pop("xi0", np.zeros(n)),
@@ -347,7 +347,7 @@ def test_open_loop_builds_regression_at_nodes_only():
     # doubles, so the node-only build equals a closed-loop run's bit for bit
     scen = builtin_scenario("c3", 0.0, horizon=3.0)
     calls = []
-    counted = DelaySpec.custom(lambda t: calls.append(t) or scen.delay(t))
+    counted = DelaySpec(fn=lambda t: calls.append(t) or scen.delay(t))
     a = simulate(replace(scen, delay=counted))
     b = simulate(replace(scen, gamma=10.0))
     assert len(np.concatenate(calls)) == len(a.t) == 3001
@@ -365,7 +365,7 @@ def test_regression_is_one_lookup_over_every_lag(estimator, gamma, rows):
     scen = builtin_scenario("c3", gamma, estimator, horizon=3.0)
     delays, Cs = [], []
     counted = replace(
-        scen, delay=DelaySpec.custom(lambda t: delays.append(len(t)) or scen.delay(t)),
+        scen, delay=DelaySpec(fn=lambda t: delays.append(len(t)) or scen.delay(t)),
         system=replace(scen.system, C=lambda t: Cs.append(len(t)) or scen.system.C(t)))
     a = simulate(counted)
     b = simulate(builtin_scenario("c3", gamma, estimator, horizon=3.0))
@@ -545,13 +545,13 @@ def _random_plant(rng, n, w):
 
 
 _DELAYS = st.one_of(
-    st.just(DelaySpec.identity()),
-    st.floats(0.0, 1.5).map(DelaySpec.constant),
+    st.just(DelaySpec()),
+    st.floats(0.0, 1.5).map(lambda b: DelaySpec(base=b)),
     st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 4.0)).map(
-        lambda p: DelaySpec.sinusoidal(p[0] + p[1], p[1], p[2])),
+        lambda p: DelaySpec(base=p[0] + p[1], amplitude=p[1], frequency=p[2])),
     # a proportional lag, clamped to phi = 0 until c t exceeds d
     st.tuples(st.floats(0.2, 1.0), st.floats(0.0, 1.0)).map(
-        lambda p: DelaySpec.custom(lambda t: p[0] * t - p[1])),
+        lambda p: DelaySpec(fn=lambda t: p[0] * t - p[1])),
 )
 
 
@@ -603,7 +603,7 @@ _BAD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf])
 
 @settings(max_examples=60, deadline=None, database=None)
 @given(field=st.sampled_from(["x0", "xi0", "theta_hat0", "gamma", "step", "horizon",
-                              "drem_delays", "tau"]),
+                              "drem_delays", "base"]),
        bad=_BAD_NUMBERS, wrong_length=st.booleans())
 def test_bad_input_fails_at_construction(field, bad, wrong_length):
     # a non-finite or wrongly shaped parameter raises ValueError naming it
@@ -615,7 +615,7 @@ def test_bad_input_fails_at_construction(field, bad, wrong_length):
 
     sysm = dict(n=2, m=1, q=1, A=counted(np.zeros((2, 2))), B=counted(np.zeros((2, 1))),
                 C=counted(np.ones((1, 2))), u=counted(np.zeros(1)), x0=np.zeros(2))
-    kw = dict(id="bad", delay=DelaySpec.custom(counted(0.0)), gamma=1.0, estimator="drem",
+    kw = dict(id="bad", delay=DelaySpec(fn=counted(0.0)), gamma=1.0, estimator="drem",
               horizon=1.0, step=1e-2, xi0=np.zeros(2), theta_hat0=np.zeros(2))
     vector = [0.0, 0.0, 0.0] if wrong_length else [0.0, bad]
     if field == "x0":
@@ -624,12 +624,12 @@ def test_bad_input_fails_at_construction(field, bad, wrong_length):
         kw[field] = vector
     elif field == "drem_delays":
         kw[field] = (0.5, 1.0) if wrong_length else (bad,)
-    elif field != "tau":
+    elif field != "base":
         kw[field] = bad
 
     def build():
-        if field == "tau":
-            kw["delay"] = DelaySpec.constant(bad)
+        if field == "base":
+            kw["delay"] = DelaySpec(base=bad)
         return NamedScenario(system=SystemSpec(**sysm), **kw)
 
     with pytest.raises(ValueError, match=field):

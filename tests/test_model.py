@@ -21,29 +21,29 @@ from gpebo.model import MAX_SWEEP_NODES
 
 
 def test_identity_delay_passthrough():
-    assert DelaySpec.identity()(5.0) == 5.0
+    assert DelaySpec()(5.0) == 5.0
     # clamped into [0, t] like every other map
-    assert DelaySpec.identity()(-1.0) == 0.0
+    assert DelaySpec()(-1.0) == 0.0
 
 
 def test_constant_delay():
-    d = DelaySpec.constant(1.0)
+    d = DelaySpec(base=1.0)
     assert d(5.0) == 4.0
 
 
 def test_constant_delay_clamped_at_start():
-    d = DelaySpec.constant(1.0)
+    d = DelaySpec(base=1.0)
     assert d(0.5) == 0.0
 
 
 def test_sinusoidal_delay_clamped():
-    d = DelaySpec.sinusoidal(1.0, 0.9, 1.0)
+    d = DelaySpec(base=1.0, amplitude=0.9, frequency=1.0)
     # at t = pi/2 the raw value is pi/2 - 1.9 < 0, so the clamp fires
     assert d(math.pi / 2) == 0.0
 
 
 def test_sinusoidal_delay_unclamped_region():
-    d = DelaySpec.sinusoidal(1.0, 0.9, 1.0)
+    d = DelaySpec(base=1.0, amplitude=0.9, frequency=1.0)
     # raw lag stays in [0.1, 1.9], so no clamping once t >= 1.9
     for t in np.linspace(1.9, 30.0, 200):
         t = float(t)
@@ -52,12 +52,12 @@ def test_sinusoidal_delay_unclamped_region():
 
 def test_delay_bounds_on_dense_grid():
     specs = [
-        DelaySpec.identity(),
-        DelaySpec.constant(0.0),
-        DelaySpec.constant(2.5),
-        DelaySpec.sinusoidal(1.0, 0.9, 1.0),
-        DelaySpec.sinusoidal(0.5, 2.0, 3.0),
-        DelaySpec.custom(lambda t: t - 2.5 + np.sin(3 * t)),
+        DelaySpec(),
+        DelaySpec(base=0.0),
+        DelaySpec(base=2.5),
+        DelaySpec(base=1.0, amplitude=0.9, frequency=1.0),
+        DelaySpec(base=0.5, amplitude=2.0, frequency=3.0),
+        DelaySpec(fn=lambda t: t - 2.5 + np.sin(3 * t)),
     ]
     grid = np.linspace(0.0, 100.0, 4001)
     for spec in specs:
@@ -69,7 +69,7 @@ def test_delay_bounds_on_dense_grid():
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_non_finite_delay_raises(value):
-    spec = DelaySpec.custom(lambda t: np.full_like(t, value))
+    spec = DelaySpec(fn=lambda t: np.full_like(t, value))
     with pytest.raises(ValueError, match="t=2.0"):
         spec(np.array([2.0, 3.0]))
     # the same map inside a run stops it rather than measuring undelayed
@@ -79,12 +79,13 @@ def test_non_finite_delay_raises(value):
 
 
 def test_delay_validation():
-    with pytest.raises(ValueError, match="tau"):
-        DelaySpec.constant(-0.5)
+    with pytest.raises(ValueError, match="base"):
+        DelaySpec(base=-0.5)
+    # keyword-only: a map cannot land in base
+    with pytest.raises(TypeError):
+        DelaySpec(lambda t: t)
     with pytest.raises(ValueError):
         DelaySpec(base=1.0, fn=lambda t: t)
-    with pytest.raises(ValueError):
-        DelaySpec.custom(None)
     with pytest.raises(ValueError, match="callable"):
         DelaySpec(fn=3.0)
 
@@ -130,12 +131,12 @@ def test_eval_system_shape_mismatch():
 
 def test_builtin_scenario_delays():
     s1 = builtin_scenario("c1", 100.0, estimator="gradient")
-    assert s1.delay == DelaySpec.identity() == DelaySpec(0.0, 0.0, 0.0, None)
+    assert s1.delay == DelaySpec() == DelaySpec(base=0.0, amplitude=0.0, frequency=0.0, fn=None)
     s2 = builtin_scenario("c2", 10.0, estimator="drem")
-    assert s2.delay == DelaySpec.constant(1.0) == DelaySpec(1.0, 0.0, 0.0, None)
+    assert s2.delay == DelaySpec(base=1.0, amplitude=0.0, frequency=0.0, fn=None)
     assert s2.delay(0.4) == 0.0
     s3 = builtin_scenario("c3", 1.0)
-    assert s3.delay == DelaySpec.sinusoidal(1.0, 0.9, 1.0) == DelaySpec(1.0, 0.9, 1.0, None)
+    assert s3.delay == DelaySpec(base=1.0, amplitude=0.9, frequency=1.0, fn=None)
 
 
 def test_builtin_scenario_defaults():
@@ -181,7 +182,7 @@ def _dummy_system(n=2):
 
 def test_scenario_validation():
     sys2 = _dummy_system()
-    ok = dict(system=sys2, delay=DelaySpec.identity(), estimator="gradient",
+    ok = dict(system=sys2, delay=DelaySpec(), estimator="gradient",
               horizon=1.0, step=1e-3, xi0=np.zeros(2), theta_hat0=np.zeros(2))
     NamedScenario(id="ok", gamma=0.0, **ok)  # zero gain is a valid diagnostic mode
     with pytest.raises(ValueError):
@@ -196,6 +197,13 @@ def test_scenario_validation():
         NamedScenario(id="bad", gamma=1.0, **{**ok, "xi0": np.zeros(3)})
     with pytest.raises(ValueError):
         NamedScenario(id="bad", gamma=1.0, **{**ok, "drem_delays": (0.5, 0.4)})
+    # only a SystemSpec and a DelaySpec, which clamps, reach a run: a plain
+    # map reading before t = 0 or past t would be looked up off the grid
+    scen = builtin_scenario("c1", 10.0, horizon=3.0)
+    for name, bad in (("system", "x"), ("delay", "x"), ("delay", lambda t: t - 5.0),
+                      ("delay", lambda t: t + 0.5)):
+        with pytest.raises(ValueError, match=f"^{name} must be a "):
+            replace(scen, **{name: bad})
 
 
 def test_system_spec_validation():
@@ -205,6 +213,9 @@ def test_system_spec_validation():
     with pytest.raises(ValueError):
         SystemSpec(n=2, m=1, q=1, A=lambda t: None, B=lambda t: None,
                    C=lambda t: None, u=lambda t: None, x0=np.zeros(3))
+    for name in ("A", "B", "C", "u"):
+        with pytest.raises(ValueError, match=f"^{name} must be callable"):
+            replace(_dummy_system(), **{name: None})
 
 
 @pytest.mark.parametrize("kw, name", [
@@ -233,15 +244,16 @@ def test_drem_scenario_resolves_default_delays():
     # a two-output plant cannot be mixed into scalar regressions
     sysm = replace(_dummy_system(), q=2, C=lambda t: np.zeros(t.shape + (2, 2)))
     with pytest.raises(ValueError, match="single-output"):
-        NamedScenario(id="bad", system=sysm, delay=DelaySpec.identity(), gamma=1.0,
+        NamedScenario(id="bad", system=sysm, delay=DelaySpec(), gamma=1.0,
                       estimator="drem", horizon=1.0, step=1e-3, xi0=np.zeros(2),
                       theta_hat0=np.zeros(2))
 
 
 @pytest.mark.parametrize("field", ["tau", "base", "amplitude", "frequency"])
 def test_delay_rejects_non_finite_parameters(field):
-    with pytest.raises(ValueError, match=field):
-        DelaySpec.constant(math.nan) if field == "tau" else DelaySpec(**{field: math.nan})
+    # a constant lag tau is the base field: DelaySpec(base=tau)
+    with pytest.raises(ValueError, match="base" if field == "tau" else field):
+        DelaySpec(**{"base" if field == "tau" else field: math.nan})
 
 
 def test_wrong_shaped_coefficient_fails_naming_the_time():
@@ -252,7 +264,7 @@ def test_wrong_shaped_coefficient_fails_naming_the_time():
                        (lambda t: np.array([[0.0, 1.0], [-1.0, 0.0]]), r"\(2, 2\)"),
                        (lambda t: np.zeros(t.shape + (2,)), r"\(21, 2\)")):
         sysm = replace(_dummy_system(), A=value)
-        scen = NamedScenario(id="bad", system=sysm, delay=DelaySpec.identity(), gamma=0.0,
+        scen = NamedScenario(id="bad", system=sysm, delay=DelaySpec(), gamma=0.0,
                              estimator="gradient", horizon=1.0, step=0.1, xi0=np.zeros(2),
                              theta_hat0=np.zeros(2))
         results = []
@@ -260,7 +272,7 @@ def test_wrong_shaped_coefficient_fails_naming_the_time():
             results.append(simulate(scen))
         assert results == []
     # a custom delay map that returns one value for the whole grid
-    scen = replace(scen, system=_dummy_system(), delay=DelaySpec.custom(lambda t: 0.0))
+    scen = replace(scen, system=_dummy_system(), delay=DelaySpec(fn=lambda t: 0.0))
     with pytest.raises(ValueError, match=r"delay fn must return the shape \(11,\) of its times, "
                                          r"got \(\)"):
         simulate(scen)
@@ -332,11 +344,11 @@ def test_builtins_equal_scalar_formulas_on_the_stage_grid():
         got = np.asarray(getattr(sysm, name)(tau))
         assert got.shape == value.shape and got.tobytes() == value.tobytes(), name
     delays = {
-        "identity": DelaySpec.identity(),
-        "constant": DelaySpec.constant(1.0),
-        "sinusoidal": DelaySpec.sinusoidal(1.0, 0.9, 1.0),
-        "formula": DelaySpec(1.0, 0.5, 2.0),
-        "custom": DelaySpec.custom(lambda t: t - 1.0 - 0.9 * np.sin(t)),
+        "identity": DelaySpec(),
+        "constant": DelaySpec(base=1.0),
+        "sinusoidal": DelaySpec(base=1.0, amplitude=0.9, frequency=1.0),
+        "formula": DelaySpec(base=1.0, amplitude=0.5, frequency=2.0),
+        "custom": DelaySpec(fn=lambda t: t - 1.0 - 0.9 * np.sin(t)),
     }
     for kind, delay in delays.items():
         value = np.array([_scalar_delay(kind, t) for t in times])

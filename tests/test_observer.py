@@ -89,7 +89,7 @@ def test_multi_output_gradient_run():
     # at every node and the law takes its q-output branch
     sysm = replace(benchmark_system(), q=2, C=lambda t: np.tile(np.eye(2), (len(t), 1, 1)))
     scen = NamedScenario(
-        id="q2", system=sysm, delay=DelaySpec.constant(0.5), gamma=10.0,
+        id="q2", system=sysm, delay=DelaySpec(base=0.5), gamma=10.0,
         estimator="gradient", horizon=10.0, step=1e-2, xi0=np.zeros(2),
         theta_hat0=np.zeros(2),
     )
@@ -116,7 +116,7 @@ def _scalar_frozen_plant():
 def test_scalar_estimate_decays_exponentially():
     # constant unit regressor: theta_hat(t) = e^{-t} toward theta = 0
     scen = NamedScenario(
-        id="scalar", system=_scalar_frozen_plant(), delay=DelaySpec.identity(),
+        id="scalar", system=_scalar_frozen_plant(), delay=DelaySpec(),
         gamma=1.0, estimator="gradient", horizon=1.0, step=1e-3,
         xi0=np.zeros(1), theta_hat0=np.array([1.0]),
     )
@@ -144,7 +144,7 @@ def test_rotating_regressor_slow_rate_closed_form(gamma):
     # it the error obeys z' = [[-gamma, 1], [-1, 0]] z, so after the fast
     # mode dies |theta_err| decays at the slow eigenvalue exactly.
     scen = NamedScenario(
-        id="rotation", system=_rotation_plant(), delay=DelaySpec.identity(),
+        id="rotation", system=_rotation_plant(), delay=DelaySpec(),
         gamma=gamma, estimator="gradient", horizon=30.0, step=1e-3,
         xi0=np.zeros(2), theta_hat0=np.array([0.0, 1.0]),
     )

@@ -30,7 +30,7 @@ def test_liouville_contracting_system():
         u=lambda t: np.zeros(t.shape + (1,)),
         x0=np.zeros(n),
     )
-    scen = NamedScenario(id="contract", system=sysm, delay=DelaySpec.identity(),
+    scen = NamedScenario(id="contract", system=sysm, delay=DelaySpec(),
                          gamma=0.0, estimator="gradient", horizon=5.0, step=1e-3,
                          xi0=np.zeros(n), theta_hat0=np.zeros(n))
     res = simulate(scen)
@@ -50,7 +50,7 @@ def test_rk4_matches_diagonal_closed_form_at_default_step():
         u=lambda t: np.zeros(t.shape + (1,)),
         x0=np.zeros(2),
     )
-    scen = NamedScenario(id="diag", system=sysm, delay=DelaySpec.identity(),
+    scen = NamedScenario(id="diag", system=sysm, delay=DelaySpec(),
                          gamma=0.0, estimator="gradient", horizon=10.0, step=1e-3,
                          xi0=np.zeros(2), theta_hat0=np.zeros(2))
     res = simulate(scen)

@@ -23,9 +23,9 @@ runs one probe in a subprocess on each tree, importing that tree's
   A = -3000 I plant at h = 1e-3, of c1 and c3 with the gradient law at
   gamma 1000 over 10 s and 30 s, of c1 with DREM at gamma 1e6 over 2 s,
   and of :func:`q2_scenario` at gamma 700;
-- the delay maps of c1-c3, ``DelaySpec.sinusoidal(0.5, 2.0, 3.0)`` and one
-  custom map on a 30 s stage grid (60,001 times), each built through the
-  classmethods.
+- the delay maps of c1-c3, ``DelaySpec(base=0.5, amplitude=2.0,
+  frequency=3.0)`` and one custom map on a 30 s stage grid (60,001
+  times), each built from its fields by keyword.
 
 It prints the line count of ``src/gpebo/*.py`` in both trees (what
 ``wc -l`` reports), the largest absolute difference of each array, the run
@@ -74,7 +74,7 @@ def drem4_scenario(horizon: float = 30.0):
                         B=lambda t: np.broadcast_to(B, t.shape + B.shape),
                         C=lambda t: np.broadcast_to(C, t.shape + C.shape),
                         u=lambda t: np.sin(t)[:, None], x0=np.array([1.0, -1.0, 0.5, 0.0]))
-    return NamedScenario(id="drem4", system=system, delay=DelaySpec.constant(0.5), gamma=10.0,
+    return NamedScenario(id="drem4", system=system, delay=DelaySpec(base=0.5), gamma=10.0,
                          estimator="drem", horizon=horizon, step=1e-3,
                          xi0=np.array([0.5, 0.5, -0.5, 1.0]), theta_hat0=np.zeros(4))
 
@@ -89,7 +89,7 @@ def q2_scenario(gamma: float):
 
     system = replace(builtin_scenario("c1", 0.0).system, q=2,
                      C=lambda t: np.tile(np.eye(2), (len(t), 1, 1)))
-    return NamedScenario(id="q2", system=system, delay=DelaySpec.constant(0.5), gamma=gamma,
+    return NamedScenario(id="q2", system=system, delay=DelaySpec(base=0.5), gamma=gamma,
                          estimator="gradient", horizon=2.0, step=2e-3,
                          xi0=np.array([0.5, -1.0]), theta_hat0=np.array([1.0, 2.0]))
 
@@ -161,8 +161,8 @@ def probe(out: str) -> None:
             data[f"stiff/{key}"] = np.array(exc.t)
     stages = 0.5e-3 * np.arange(60001)
     delays = [(sid, builtin_scenario(sid, 0.0).delay) for sid in SCENARIOS] + [
-        ("sinusoidal", DelaySpec.sinusoidal(0.5, 2.0, 3.0)),
-        ("custom", DelaySpec.custom(lambda t: t - 0.3 - 0.1 * np.sin(t)))]
+        ("sinusoidal", DelaySpec(base=0.5, amplitude=2.0, frequency=3.0)),
+        ("custom", DelaySpec(fn=lambda t: t - 0.3 - 0.1 * np.sin(t)))]
     for name, delay in delays:
         data[f"delay/{name}"] = delay(stages)
     np.savez(out, **data)
