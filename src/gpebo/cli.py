@@ -21,7 +21,6 @@ refused before anything is simulated).
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 import time
@@ -33,7 +32,7 @@ import numpy as np
 from .excitation import pe_check
 from .history import TrajectoryHistory
 from .integrate import DivergenceError, StiffnessError, simulate
-from .model import MAX_SWEEP_NODES, builtin_scenario
+from .model import MAX_SWEEP_NODES, _finite, builtin_scenario
 from .report import (
     RunResult,
     emit_csv,
@@ -128,12 +127,10 @@ class RunConfig:
             raise ConfigError("gamma values must be positive")
         try:
             steps = self.scenarios()[0].steps
+            _finite("pe-window", self.pe_window, low=0.0, strict=True)
+            _finite("pe-floor", self.pe_floor, low=0.0, strict=True)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if not 0.0 < self.pe_window < math.inf:
-            raise ConfigError("pe-window must be positive and finite")
-        if not 0.0 < self.pe_floor < math.inf:
-            raise ConfigError("pe-floor must be positive and finite")
         nodes = (steps + 1) * len(self.gammas)
         if nodes > MAX_SWEEP_NODES:
             raise ConfigError(f"the sweep needs {nodes:.10g} grid nodes, more than the limit of "

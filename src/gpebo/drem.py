@@ -15,11 +15,10 @@ it as two plain arrays.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .history import TrajectoryHistory
+from .model import _finite
 
 # adjugate's minors, n^2 (n-1)^2 floats a matrix, are taken this many matrices at a time
 _BLOCK = 256
@@ -97,6 +96,5 @@ def mix(M: np.ndarray, Y_stack: np.ndarray) -> tuple:
 
 def drem_update(Delta, Y_mixed: np.ndarray, theta_hat: np.ndarray, gamma: float) -> np.ndarray:
     """Componentwise rate gamma * Delta * (Y_mixed - Delta * theta_hat)."""
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+    gamma = _finite("gamma", gamma, low=0.0, strict=True)
     return gamma * Delta * (Y_mixed - Delta * theta_hat)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .history import TrajectoryHistory
-from .model import MAX_SWEEP_NODES, DelaySpec, at_times
+from .model import MAX_SWEEP_NODES, DelaySpec, _finite, at_times
 
 
 @dataclass
@@ -134,17 +134,16 @@ def delayed_pe_integral(
 def pe_check(hist_Phi: TrajectoryHistory, C, T: float, delta_floor: float) -> ExcitationReport:
     """Scan window starts across the trajectory and report excitation.
 
-    Window starts run from the first node in steps of T / 10 as long as
-    the full window fits.  The trajectory must be at least one window
-    long, and a window so short that it would start ``MAX_SWEEP_NODES``
-    windows or more is refused before anything is allocated.  One kernel
-    call forms every window's Gramians from a single evaluation of ``C``
-    and Phi, and one ``eigvalsh`` per stack finds their smallest eigenvalues.
+    ``T`` and ``delta_floor`` must be finite and positive.  Window starts
+    run from the first node in steps of T / 10 as long as the full window
+    fits.  The trajectory must be at least one window long, and a window
+    so short that it would start ``MAX_SWEEP_NODES`` windows or more is
+    refused before anything is allocated.  One kernel call forms every
+    window's Gramians from a single evaluation of ``C`` and Phi, and one
+    ``eigvalsh`` per stack finds their smallest eigenvalues.
     """
-    if not T > 0.0:
-        raise ValueError("window length T must be positive")
-    if not delta_floor > 0.0:
-        raise ValueError("delta_floor must be positive")
+    T = _finite("T", T, low=0.0, strict=True)
+    delta_floor = _finite("delta_floor", delta_floor, low=0.0, strict=True)
     times = hist_Phi.as_arrays()[0]
     t0 = float(times[0])
     span = float(times[-1]) - t0 - T

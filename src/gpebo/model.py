@@ -12,13 +12,15 @@ started.
 The callables take a whole grid at once: a 1-D float array of times in,
 their values at those times stacked on axis 0 out, shape-checked by
 :func:`at_times`.  The dataclasses here are the only validator of a run's
-parameters: each rejects a bad value, naming it, when it is built, and a
-scenario takes no delay map but a :class:`DelaySpec`, which clamps.
+parameters: every number passes one converter, ``_finite``, and a
+non-number, a wrong shape, a non-finite or out-of-range value or a
+non-integer dimension raises a ValueError starting with its name when it
+is built.  A scenario takes no delay map but a :class:`DelaySpec`, which clamps.
 """
 
 from __future__ import annotations
 
-import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -28,21 +30,26 @@ GridFn = Callable[[np.ndarray], np.ndarray]  # 1-D times -> values stacked on ax
 
 _ESTIMATORS = ("gradient", "drem")
 # Grid nodes one run may hold, and one CLI sweep summed over its gains.  A
-# simulation peaks near 510 bytes per node (DREM 512; gradient 408) and
-# keeps 112 bytes per node, and a sweep keeps every gain's run, so a sweep
-# at the limit peaks near 1.0 GB (measured with tracemalloc on 30 s
-# gain-100 runs).
+# simulation peaks near 512 bytes per node with DREM and 392 with the
+# gradient law, and keeps 112; a sweep keeps every gain's run, so one at
+# the limit peaks near 1.0 GB (tracemalloc, 30 s gain-100 runs on c1, c3).
 MAX_SWEEP_NODES = 2_000_000
 
 
-def _finite_vector(name, value, n) -> np.ndarray:
-    """``value`` as a float array of shape (n,) with finite entries."""
-    vec = np.asarray(value, dtype=float)
-    if vec.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {vec.shape}")
-    if not np.isfinite(vec).all():
-        raise ValueError(f"{name} must be finite, got {vec}")
-    return vec
+def _finite(name, value, n=None, low=-np.inf, strict=False):
+    """``value`` as a float, or given ``n`` an (n,) float array, if real,
+    finite and >= ``low`` (> if ``strict``); anything else, a str, None or
+    a complex value included, raises a ValueError starting with ``name``."""
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "biuf" or arr.shape != (() if n is None else (n,)):
+        want = "a real number" if n is None else f"real numbers of shape ({n},)"
+        raise ValueError(f"{name} must be {want}, got {value!r}")
+    arr = arr.astype(float)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if (arr <= low if strict else arr < low).any():
+        raise ValueError(f"{name} must be {'>' if strict else '>='} {low:g}, got {value!r}")
+    return float(arr) if n is None else arr
 
 
 @dataclass(frozen=True)
@@ -74,12 +81,13 @@ class SystemSpec:
     x0: np.ndarray
 
     def __post_init__(self):
-        if self.n < 1 or self.m < 1 or self.q < 1:
-            raise ValueError("dimensions n, m, q must be positive")
+        for name, dim in (("n", self.n), ("m", self.m), ("q", self.q)):
+            if not isinstance(dim, numbers.Integral) or dim < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {dim!r}")
         for name in ("A", "B", "C", "u"):
             if not callable(getattr(self, name)):
                 raise ValueError(f"{name} must be callable, got {getattr(self, name)!r}")
-        object.__setattr__(self, "x0", _finite_vector("x0", self.x0, self.n))
+        object.__setattr__(self, "x0", _finite("x0", self.x0, self.n))
 
 
 def at_times(fn, times, shape: tuple, name: str) -> np.ndarray:
@@ -125,11 +133,8 @@ class DelaySpec:
     fn: Optional[GridFn] = None
 
     def __post_init__(self):
-        for name in ("base", "amplitude", "frequency"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"delay {name} must be finite, got {getattr(self, name)!r}")
-        if self.base < 0.0:
-            raise ValueError(f"delay base must be nonnegative, got {self.base!r}")
+        for name, low in (("base", 0.0), ("amplitude", -np.inf), ("frequency", -np.inf)):
+            object.__setattr__(self, name, _finite(f"delay {name}", getattr(self, name), low=low))
         plain = (self.base, self.amplitude, self.frequency) == (0.0, 0.0, 0.0)
         if self.fn is not None and not (callable(self.fn) and plain):
             raise ValueError(f"delay fn {self.fn!r} must be callable and take no other parameter")
@@ -163,11 +168,11 @@ class NamedScenario:
     single-output plant and ``n - 1`` delays; a gradient scenario takes none.
 
     Every parameter is checked when the scenario is built: a member of the
-    wrong class, a shape, a non-finite value or an out-of-range gain, step,
-    horizon or delay raises ValueError naming it, before anything is
-    simulated; so does a step so small that horizon / step overflows or
-    that the grid holds more than ``MAX_SWEEP_NODES`` nodes.  :attr:`steps`
-    is the grid's step count that every reader of the grid uses.
+    wrong class, a non-number, a shape, a non-finite value or an
+    out-of-range gain, step, horizon or delay raises ValueError naming it,
+    before anything is simulated; so does a step so small that horizon /
+    step overflows or that the grid holds more than ``MAX_SWEEP_NODES``
+    nodes.  :attr:`steps` is the grid's step count every reader uses.
     """
 
     id: str
@@ -187,11 +192,9 @@ class NamedScenario:
                 raise ValueError(f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         if self.estimator not in _ESTIMATORS:
             raise ValueError(f"unknown estimator {self.estimator!r}")
-        if not 0.0 <= self.gamma < math.inf:
-            raise ValueError(f"gamma must be nonnegative and finite, got {self.gamma!r}")
-        for name in ("horizon", "step"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        for name in ("gamma", "horizon", "step"):
+            value = _finite(name, getattr(self, name), low=0.0, strict=name != "gamma")
+            object.__setattr__(self, name, value)
         if self.step > self.horizon:
             raise ValueError("step must not exceed horizon")
         # round(horizon / step) + 1 nodes, so this also refuses an overflow to inf
@@ -199,21 +202,19 @@ class NamedScenario:
             raise ValueError(f"horizon / step = {self.horizon / self.step!r} makes more than "
                              f"MAX_SWEEP_NODES = {MAX_SWEEP_NODES} grid nodes")
         n = self.system.n
-        object.__setattr__(self, "xi0", _finite_vector("xi0", self.xi0, n))
-        object.__setattr__(self, "theta_hat0", _finite_vector("theta_hat0", self.theta_hat0, n))
+        object.__setattr__(self, "xi0", _finite("xi0", self.xi0, n))
+        object.__setattr__(self, "theta_hat0", _finite("theta_hat0", self.theta_hat0, n))
         if self.estimator == "gradient":
             if self.drem_delays is not None:
-                raise ValueError("the gradient estimator takes no drem_delays")
+                raise ValueError("drem_delays are for the drem estimator; gradient takes none")
             return
         d = tuple(0.5 * i for i in range(1, n)) if self.drem_delays is None else self.drem_delays
-        d = tuple(float(v) for v in d)
-        if not all(0.0 < v < math.inf for v in d) or any(b <= a for a, b in zip(d, d[1:])):
-            raise ValueError("drem_delays must be positive, finite and strictly increasing")
+        d = _finite("drem_delays", d, n - 1, low=0.0, strict=True)
+        if (d[1:] <= d[:-1]).any():
+            raise ValueError(f"drem_delays must be strictly increasing, got {tuple(d.tolist())}")
         if self.system.q != 1:
             raise ValueError("drem estimation supports single-output plants")
-        if len(d) != n - 1:
-            raise ValueError(f"drem needs {n - 1} drem_delays, got {len(d)}")
-        object.__setattr__(self, "drem_delays", d)
+        object.__setattr__(self, "drem_delays", tuple(d.tolist()))
 
     @property
     def steps(self) -> int:
@@ -284,7 +285,7 @@ def builtin_scenario(
     c3: sinusoidal delay tau(t) = 1 + 0.9 sin(t).  All three share the
     oscillator plant from :func:`benchmark_system`.
     """
-    key = scenario_id.lower()
+    key = str(scenario_id).lower()
     if key not in _SCENARIO_DELAYS:
         raise ValueError(f"unknown scenario id {scenario_id!r}; expected c1, c2 or c3")
     system = benchmark_system(x0=x0)
@@ -296,10 +297,10 @@ def builtin_scenario(
         id=key,
         system=system,
         delay=_SCENARIO_DELAYS[key],
-        gamma=float(gamma),
+        gamma=gamma,
         estimator=estimator,
-        horizon=float(horizon),
-        step=float(step),
+        horizon=horizon,
+        step=step,
         xi0=xi0,
         theta_hat0=theta_hat0,
         drem_delays=drem_delays,

@@ -22,9 +22,9 @@ node in ``SimulationResult.psi`` and ``y_reg``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+
+from .model import _finite
 
 
 def gradient_update(psi: np.ndarray, y_reg, theta_hat: np.ndarray, gamma: float) -> np.ndarray:
@@ -35,8 +35,7 @@ def gradient_update(psi: np.ndarray, y_reg, theta_hat: np.ndarray, gamma: float)
     shape (n,) and ``y_reg`` is a scalar; for q outputs ``psi`` is (n, q)
     and ``y_reg`` is (q,).
     """
-    if not 0.0 < gamma < math.inf:
-        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+    gamma = _finite("gamma", gamma, low=0.0, strict=True)
     if psi.ndim == 1:
         return gamma * psi * (y_reg - psi @ theta_hat)
     return gamma * (psi @ (y_reg - psi.T @ theta_hat))

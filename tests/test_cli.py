@@ -41,6 +41,8 @@ def test_validate_rejects_bad_values():
         RunConfig(step=2.0, horizon=1.0).validate()
     with pytest.raises(ConfigError):
         RunConfig(scenario="c9").validate()
+    with pytest.raises(ConfigError, match="^unknown scenario id None"):
+        RunConfig(scenario=None).validate()
     with pytest.raises(ConfigError):
         RunConfig(pe_floor=0.0).validate()
     with pytest.raises(ConfigError):

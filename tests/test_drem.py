@@ -247,8 +247,9 @@ def test_drem_update_zero_residual():
 
 
 def test_drem_update_requires_positive_gain():
-    with pytest.raises(ValueError, match="gamma"):
-        drem_update(1.0, np.zeros(1), np.zeros(1), 0.0)
+    for gamma in (0.0, "1"):
+        with pytest.raises(ValueError, match="^gamma"):
+            drem_update(1.0, np.zeros(1), np.zeros(1), gamma)
 
 
 def test_drem_update_scalar_exponential_decay():

@@ -330,6 +330,11 @@ def test_pe_check_validation():
         pe_check(hist, _unit_C, T=2.0, delta_floor=1e-3)
     with pytest.raises(ValueError):
         pe_check(hist, _unit_C, T=0.5, delta_floor=0.0)
+    with pytest.raises(ValueError, match="^T must be a real number"):
+        pe_check(hist, _unit_C, T="0.5", delta_floor=1e-3)
+    # an infinite floor would report PE failing at every window
+    with pytest.raises(ValueError, match="^delta_floor must be finite"):
+        pe_check(hist, _unit_C, T=0.5, delta_floor=math.inf)
     # a window so short that the scan would start MAX_SWEEP_NODES windows or
     # more is refused, naming it, before anything is allocated: T / 10
     # underflows to 0 at 5e-324, and 1e-300 asks for ~1e301 starts

@@ -88,6 +88,8 @@ def test_delay_validation():
         DelaySpec(base=1.0, fn=lambda t: t)
     with pytest.raises(ValueError, match="callable"):
         DelaySpec(fn=3.0)
+    with pytest.raises(ValueError, match="^delay base must be a real number, got '1'$"):
+        DelaySpec(base="1")
 
 
 def test_benchmark_system_at_zero():
@@ -152,6 +154,8 @@ def test_builtin_scenario_defaults():
 def test_builtin_scenario_unknown_id():
     with pytest.raises(ValueError):
         builtin_scenario("c4", 1.0)
+    with pytest.raises(ValueError, match="^unknown scenario id None"):
+        builtin_scenario(None, 1.0)
 
 
 def test_builtin_scenario_case_insensitive():
@@ -204,6 +208,9 @@ def test_scenario_validation():
                       ("delay", lambda t: t + 0.5)):
         with pytest.raises(ValueError, match=f"^{name} must be a "):
             replace(scen, **{name: bad})
+    # a one-element gain would reach the run's "gamma {gamma:g}" label
+    with pytest.raises(ValueError, match=r"^gamma must be a real number, got array\(\[10\.\]\)"):
+        replace(scen, gamma=np.array([10.0]))
 
 
 def test_system_spec_validation():
@@ -216,6 +223,10 @@ def test_system_spec_validation():
     for name in ("A", "B", "C", "u"):
         with pytest.raises(ValueError, match=f"^{name} must be callable"):
             replace(_dummy_system(), **{name: None})
+    # a dimension must be an integer: 2.0 would fail later inside np.eye
+    for bad in (2.0, "2"):
+        with pytest.raises(ValueError, match="^n must be an integer >= 1"):
+            replace(_dummy_system(), n=bad)
 
 
 @pytest.mark.parametrize("kw, name", [
@@ -230,6 +241,11 @@ def test_system_spec_validation():
     (dict(estimator="drem", drem_delays=(0.5, 1.0)), "drem_delays"),
     (dict(estimator="drem", drem_delays=(math.inf,)), "drem_delays"),
     (dict(drem_delays=(0.5,)), "drem_delays"),
+    (dict(estimator="drem", drem_delays=0.5), "^drem_delays must be real numbers of shape"),
+    (dict(estimator="drem", drem_delays=("a",)), "^drem_delays must be real numbers of shape"),
+    (dict(gamma="1"), "^gamma must be a real number"),
+    (dict(horizon=None), "^horizon must be a real number"),
+    (dict(xi0="ab"), "^xi0 must be real numbers of shape"),
 ])
 def test_builtin_scenario_rejects_bad_value_at_construction(kw, name):
     # each is rejected when the scenario is built, naming the parameter

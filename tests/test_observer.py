@@ -34,7 +34,7 @@ def test_scalar_gain_matches_identity_matrix():
                               Gamma @ (psi @ (y_reg - psi.T @ theta_hat)))
 
 
-@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf, "1"])
 @pytest.mark.parametrize("law", [gradient_update, drem_update])
 def test_laws_reject_bad_gain(law, gamma):
     with pytest.raises(ValueError, match="gamma"):
