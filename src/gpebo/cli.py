@@ -233,11 +233,14 @@ def assemble_config(args: argparse.Namespace) -> RunConfig:
 
 def run(config: RunConfig) -> RunResult:
     """Simulate every gain in the sweep and emit the requested outputs."""
-    for path in (p for p in (config.csv, config.svg, config.pe_report) if p is not None):
+    paths = [p for p in (config.csv, config.svg, config.pe_report) if p is not None]
+    for k, path in enumerate(paths):
         if not path or os.path.isdir(path):
             raise OSError(f"output path {path!r} is empty or a directory")
         if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise FileNotFoundError(f"no directory to write {path} in")
+        if os.path.realpath(path) in map(os.path.realpath, paths[:k]):
+            raise OSError(f"output path {path!r} is given for two outputs")
     start = time.perf_counter()
     runs = [simulate(scenario) for scenario in config.scenarios()]
     duration = time.perf_counter() - start

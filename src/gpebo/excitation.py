@@ -19,7 +19,8 @@ the window plus the window's two endpoints, with Phi linearly
 interpolated off the nodes.  All three checks call one kernel, which
 forms every window of a call from one evaluation at the nodes and the
 endpoints.  Each window sums its own node terms, so it reads the same in
-a scan as on its own, bit for bit.
+a scan as on its own, bit for bit.  A window's ``t`` and ``T`` pass the
+one number converter, and a delay must be a :class:`DelaySpec`, which clamps.
 """
 
 from __future__ import annotations
@@ -64,8 +65,7 @@ def _gramians(hist_Phi: TrajectoryHistory, C, starts, T: float, delay: DelaySpec
     sums its own node terms as one ``reduceat`` span, since a difference of
     running sums would bury a small window under the large ones before it.
     """
-    if T <= 0.0:
-        raise ValueError("window length T must be positive")
+    T = _finite("T", T, low=0.0, strict=True)
     times, Phi = hist_Phi.as_arrays()
     starts = np.asarray(starts, dtype=float)
     t0, t_end = float(times[0]), float(times[-1])
@@ -81,7 +81,7 @@ def _gramians(hist_Phi: TrajectoryHistory, C, starts, T: float, delay: DelaySpec
     r0 = int(a[inner].min(initial=len(times)))
     m, K = max(int(b[inner].max(initial=0)) - r0, 0), len(starts)
     s = np.concatenate((times[r0:r0 + m], lo, hi))
-    phi = s if delay is None else at_times(delay, s, (), "phi(t)")
+    phi = s if delay is None else delay(s)
     cp = at_times(C, phi, (None, Phi.shape[1]), "C(t)") @ hist_Phi.sample_at(phi)
     cpT = cp.transpose(0, 2, 1)
 
@@ -110,10 +110,11 @@ def pe_integral(hist_Phi: TrajectoryHistory, C, t: float, T: float):
 
     Returns the pair (q x q, n x n) of trapezoidal quadratures of
     C Phi Phi^T C^T and (C Phi)^T (C Phi) over the stored nodes, with the
-    window endpoints interpolated.  The window must lie inside the
-    recorded range up to a small relative slack.
+    window endpoints interpolated.  ``t`` and ``T`` > 0 must be finite,
+    and the window must lie inside the recorded range up to a small
+    relative slack; otherwise a ValueError names the cause.
     """
-    return tuple(g[0].copy() for g in _gramians(hist_Phi, C, [t], T))  # not views of stacks
+    return tuple(g[0].copy() for g in _gramians(hist_Phi, C, [_finite("t", t)], T))  # no views
 
 
 def delayed_pe_integral(
@@ -125,10 +126,13 @@ def delayed_pe_integral(
     psi(tau) = C(phi(tau)) Phi(phi(tau)), over the stored nodes inside
     the window and its two endpoints; Phi is interpolated at each
     measurement time phi(tau).  Stretches where the delay map is clamped
-    or flat need no special case.  The window, and every measurement
-    time it reaches, must lie inside the recorded range.
+    or flat need no special case.  ``delay`` must be a :class:`DelaySpec`.
+    The window, checked as in :func:`pe_integral`, and every measurement
+    time it reaches must lie inside the recorded range.
     """
-    return _gramians(hist_Phi, C, [t], T, delay)[1][0].copy()  # not a view of a stack
+    if not isinstance(delay, DelaySpec):
+        raise ValueError(f"delay must be a DelaySpec, got {delay!r}")
+    return _gramians(hist_Phi, C, [_finite("t", t)], T, delay)[1][0].copy()  # not a view
 
 
 def pe_check(hist_Phi: TrajectoryHistory, C, T: float, delta_floor: float) -> ExcitationReport:

@@ -1,7 +1,8 @@
 """Trajectory storage on arrays with linear interpolation.
 
 A history holds the samples of one signal at strictly increasing node
-times, as a 1-D array of times and an array of values stacked on axis 0.
+times, as a 1-D array of times and an array of values stacked on axis 0;
+``as_arrays()`` is the one way to read them back.
 Queries between nodes are linearly interpolated and queries at a stored
 node return the stored value unchanged.
 """
@@ -37,14 +38,6 @@ class TrajectoryHistory:
         if len(times):
             hist._times, hist._values = times, values
         return hist
-
-    def __len__(self) -> int:
-        return len(self._times)
-
-    @property
-    def times(self) -> np.ndarray:
-        """Recorded node times, ascending.  Treat as read-only."""
-        return self._times
 
     def append(self, t: float, value) -> None:
         """Record ``value`` at time ``t``; ``t`` must exceed the latest node."""

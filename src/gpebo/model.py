@@ -38,9 +38,12 @@ MAX_SWEEP_NODES = 2_000_000
 
 def _finite(name, value, n=None, low=-np.inf, strict=False):
     """``value`` as a float, or given ``n`` an (n,) float array, if real,
-    finite and >= ``low`` (> if ``strict``); anything else, a str, None or
-    a complex value included, raises a ValueError starting with ``name``."""
-    arr = np.asarray(value)
+    finite and >= ``low`` (> if ``strict``); anything else, a str, None, a
+    ragged or complex value included, raises a ValueError starting with ``name``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged sequence, refused below
+        arr = np.asarray(None)
     if arr.dtype.kind not in "biuf" or arr.shape != (() if n is None else (n,)):
         want = "a real number" if n is None else f"real numbers of shape ({n},)"
         raise ValueError(f"{name} must be {want}, got {value!r}")

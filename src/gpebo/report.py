@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .excitation import ExcitationReport
-from .integrate import SimulationResult
 
 _PALETTE = (
     "#1f77b4",
@@ -50,6 +49,9 @@ class RunResult:
     def __post_init__(self):
         if not self.runs or len(self.gammas) != len(self.runs):
             raise ValueError("need one simulation per gamma")
+        for gamma, run in zip(self.gammas, self.runs):
+            if gamma != run.scenario.gamma:
+                raise ValueError(f"gamma {gamma!r} labels a run at gamma {run.scenario.gamma!r}")
 
     def ordered(self):
         """(gamma, run) pairs sorted by ascending gamma."""
@@ -134,8 +136,6 @@ def emit_svg(result: RunResult, path: str) -> None:
     n = pairs[0][1].x.shape[1]
     t = pairs[0][1].t
     t_lo, t_hi = float(t[0]), float(t[-1])
-    if t_hi <= t_lo:
-        t_hi = t_lo + 1.0
 
     width = 960
     left, right, top, bottom = 70, 190, 48, 56
@@ -161,10 +161,9 @@ def emit_svg(result: RunResult, path: str) -> None:
         y_hi = max(float(e.max()) for e in errs)
         if y_hi - y_lo < 1e-300:
             pad = max(abs(y_lo), 1.0) * 0.1
-            y_lo, y_hi = y_lo - pad, y_hi + pad
         else:
             pad = 0.04 * (y_hi - y_lo)
-            y_lo, y_hi = y_lo - pad, y_hi + pad
+        y_lo, y_hi = y_lo - pad, y_hi + pad
 
         def sx(tv):
             return left + (tv - t_lo) / (t_hi - t_lo) * plot_w
@@ -228,11 +227,7 @@ def emit_svg(result: RunResult, path: str) -> None:
         parts.append(f'<text x="{lx + 28}" y="{y}">gamma={gamma:g}</text>')
     parts.append("</g>")
     parts.append("</svg>")
-
-    def writer(fh):
-        fh.write("\n".join(parts) + "\n")
-
-    _atomic_text(path, writer)
+    _atomic_text(path, lambda fh: fh.write("\n".join(parts) + "\n"))
 
 
 def format_pe_summary(report: ExcitationReport) -> str:

@@ -376,6 +376,18 @@ def test_missing_output_directory_is_refused_before_simulating(tmp_path, capsys,
         assert cap.err == f"output error: output path {bad!r} is empty or a directory\n"
         assert cap.out == ""
     assert not list(tmp_path.iterdir())
+    # two outputs at one path would overwrite one with the other: refused
+    # first, as is the same file under another name; the message names the
+    # path of the later output in the order csv, svg, pe-report
+    monkeypatch.chdir(tmp_path)
+    order = ["--csv", "--svg", "--pe-report"]
+    for other, path in [(o, p) for o in order if o != flag for p in ("a.csv", "./a.csv")]:
+        assert main(["--horizon", "1", "--pe-window", "1", flag, "a.csv", other, path]) == 4
+        named = path if order.index(other) > order.index(flag) else "a.csv"
+        cap = capsys.readouterr()
+        assert cap.err == f"output error: output path {named!r} is given for two outputs\n"
+        assert cap.out == ""
+    assert not list(tmp_path.iterdir())
 
 
 def test_main_pe_report(tmp_path, capsys):

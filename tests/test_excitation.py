@@ -60,12 +60,23 @@ def test_window_must_fit_trajectory():
         pe_integral(hist, _unit_C, -1.0, 1.0)
     with pytest.raises(ValueError):
         pe_integral(hist, _unit_C, 0.0, -1.0)
-    # a NaN start or a NaN or infinite length fails the range check itself
-    for t, T in ((math.nan, 0.5), (0.0, math.nan), (0.0, math.inf)):
-        with pytest.raises(ValueError, match=r"^window \["):
+    # a NaN start, a NaN or infinite length and a non-numeric start or length
+    # are each refused by name
+    for t, T, name in ((math.nan, 0.5, "t"), (0.0, math.nan, "T"), (0.0, math.inf, "T")):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
             pe_integral(hist, _unit_C, t, T)
-        with pytest.raises(ValueError, match=r"^window \["):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
             delayed_pe_integral(hist, _unit_C, t, T, DelaySpec())
+    for t, T, name in (("1", 0.5, "t"), (0.0, "1", "T")):
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            pe_integral(hist, _unit_C, t, T)
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            delayed_pe_integral(hist, _unit_C, t, T, DelaySpec())
+    # a delay map that is not a DelaySpec, such as one that reads the
+    # future, is refused before anything is evaluated
+    for delay in (lambda t: t + 0.5, "x"):
+        with pytest.raises(ValueError, match="^delay must be a DelaySpec"):
+            delayed_pe_integral(hist, _unit_C, 0.0, 0.5, delay)
 
 
 def _benchmark_run(horizon=12.0):
@@ -247,7 +258,7 @@ def _per_window_rule(hist, C, t, T, delay=None):
     """One window's Gramians (q x q, n x n) by the trapezoid rule over its
     endpoints, clipped to the recorded range, around the stored nodes
     strictly inside them, as one tensordot."""
-    times = hist.times
+    times = hist.as_arrays()[0]
     lo, hi = max(t, times[0]), min(t + T, times[-1])
     s = np.concatenate(([lo], times[(times > lo) & (times < hi)], [hi]))
     phi = s if delay is None else delay(s)

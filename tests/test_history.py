@@ -9,17 +9,19 @@ from gpebo import TrajectoryHistory
 def test_append_single_sample():
     h = TrajectoryHistory()
     h.append(0.0, np.array([1.0, -1.0]))
-    assert len(h) == 1
-    assert h.times[0] == 0.0
-    assert h.times[-1] == 0.0
+    times = h.as_arrays()[0]
+    assert len(times) == 1
+    assert times[0] == 0.0
+    assert times[-1] == 0.0
 
 
 def test_append_two_samples():
     h = TrajectoryHistory()
     h.append(0.0, np.array([1.0]))
     h.append(0.001, np.array([2.0]))
-    assert len(h) == 2
-    assert h.times[-1] == 0.001
+    times = h.as_arrays()[0]
+    assert len(times) == 2
+    assert times[-1] == 0.001
 
 
 def test_append_non_monotone_rejected():

@@ -598,7 +598,7 @@ def test_theta_error_ignores_a_common_shift_of_xi0_and_theta_hat0(shift, sid, es
     assert np.all(np.abs(moved.theta_error - err) <= 1e-12 * np.maximum(1.0, np.abs(err)))
 
 
-_BAD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, "1", None])
+_BAD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, "1", None, [2.0, 3.0]])
 
 
 @settings(max_examples=60, deadline=None, database=None)
@@ -606,7 +606,7 @@ _BAD_NUMBERS = st.sampled_from([math.nan, math.inf, -math.inf, "1", None])
                               "drem_delays", "base"]),
        bad=_BAD_NUMBERS, wrong_length=st.booleans())
 def test_bad_input_fails_at_construction(field, bad, wrong_length):
-    # a non-finite, non-numeric or wrongly shaped parameter raises ValueError naming it
+    # a non-finite, non-numeric, ragged or wrongly shaped parameter raises ValueError naming it
     # while the scenario is built: no coefficient or delay is evaluated
     calls = []
 

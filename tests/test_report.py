@@ -239,6 +239,10 @@ def test_run_result_validation():
     with pytest.raises(ValueError):
         RunResult(scenario_id="c1", estimator="gradient", gammas=[],
                   runs=[], duration=0.0)
+    # a gain that is not the run's own would label every CSV row with it
+    with pytest.raises(ValueError, match="^gamma 5.0 labels a run at gamma 1.0$"):
+        RunResult("c1", "gradient", [5.0], [run], 0.0)
+    assert RunResult("c1", "gradient", [1], [run], 0.0).gammas == [1]
 
 
 def test_pe_report_file(tmp_path):

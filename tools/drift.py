@@ -15,8 +15,9 @@ runs one probe in a subprocess on each tree, importing that tree's
 - on 4 s open-loop c1-c3 runs: ``pe_check``'s smallest eigenvalues at
   T = 1 and 2, at T = 1.2345 (21 of its 23 starts off the nodes) and at
   T = 0.0015 (26,657 windows of one or two inner nodes each),
-  ``delayed_pe_integral`` at starts 0, 0.2, ..., 2 with T = 2, and
-  ``liouville_det``;
+  ``pe_integral``'s two Gramians (flattened, q x q then n x n, one row
+  per window) and ``delayed_pe_integral`` at starts 0, 0.2, ..., 2 with
+  T = 2, and ``liouville_det``;
 - the bytes of the CLI's CSV, SVG and excitation report for c1-c3 with
   either law at gammas 1, 10 and 100 over 10 s;
 - the refusal time ``StiffnessError.t`` (nan if the run runs) of the
@@ -117,7 +118,7 @@ def stiff_scenarios() -> dict:
 def probe(out: str) -> None:
     """Record every probed output of the gpebo on the import path in ``out``."""
     from gpebo import (DelaySpec, StiffnessError, builtin_scenario, delayed_pe_integral,
-                       liouville_det, pe_check, simulate)
+                       liouville_det, pe_check, pe_integral, simulate)
     from gpebo.cli import main
 
     data = {}
@@ -133,6 +134,8 @@ def probe(out: str) -> None:
             report = pe_check(hist, C, T, 1e-4)
             for name in ("min_eig_output", "min_eig_regressor"):
                 data[f"pe/{sid}/T{T:g}/{name}"] = getattr(report, name)
+        data[f"pe/{sid}/pe_integral"] = np.array([np.concatenate(
+            [G.ravel() for G in pe_integral(hist, C, 0.2 * i, 2.0)]) for i in range(11)])
         data[f"pe/{sid}/delayed_pe_integral"] = np.array(
             [delayed_pe_integral(hist, C, 0.2 * i, 2.0, scenario.delay) for i in range(11)])
         data[f"pe/{sid}/liouville_det"] = np.array(liouville_det(hist, scenario.system.A))
