@@ -19,14 +19,17 @@ from .model import (
     eval_system,
 )
 from .history import TrajectoryHistory
-from .observer import gradient_update
-from .drem import (
+from .integrate import (
+    DivergenceError,
+    SimulationResult,
+    StiffnessError,
     adjugate,
     drem_update,
     extend_regressor,
+    gradient_update,
     mix,
+    simulate,
 )
-from .integrate import DivergenceError, SimulationResult, StiffnessError, simulate
 from .excitation import (
     ExcitationReport,
     pe_check,

@@ -6,7 +6,8 @@ Usage example:
           --csv out/run.csv --svg out/run.svg
 
 A plain-text config file with ``key = value`` lines can seed any option;
-explicit flags override the file.  ``RunConfig``'s fields are the one
+explicit flags override the file.  Each flag, each file field and each gain
+is given once; a repeat is refused.  ``RunConfig``'s fields are the one
 option table: each makes one flag and one converter, shared by flag and
 file values, and its flag and field names are its file keys.  Scenario
 and estimator names are case-insensitive in both.  Bad values are
@@ -125,6 +126,9 @@ class RunConfig:
             raise ConfigError("at least one gamma is required")
         if not all(g > 0.0 for g in self.gammas):
             raise ConfigError("gamma values must be positive")
+        repeated = [g for k, g in enumerate(self.gammas) if g in self.gammas[:k]]
+        if repeated:
+            raise ConfigError(f"gamma {repeated[0]:g} given twice")
         try:
             steps = self.scenarios()[0].steps
             _finite("pe-window", self.pe_window, low=0.0, strict=True)
@@ -172,6 +176,8 @@ def load_config_file(path: str) -> dict:
         if key not in _FILE_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         f = _FILE_KEYS[key]
+        if f.name in out:
+            raise ConfigError(f"{path}:{lineno}: {_flag(f)} given twice")
         out[f.name] = f.metadata["convert"](value.strip(), _flag(f))
     return out
 
@@ -203,6 +209,15 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_known_args(joined, namespace)
 
 
+class _Once(argparse.Action):
+    """Stores a flag's value, refusing the flag given a second time."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is not None:
+            raise argparse.ArgumentError(self, "given twice")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="gpebo",
@@ -210,9 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,  # flags in full, as file keys; a prefix would skip the join
     )
     for f in fields(RunConfig):
-        parser.add_argument("--" + _flag(f), dest=f.name, default=None,
+        parser.add_argument("--" + _flag(f), dest=f.name, default=None, action=_Once,
                             metavar=f.metadata["metavar"], help=f.metadata["help"])
-    parser.add_argument("--config", default=None, metavar="PATH",
+    parser.add_argument("--config", default=None, metavar="PATH", action=_Once,
                         help="key = value option file; flags override it")
     return parser
 

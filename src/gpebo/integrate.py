@@ -22,8 +22,11 @@ A run is three passes over the uniform grid t_k = k h:
    that grow a mode of a frozen -M are refused first by the plant's rule.
 
 x, xi and the columns of Phi share one linear recursion, so
-xi - x = Phi (xi(0) - x(0)) holds at the nodes to rounding for any step;
-the lookup is linear in the node data, so y_reg = psi . theta holds too.
+xi - x = Phi theta, theta = xi(0) - x(0), holds at the nodes to rounding
+for any step, and the estimate is xhat = xi - Phi theta_hat; the lookup is
+linear in the node data, so y_reg = psi . theta holds too.  DREM stacks
+the regression at the lags into M theta = Y, and adj(M) Y = det(M) theta
+gives each component of theta its own scalar regression.
 """
 
 from __future__ import annotations
@@ -32,16 +35,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Only mix is called here, the estimator pass scanning the laws' affine form;
-# perfbench/tracer.py wraps all four on this module by name, so they stay.
-from .drem import drem_update, extend_regressor, mix  # noqa: F401
 from .history import TrajectoryHistory
-from .model import NamedScenario, at_times
-from .observer import gradient_update  # noqa: F401
+from .model import NamedScenario, _finite, at_times
 
 STATE_NORM_LIMIT = 1e12
-# The scans take this many step maps at once (8 doublings at 256), and the
-# Hermite lookups this many times; the block bounds the size of their
+# The scans take this many step maps at once (8 doublings at 256), the
+# Hermite lookups this many times, and adjugate's minors, n^2 (n-1)^2 floats
+# a matrix, this many matrices; the block bounds the size of their
 # temporaries and with it a run's peak memory.
 _BLOCK = 256
 
@@ -134,6 +134,51 @@ def _plant_pass(sysm, xi0, tau, h):
     Z = _affine_scan(G, z0, h)
     # the copy drops the bottom row, which the run would otherwise keep
     return Z[:, :n].copy(), G[::2, :n] @ Z
+
+
+def adjugate(M: np.ndarray) -> np.ndarray:
+    """Adjugate (transposed cofactor matrix); satisfies adj(M) M = det(M) I.
+
+    ``M`` is one square matrix or a stack of them on the leading axes, in
+    one batched call.  Size 2 uses closed-form cofactors; the others take
+    adj(M)[c, r] = (-1)^(r+c) det(M without row r, column c), one det call
+    on all n^2 minors of ``_BLOCK`` matrices at a time, singular M
+    included: slower than det(M) inv(M) on wholly nonsingular stacks of
+    n >= 6, but a DREM stack starts singular.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2] or M.shape[-1] == 0:
+        raise ValueError(f"adjugate requires a nonempty square matrix, got shape {M.shape}")
+    n = M.shape[-1]
+    if n == 2:
+        (a, b), (c, d) = np.moveaxis(M, (-2, -1), (0, 1))
+        return np.moveaxis(np.array([[d, -b], [-c, a]]), (0, 1), (-2, -1))
+    # keep[r] lists the indices other than r; minors[k, c, r] drops row r and column c
+    keep = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
+    flat = M.reshape(-1, n, n)
+    minor_det = np.empty_like(flat)
+    for lo in range(0, len(flat), _BLOCK):
+        minors = flat[lo:lo + _BLOCK, keep[None, :, :, None], keep[:, None, None, :]]
+        minor_det[lo:lo + _BLOCK] = np.linalg.det(minors)
+    return (-1.0) ** np.add.outer(range(n), range(n)) * minor_det.reshape(M.shape)
+
+
+def mix(M: np.ndarray, Y_stack: np.ndarray) -> tuple:
+    """Premultiply the stacked regression by adj(M) to decouple it.
+
+    Returns the pair (Delta, Y_mixed) = (det(M), adj(M) Y_stack), so that
+    Y_mixed = Delta * theta.  ``M`` (k, k) and ``Y_stack`` (k,) may carry
+    matching leading axes, for instance one per stage time of a run; both
+    results then carry the same leading axes.
+    """
+    M = np.asarray(M, dtype=float)
+    Y_stack = np.asarray(Y_stack, dtype=float)
+    adj = adjugate(M)  # raises ValueError unless M is square
+    if Y_stack.shape != M.shape[:-1]:
+        raise ValueError("Y_stack length must match the stacked regressor")
+    # det(M) by cofactor expansion along the first row
+    Delta = (M[..., 0, :] * adj[..., :, 0]).sum(axis=-1)
+    return Delta, (adj @ Y_stack[..., None])[..., 0]
 
 
 def _estimator_pass(scenario, M, Y, tau, refuse_stiff):
@@ -292,3 +337,51 @@ def simulate(scenario: NamedScenario) -> SimulationResult:
         psi=M[:, 0] if gamma == 0.0 else M[::2, 0].copy(),
         y_reg=Y[:, 0] if gamma == 0.0 else Y[::2, 0].copy(),
     )
+
+
+# No run calls these three: the estimator pass scans the two laws' affine
+# form, and _regression builds the lagged rows.  Tests compare the scan with
+# the laws, and perfbench/tracer.py wraps all three, with mix, by name here.
+def gradient_update(psi: np.ndarray, y_reg, theta_hat: np.ndarray, gamma: float) -> np.ndarray:
+    """Rate of change of theta_hat under the gradient law.
+
+    d(theta_hat)/dt = gamma psi (y_reg - psi . theta_hat); along this flow
+    |theta_hat - theta| never increases.  For a single output ``psi`` has
+    shape (n,) and ``y_reg`` is a scalar; for q outputs ``psi`` is (n, q)
+    and ``y_reg`` is (q,).
+    """
+    gamma = _finite("gamma", gamma, low=0.0, strict=True)
+    if psi.ndim == 1:
+        return gamma * psi * (y_reg - psi @ theta_hat)
+    return gamma * (psi @ (y_reg - psi.T @ theta_hat))
+
+
+def extend_regressor(
+    t: float,
+    ext_delays: tuple,
+    hist_psi: TrajectoryHistory,
+    hist_y: TrajectoryHistory,
+):
+    """Stack (psi, y_reg) at t and at each lag t - d, d in ``ext_delays``.
+
+    Rows whose lagged time predates the recorded history are zero-filled,
+    which leaves the mixed determinant at zero until every lag is covered.
+    The history must reach t.  Returns the pair (M, Y_stack) with M of
+    shape (k, n).
+    """
+    lags = (0.0,) + tuple(ext_delays)
+    times, values = hist_psi.as_arrays()
+    M = np.zeros((len(lags), values.shape[1]))
+    Y = np.zeros(len(lags))
+    for i, d in enumerate(lags):
+        s = t - d
+        if s >= times[0]:
+            M[i] = hist_psi.sample(s)
+            Y[i] = hist_y.sample(s)
+    return M, Y
+
+
+def drem_update(Delta, Y_mixed: np.ndarray, theta_hat: np.ndarray, gamma: float) -> np.ndarray:
+    """Componentwise rate gamma * Delta * (Y_mixed - Delta * theta_hat)."""
+    gamma = _finite("gamma", gamma, low=0.0, strict=True)
+    return gamma * Delta * (Y_mixed - Delta * theta_hat)

@@ -47,6 +47,9 @@ def test_validate_rejects_bad_values():
         RunConfig(pe_floor=0.0).validate()
     with pytest.raises(ConfigError):
         RunConfig(x0=(1.0,)).validate()
+    # two runs at one gain would write two blocks no reader can tell apart
+    with pytest.raises(ConfigError, match="^gamma 1 given twice$"):
+        RunConfig(gammas=(1.0, 1.0, 10.0)).validate()
 
 
 @pytest.mark.parametrize("field", ["step", "horizon", "pe_window", "pe_floor", "gammas",
@@ -222,6 +225,11 @@ def test_config_file_errors(tmp_path):
         load_config_file(str(p))
     with pytest.raises(ConfigError):
         load_config_file(str(tmp_path / "absent.cfg"))
+    # a field set twice, by one key or by both of its spellings
+    for text in ("horizon = 1\nstep = 1e-2\nhorizon = 2\n", "gamma = 1\n\ngammas = 10\n"):
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(p))}:3: .* given twice$"):
+            load_config_file(str(p))
 
 
 def test_flags_override_config_file(tmp_path):
@@ -284,6 +292,12 @@ def test_main_rejects_bad_flag_values(capsys):
     assert main(["--step", "-1", "--horizon", "1"]) == 2
     assert main(["--gamma", "abc"]) == 2
     assert main(["--x0", "1,2,3"]) == 2
+    capsys.readouterr()
+    # a flag given twice would keep its last value alone
+    for argv in (["--gamma", "1", "--gamma", "10"], ["--csv", "a", "--csv=b"],
+                 ["--x0", "-1,2", "--x0=1,2"]):
+        assert main(argv) == 2
+        assert f"argument {argv[0]}: given twice" in capsys.readouterr().err
 
 
 def test_negative_values_need_no_equals_sign(tmp_path, capsys):

@@ -26,10 +26,14 @@ runs one probe in a subprocess on each tree, importing that tree's
   and of :func:`q2_scenario` at gamma 700;
 - the delay maps of c1-c3, ``DelaySpec(base=0.5, amplitude=2.0,
   frequency=3.0)`` and one custom map on a 30 s stage grid (60,001
-  times), each built from its fields by keyword.
+  times), each built from its fields by keyword;
+- the estimator's laws on seeded inputs (:func:`probe_laws`):
+  ``gradient_update`` with one and two outputs, ``drem_update``,
+  ``extend_regressor`` with one lag before the history starts, and
+  ``adjugate`` and ``mix`` on stacks of sizes 1-5.
 
-It prints the line count of ``src/gpebo/*.py`` in both trees (what
-``wc -l`` reports), the largest absolute difference of each array, the run
+It prints the file and line counts of ``src/gpebo/*.py`` in both trees
+(what ``wc -l`` reports), the largest absolute difference of each array, the run
 where it occurs, and whether each file is byte for byte equal.  The exit
 status is 1 when a difference exceeds ``--bound`` or an array's shape or
 presence differs between the trees, else 0; differing bytes and the line
@@ -115,6 +119,33 @@ def stiff_scenarios() -> dict:
     return runs
 
 
+def probe_laws(data: dict) -> None:
+    """Record each law on seeded inputs in ``data`` under ``laws/``."""
+    from gpebo import (TrajectoryHistory, adjugate, drem_update, extend_regressor,
+                       gradient_update, mix)
+
+    rng = np.random.default_rng(23)
+    for q, shape in ((1, (3,)), (2, (3, 2))):
+        data[f"laws/q{q}/gradient_update"] = np.array([gradient_update(
+            rng.normal(size=shape), rng.normal(size=shape[1:]), rng.normal(size=3), gamma)
+            for gamma in (0.5, 10.0, 300.0)])
+    data["laws/drem_update"] = np.array([drem_update(
+        rng.normal(), rng.normal(size=3), rng.normal(size=3), gamma) for gamma in (0.5, 10.0)])
+    # a history over [0.2, 2]: at t = 1.234 the lag 1.5 reads before it starts
+    t = np.linspace(0.2, 2.0, 19)
+    hist_psi = TrajectoryHistory.from_grid(t, rng.normal(size=(19, 3)))
+    hist_y = TrajectoryHistory.from_grid(t, rng.normal(size=19))
+    M, Y = extend_regressor(1.234, (0.3, 0.75, 1.5), hist_psi, hist_y)
+    data["laws/lag/extend_regressor_M"], data["laws/lag/extend_regressor_Y"] = M, Y
+    # singular members either side of the 256 edge of adjugate's blocks
+    for n in range(1, 6):
+        M = rng.uniform(-1.0, 1.0, size=(515, n, n))
+        M[255:257, 0] = 0.0
+        data[f"laws/n{n}/adjugate"] = adjugate(M)
+        Delta, Y_mixed = mix(M, rng.uniform(-1.0, 1.0, size=(515, n)))
+        data[f"laws/n{n}/mix_Delta"], data[f"laws/n{n}/mix_Y"] = Delta, Y_mixed
+
+
 def probe(out: str) -> None:
     """Record every probed output of the gpebo on the import path in ``out``."""
     from gpebo import (DelaySpec, StiffnessError, builtin_scenario, delayed_pe_integral,
@@ -168,12 +199,15 @@ def probe(out: str) -> None:
         ("custom", DelaySpec(fn=lambda t: t - 0.3 - 0.1 * np.sin(t)))]
     for name, delay in delays:
         data[f"delay/{name}"] = delay(stages)
+    probe_laws(data)
     np.savez(out, **data)
 
 
-def _package_lines(tree: Path) -> int:
-    """Newline count of ``src/gpebo/*.py`` under ``tree``, as ``wc -l`` totals it."""
-    return sum(p.read_bytes().count(b"\n") for p in (tree / "src" / "gpebo").glob("*.py"))
+def _package_size(tree: Path) -> tuple:
+    """File count and newline count of ``src/gpebo/*.py`` under ``tree``,
+    the second as ``wc -l`` totals it."""
+    files = list((tree / "src" / "gpebo").glob("*.py"))
+    return len(files), sum(p.read_bytes().count(b"\n") for p in files)
 
 
 def _run_probe(tree: Path, out: Path) -> dict:
@@ -239,9 +273,10 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", str(tree)], input=archive, check=True)
         ref = _run_probe(tree, Path(tmp) / "ref.npz")
         new = _run_probe(ROOT, Path(tmp) / "new.npz")
-        lines = _package_lines(tree), _package_lines(ROOT)
+        (ref_files, ref_lines), (new_files, new_lines) = _package_size(tree), _package_size(ROOT)
     print(f"against {args.against} ({sha[:12]}), bound {args.bound:g}")
-    print("src/gpebo/*.py: {:,} -> {:,} lines".format(*lines))
+    print(f"src/gpebo/*.py: {ref_files} -> {new_files} files, "
+          f"{ref_lines:,} -> {new_lines:,} lines")
     ok = compare(ref, new, args.bound)
     print("within bound" if ok else "DRIFT ABOVE BOUND")
     return 0 if ok else 1
