@@ -82,7 +82,7 @@ def _gramians(hist_Phi: TrajectoryHistory, C, starts, T: float, delay: DelaySpec
     m, K = max(int(b[inner].max(initial=0)) - r0, 0), len(starts)
     s = np.concatenate((times[r0:r0 + m], lo, hi))
     phi = s if delay is None else delay(s)
-    cp = at_times(C, phi, (None, Phi.shape[1]), "C(t)") @ hist_Phi.sample_at(phi)
+    cp = at_times(C, phi, (None, Phi.shape[1]), "C(t)") @ hist_Phi.sample(phi)
     cpT = cp.transpose(0, 2, 1)
 
     # On s, window k runs from lo at m + k over its inner nodes first..last

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .model import _finite
+
 
 class TrajectoryHistory:
     """Time-indexed record of array-valued samples of one fixed shape."""
@@ -32,8 +34,8 @@ class TrajectoryHistory:
         values = np.asarray(values, dtype=float)
         if times.ndim != 1 or len(times) != len(values):
             raise ValueError("times and values must align on the leading axis")
-        if not np.all(np.diff(times) > 0.0):
-            raise ValueError("times must be strictly increasing")
+        if not (np.isfinite(times).all() and np.all(np.diff(times) > 0.0)):
+            raise ValueError("times must be finite and strictly increasing")
         hist = cls()
         if len(times):
             hist._times, hist._values = times, values
@@ -41,9 +43,10 @@ class TrajectoryHistory:
 
     def append(self, t: float, value) -> None:
         """Record ``value`` at time ``t``; ``t`` must exceed the latest node."""
+        t = _finite("t", t)
         value = np.asarray(value, dtype=float)
         if self._values is None:
-            self._times = np.array([float(t)])
+            self._times = np.array([t])
             self._values = value[None].copy()
             return
         if value.shape != self._values.shape[1:]:
@@ -53,18 +56,14 @@ class TrajectoryHistory:
             )
         if not t > self._times[-1]:
             raise ValueError(f"append time {t} is not after latest node {self._times[-1]}")
-        self._times = np.append(self._times, float(t))
+        self._times = np.append(self._times, t)
         self._values = np.concatenate([self._values, value[None]])
 
-    def sample(self, t: float) -> np.ndarray:
-        """Value at time ``t``, interpolating linearly between stored nodes."""
-        return self.sample_at(np.array([t], dtype=float))[0]
-
-    def sample_at(self, s) -> np.ndarray:
-        """Values at every time of the 1-D array ``s``, stacked on axis 0,
-        each exactly as :meth:`sample` returns it."""
+    def sample(self, t) -> np.ndarray:
+        """Values at the times ``t``, of any shape, as ``t.shape + value_shape``:
+        linear between stored nodes, the stored value at a node."""
         times, values = self.as_arrays()
-        s = np.asarray(s, dtype=float)
+        s = np.asarray(t, dtype=float).ravel()
         inside = (s >= times[0]) & (s <= times[-1])
         if not inside.all():
             raise ValueError(
@@ -78,7 +77,7 @@ class TrajectoryHistory:
             w = (s[off] - times[k]) / (times[k + 1] - times[k])
             v0 = out[off]
             out[off] = v0 + (values[k + 1] - v0) * w.reshape((-1,) + (1,) * (v0.ndim - 1))
-        return out
+        return out.reshape(np.shape(t) + values.shape[1:])[()]
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """The stored ``(times, values)`` arrays; values stack on axis 0.

@@ -369,15 +369,12 @@ def extend_regressor(
     The history must reach t.  Returns the pair (M, Y_stack) with M of
     shape (k, n).
     """
-    lags = (0.0,) + tuple(ext_delays)
+    s = _finite("t", t) - np.array((0.0,) + tuple(ext_delays))
     times, values = hist_psi.as_arrays()
-    M = np.zeros((len(lags), values.shape[1]))
-    Y = np.zeros(len(lags))
-    for i, d in enumerate(lags):
-        s = t - d
-        if s >= times[0]:
-            M[i] = hist_psi.sample(s)
-            Y[i] = hist_y.sample(s)
+    M = np.zeros((len(s), values.shape[1]))
+    Y = np.zeros(len(s))
+    seen = s >= times[0]
+    M[seen], Y[seen] = hist_psi.sample(s[seen]), hist_y.sample(s[seen])
     return M, Y
 
 

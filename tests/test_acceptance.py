@@ -147,7 +147,7 @@ def _slow_rate_prediction(res, gamma, t):
     C = res.scenario.system.C
     delay = res.scenario.delay
     phi = delay(t)
-    psi = (C(phi) @ hist.sample_at(phi))[:, 0]
+    psi = (C(phi) @ hist.sample(phi))[:, 0]
     dpsi = np.gradient(psi, t, axis=0)
     sq = (psi ** 2).sum(axis=1)
     turn = (psi[:, 0] * dpsi[:, 1] - psi[:, 1] * dpsi[:, 0]) / sq

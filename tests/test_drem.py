@@ -117,6 +117,8 @@ def test_extend_rejects_time_past_history():
     assert np.array_equal(M, np.array([[1.0, 1.0], [1.0, 0.25]]))
     with pytest.raises(ValueError):
         extend_regressor(1.25, lags, hp, hy)
+    with pytest.raises(ValueError, match="^t must be finite"):
+        extend_regressor(np.nan, lags, hp, hy)
 
 
 def test_mix_identity():

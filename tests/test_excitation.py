@@ -262,7 +262,7 @@ def _per_window_rule(hist, C, t, T, delay=None):
     lo, hi = max(t, times[0]), min(t + T, times[-1])
     s = np.concatenate(([lo], times[(times > lo) & (times < hi)], [hi]))
     phi = s if delay is None else delay(s)
-    cp = C(phi) @ hist.sample_at(phi)
+    cp = C(phi) @ hist.sample(phi)
     cpT = cp.transpose(0, 2, 1)
     return tuple(np.tensordot(0.5 * np.diff(s), g[1:] + g[:-1], axes=1)
                  for g in (cp @ cpT, cpT @ cp))

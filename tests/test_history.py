@@ -26,11 +26,18 @@ def test_append_two_samples():
 
 def test_append_non_monotone_rejected():
     h = TrajectoryHistory()
+    for t in (np.nan, np.inf, "0.5", np.array([1.0, 2.0])):
+        with pytest.raises(ValueError, match="^t must be"):
+            h.append(t, np.array([1.0]))
     h.append(0.001, np.array([1.0]))
     with pytest.raises(ValueError):
         h.append(0.0, np.array([2.0]))
     with pytest.raises(ValueError):
         h.append(0.001, np.array([2.0]))
+    for t in (np.nan, np.inf, "0.5", np.array([1.0, 2.0])):
+        with pytest.raises(ValueError, match="^t must be"):
+            h.append(t, np.array([2.0]))
+    assert h.as_arrays()[0].tolist() == [0.001]
 
 
 def test_append_shape_mismatch_rejected():
@@ -132,7 +139,10 @@ def test_sample_at_matches_per_node_formula_bit_exact():
     vals = rng.standard_normal((40, 2, 3))
     h = TrajectoryHistory.from_grid(times, vals)
     queries = np.concatenate([times, rng.uniform(times[0], times[-1], size=200)])
-    got = h.sample_at(queries)
+    got = h.sample(queries)
+    assert got.shape == (240, 2, 3)
+    assert np.array_equal(h.sample(queries.reshape(4, 60)), got.reshape(4, 60, 2, 3))
+    scalar = TrajectoryHistory.from_grid(times, vals[:, 1, 2])
     for q, g in zip(queries.tolist(), got):
         i = bisect_right(times.tolist(), q) - 1
         if times[i] == q:
@@ -141,12 +151,17 @@ def test_sample_at_matches_per_node_formula_bit_exact():
             ref = vals[i] + (vals[i + 1] - vals[i]) * ((q - times[i]) / (times[i + 1] - times[i]))
         assert np.array_equal(g, ref)
         assert np.array_equal(h.sample(q), ref)
+        got_scalar = scalar.sample(q)
+        assert type(got_scalar) is np.float64 and got_scalar == ref[1, 2]
     with pytest.raises(ValueError):
-        h.sample_at(np.array([times[0], times[-1] + 1e-9]))
+        h.sample(np.array([times[0], times[-1] + 1e-9]))
 
 
 def test_from_grid_rejects_unordered_times():
     with pytest.raises(ValueError):
         TrajectoryHistory.from_grid([0.0, 1.0, 1.0], np.zeros((3, 2)))
+    for times in ([np.inf], [0.0, np.nan]):
+        with pytest.raises(ValueError, match="^times must be finite"):
+            TrajectoryHistory.from_grid(times, np.ones((len(times), 1)))
     with pytest.raises(ValueError):
         TrajectoryHistory.from_grid([0.0, 2.0, 1.0], np.zeros((3, 2)))

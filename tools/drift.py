@@ -18,6 +18,8 @@ runs one probe in a subprocess on each tree, importing that tree's
   ``pe_integral``'s two Gramians (flattened, q x q then n x n, one row
   per window) and ``delayed_pe_integral`` at starts 0, 0.2, ..., 2 with
   T = 2, and ``liouville_det``;
+- on the same runs, ``phi_history()`` looked up at every node, at 200
+  seeded times between them and at the last node, as ``history/<sid>/phi``;
 - the bytes of the CLI's CSV, SVG and excitation report for c1-c3 with
   either law at gammas 1, 10 and 100 over 10 s;
 - the refusal time ``StiffnessError.t`` (nan if the run runs) of the
@@ -152,7 +154,7 @@ def probe(out: str) -> None:
                        liouville_det, pe_check, pe_integral, simulate)
     from gpebo.cli import main
 
-    data = {}
+    data, rng = {}, np.random.default_rng(29)
     for sid in SCENARIOS:
         for estimator, gamma in RUNS:
             res = simulate(builtin_scenario(sid, gamma, estimator=estimator))
@@ -170,6 +172,10 @@ def probe(out: str) -> None:
         data[f"pe/{sid}/delayed_pe_integral"] = np.array(
             [delayed_pe_integral(hist, C, 0.2 * i, 2.0, scenario.delay) for i in range(11)])
         data[f"pe/{sid}/liouville_det"] = np.array(liouville_det(hist, scenario.system.A))
+        times = hist.as_arrays()[0]
+        queries = np.concatenate((times, rng.uniform(times[0], times[-1], 200), times[-1:]))
+        # trees before the one-lookup history name the array lookup sample_at
+        data[f"history/{sid}/phi"] = getattr(hist, "sample_at", hist.sample)(queries)
     for key, scenario in (("drem4", drem4_scenario()), ("q2", q2_scenario(10.0))):
         res = simulate(scenario)
         for name in ("x", "xi", "Phi", "theta_hat", "psi", "y_reg"):
