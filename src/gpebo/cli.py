@@ -8,11 +8,13 @@ Usage example:
 A plain-text config file with ``key = value`` lines can seed any option;
 explicit flags override the file.  Each flag, each file field and each gain
 is given once; a repeat is refused.  ``RunConfig``'s fields are the one
-option table: each makes one flag and one converter, shared by flag and
-file values, and its flag and field names are its file keys.  Scenario
-and estimator names are case-insensitive in both.  Bad values are
-rejected by the model when :meth:`RunConfig.validate` builds each gain's
-scenario, before anything is simulated.  Exit codes: 0 success, 2
+option table: each makes one flag and names the plain parser (``float``,
+``str``, ``str.lower`` or ``_floats``) that reads its stripped flag and
+file values, and its flag and field names are its file keys.  A value its
+parser refuses exits 2 naming the flag and, from a file, the file and
+line.  Scenario and estimator names are case-insensitive in both.  Bad
+values are rejected by the model when :meth:`RunConfig.validate` builds
+each gain's scenario, before anything is simulated.  Exit codes: 0 success, 2
 configuration problem (including a gain too large for the step, found
 after the plant pass), 3 simulation divergence, 4 output file problem
 (a path that is empty or a directory, or whose directory is missing, is
@@ -46,36 +48,17 @@ class ConfigError(ValueError):
     """Configuration could not be parsed or validated."""
 
 
-def _parse_floats(text: str, key: str) -> tuple:
-    parts = [p.strip() for p in str(text).split(",") if p.strip()]
+def _floats(text: str) -> tuple:
+    parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
-        raise ConfigError(f"{key} must contain at least one number")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
-
-
-def _parse_float(text: str, key: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from None
-
-
-def _text(text: str, key: str) -> str:
-    return str(text).strip()
-
-
-def _name(text: str, key: str) -> str:
-    return str(text).strip().lower()
+        raise ValueError("must contain at least one number")
+    return tuple(float(p) for p in parts)
 
 
 def _option(default, convert, metavar, help, flag=None):
-    """One row of the option table: a RunConfig field with the converter
-    that flag and config-file values share, and the flag's metavar and
-    help.  The flag is ``--`` and the field name with dashes unless
-    ``flag`` names it."""
+    """One row of the option table: a RunConfig field with the parser of
+    its flag and config-file text, the flag's metavar and its help.  The
+    flag is ``--`` and the field name with dashes unless ``flag`` names it."""
     return field(default=default, metadata={
         "convert": convert, "metavar": metavar, "help": help, "flag": flag})
 
@@ -88,25 +71,23 @@ class RunConfig:
     per field, and a config-file key is a field's flag or field name.
     """
 
-    scenario: str = _option("c1", _name, "{c1,c2,c3}", "built-in benchmark case (default c1)")
-    estimator: str = _option("gradient", _name, "{gradient,drem}",
+    scenario: str = _option("c1", str.lower, "{c1,c2,c3}", "built-in benchmark case (default c1)")
+    estimator: str = _option("gradient", str.lower, "{gradient,drem}",
                              "parameter update law (default gradient)")
-    gammas: tuple = _option((1.0, 10.0, 100.0), _parse_floats, "G1,G2,...",
+    gammas: tuple = _option((1.0, 10.0, 100.0), _floats, "G1,G2,...",
                             "comma-separated adaptation gains (default 1,10,100)", flag="gamma")
-    step: float = _option(1e-3, _parse_float, "H", "integration step (default 1e-3)")
-    horizon: float = _option(30.0, _parse_float, "TF", "final time (default 30)")
-    x0: Optional[tuple] = _option(None, _parse_floats, "V1,V2",
-                                  "plant initial state (default 1,-1)")
-    xi0: Optional[tuple] = _option(None, _parse_floats, "V1,V2",
+    step: float = _option(1e-3, float, "H", "integration step (default 1e-3)")
+    horizon: float = _option(30.0, float, "TF", "final time (default 30)")
+    x0: Optional[tuple] = _option(None, _floats, "V1,V2", "plant initial state (default 1,-1)")
+    xi0: Optional[tuple] = _option(None, _floats, "V1,V2",
                                    "observer copy initial state (default 0,0)")
-    theta0: Optional[tuple] = _option(None, _parse_floats, "V1,V2",
+    theta0: Optional[tuple] = _option(None, _floats, "V1,V2",
                                       "initial parameter estimate (default 0,0)")
-    csv: Optional[str] = _option(None, _text, "PATH", "write the sweep table here")
-    svg: Optional[str] = _option(None, _text, "PATH", "render estimation error curves here")
-    pe_window: float = _option(5.0, _parse_float, "T", "excitation window length (default 5)")
-    pe_floor: float = _option(1e-4, _parse_float, "D",
-                              "excitation eigenvalue floor (default 1e-4)")
-    pe_report: Optional[str] = _option(None, _text, "PATH", "write the excitation scan here")
+    csv: Optional[str] = _option(None, str, "PATH", "write the sweep table here")
+    svg: Optional[str] = _option(None, str, "PATH", "render estimation error curves here")
+    pe_window: float = _option(5.0, float, "T", "excitation window length (default 5)")
+    pe_floor: float = _option(1e-4, float, "D", "excitation eigenvalue floor (default 1e-4)")
+    pe_report: Optional[str] = _option(None, str, "PATH", "write the excitation scan here")
 
     def scenarios(self) -> list:
         """The built-in scenario of each gain, in the order of ``gammas``."""
@@ -153,6 +134,15 @@ def _flag(f) -> str:
     return f.metadata["flag"] or f.name.replace("_", "-")
 
 
+def _convert(f, text: str, where: str = ""):
+    """``text``, stripped, read by field ``f``'s converter; a value it
+    refuses raises ConfigError naming the flag after ``where``."""
+    try:
+        return f.metadata["convert"](text.strip())
+    except ValueError as exc:
+        raise ConfigError(f"{where}{_flag(f)}: {exc}") from None
+
+
 # config-file key, lower case with "_" for "-" -> RunConfig field
 _FILE_KEYS = {key.replace("-", "_"): f for f in fields(RunConfig) for key in (f.name, _flag(f))}
 
@@ -178,13 +168,13 @@ def load_config_file(path: str) -> dict:
         f = _FILE_KEYS[key]
         if f.name in out:
             raise ConfigError(f"{path}:{lineno}: {_flag(f)} given twice")
-        out[f.name] = f.metadata["convert"](value.strip(), _flag(f))
+        out[f.name] = _convert(f, value, where=f"{path}:{lineno}: ")
     return out
 
 
 # flags whose values are numbers, so that a value may start with "-"
 _NUMBER_FLAGS = {"--" + _flag(f) for f in fields(RunConfig)
-                 if f.metadata["convert"] in (_parse_floats, _parse_float)}
+                 if f.metadata["convert"] in (_floats, float)}
 
 
 def _starts_negative_number(arg: str) -> bool:
@@ -240,7 +230,7 @@ def assemble_config(args: argparse.Namespace) -> RunConfig:
     for f in fields(RunConfig):
         raw = getattr(args, f.name)
         if raw is not None:
-            values[f.name] = f.metadata["convert"](raw, _flag(f))
+            values[f.name] = _convert(f, raw)
     config = RunConfig(**values)
     config.validate()
     return config

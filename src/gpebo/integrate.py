@@ -369,6 +369,10 @@ def extend_regressor(
     The history must reach t.  Returns the pair (M, Y_stack) with M of
     shape (k, n).
     """
+    for name, hist, kind in (("hist_psi", hist_psi, "vectors"), ("hist_y", hist_y, "scalars")):
+        shape = hist.as_arrays()[1].shape[1:]
+        if len(shape) != (kind == "vectors"):
+            raise ValueError(f"{name} samples must be {kind}, got shape {shape}")
     s = _finite("t", t) - np.array((0.0,) + tuple(ext_delays))
     times, values = hist_psi.as_arrays()
     M = np.zeros((len(s), values.shape[1]))

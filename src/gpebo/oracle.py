@@ -1,8 +1,8 @@
 """Determinant certificate of a recorded transition matrix.
 
 For any trajectory of dPhi/dt = A(t) Phi, the determinant satisfies
-det Phi(t) = exp(integral of trace A), which gives a cheap global
-consistency certificate for a recorded run.
+det Phi(t) = det Phi(t_0) exp(integral of trace A over [t_0, t]), which
+gives a cheap global consistency certificate for a recorded run.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from .model import at_times
 def liouville_det(hist_Phi: TrajectoryHistory, A) -> float:
     """Worst deviation of det Phi from its trace-integral prediction.
 
-    Compares det Phi(t_k) at every recorded node against
+    Compares det Phi(t_k) at every recorded node against det Phi(t_0)
     exp(trapezoidal integral of trace A(s) over [t_0, t_k]) and returns
-    the largest absolute difference.
+    the largest absolute difference.  A run's history starts at Phi = I,
+    where the factor det Phi(t_0) is 1; a slice of one starts anywhere.
     """
     times, Phis = hist_Phi.as_arrays()
     dets = np.linalg.det(Phis)
@@ -27,4 +28,4 @@ def liouville_det(hist_Phi: TrajectoryHistory, A) -> float:
     integral = np.concatenate(
         ([0.0], np.cumsum(0.5 * dt * (traces[1:] + traces[:-1])))
     )
-    return float(np.abs(dets - np.exp(integral)).max())
+    return float(np.abs(dets - dets[0] * np.exp(integral)).max())

@@ -134,8 +134,8 @@ def emit_svg(result: RunResult, path: str) -> None:
     """
     pairs = result.ordered()
     n = pairs[0][1].x.shape[1]
-    t = pairs[0][1].t
-    t_lo, t_hi = float(t[0]), float(t[-1])
+    t_lo = min(float(run.t[0]) for _, run in pairs)
+    t_hi = max(float(run.t[-1]) for _, run in pairs)
 
     width = 960
     left, right, top, bottom = 70, 190, 48, 56

@@ -220,9 +220,12 @@ def test_config_file_errors(tmp_path):
     p.write_text("just some words\n")
     with pytest.raises(ConfigError):
         load_config_file(str(p))
-    p.write_text("gamma = one,two\n")
-    with pytest.raises(ConfigError):
-        load_config_file(str(p))
+    # a value the field's parser refuses names the file, the line and the flag
+    for text, message in (("gamma = one,two\n", "gamma: could not convert string to float: 'one'"),
+                          ("step = abc\n", "step: could not convert string to float: 'abc'")):
+        p.write_text(text)
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'{p}:1: {message}')}$"):
+            load_config_file(str(p))
     with pytest.raises(ConfigError):
         load_config_file(str(tmp_path / "absent.cfg"))
     # a field set twice, by one key or by both of its spellings
@@ -293,6 +296,10 @@ def test_main_rejects_bad_flag_values(capsys):
     assert main(["--gamma", "abc"]) == 2
     assert main(["--x0", "1,2,3"]) == 2
     capsys.readouterr()
+    for argv, message in ((["--gamma", ","], "gamma: must contain at least one number"),
+                          (["--step", "abc"], "step: could not convert string to float: 'abc'")):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
     # a flag given twice would keep its last value alone
     for argv in (["--gamma", "1", "--gamma", "10"], ["--csv", "a", "--csv=b"],
                  ["--x0", "-1,2", "--x0=1,2"]):
@@ -338,6 +345,11 @@ def test_main_rejects_bad_config_file(tmp_path, capsys):
     p = tmp_path / "bad.cfg"
     p.write_text("nope = 1\n")
     assert main(["--config", str(p)]) == 2
+    capsys.readouterr()
+    p.write_text("step = abc\n")
+    assert main(["--config", str(p)]) == 2
+    assert capsys.readouterr().err == (f"config error: {p}:1: step: "
+                                       "could not convert string to float: 'abc'\n")
 
 
 def test_main_divergence_exit_code(capsys):

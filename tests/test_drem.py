@@ -1,6 +1,7 @@
 """Regressor extension, adjugate mixing, and the decoupled update law."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,9 +66,14 @@ def test_default_ext_delays():
             u=lambda t: np.zeros(t.shape + (1,)),
             x0=np.zeros(n),
         )
-        assert NamedScenario(id="drem", system=system, delay=DelaySpec(), gamma=1.0,
-                             estimator="drem", horizon=1.0, step=1e-3, xi0=np.zeros(n),
-                             theta_hat0=np.zeros(n)).drem_delays == lags
+        scenario = NamedScenario(id="drem", system=system, delay=DelaySpec(), gamma=1.0,
+                                 estimator="drem", horizon=1.0, step=1e-3, xi0=np.zeros(n),
+                                 theta_hat0=np.zeros(n))
+        assert scenario.drem_delays == lags
+    # two lags out of order on the 3-state plant; n = 2 takes one lag only
+    with pytest.raises(ValueError, match=r"^drem_delays must be strictly increasing, "
+                                         r"got \(1\.0, 0\.5\)$"):
+        replace(scenario, drem_delays=(1.0, 0.5))
 
 
 def _ramp_history(tmax=2.0, step=0.5):
@@ -119,6 +125,16 @@ def test_extend_rejects_time_past_history():
         extend_regressor(1.25, lags, hp, hy)
     with pytest.raises(ValueError, match="^t must be finite"):
         extend_regressor(np.nan, lags, hp, hy)
+    # a psi sample must be a vector and a y sample a scalar, before any lookup
+    times = np.linspace(0.0, 1.0, 5)
+    for psi, y, message in (
+        (hp, TrajectoryHistory.from_grid(times, np.ones((5, 1))), r"hist_y samples must be "
+         r"scalars, got shape \(1,\)"),
+        (TrajectoryHistory.from_grid(times, np.ones(5)), hy, r"hist_psi samples must be "
+         r"vectors, got shape \(\)"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            extend_regressor(1.0, lags, psi, y)
 
 
 def test_mix_identity():

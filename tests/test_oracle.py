@@ -8,6 +8,7 @@ from gpebo import (
     DelaySpec,
     NamedScenario,
     SystemSpec,
+    TrajectoryHistory,
     builtin_scenario,
     liouville_det,
     simulate,
@@ -38,6 +39,10 @@ def test_liouville_contracting_system():
     dev = liouville_det(res.phi_history(), sysm.A)
     assert dev <= 1e-6
     assert abs(np.linalg.det(res.Phi[-1]) - math.exp(-2.0 * res.t[-1])) <= 1e-9
+    # a slice from t = 1 starts at det Phi = e^{-2}, not 1: still consistent
+    assert res.t[1000] == 1.0
+    sliced = TrajectoryHistory.from_grid(res.t[1000:], res.Phi[1000:])
+    assert liouville_det(sliced, sysm.A) <= 1e-12
 
 
 def test_rk4_matches_diagonal_closed_form_at_default_step():
@@ -59,8 +64,6 @@ def test_rk4_matches_diagonal_closed_form_at_default_step():
 
 
 def test_liouville_static_identity():
-    from gpebo import TrajectoryHistory
-
     times = np.linspace(0.0, 2.0, 21)
     hist = TrajectoryHistory.from_grid(times, np.broadcast_to(np.eye(2), (21, 2, 2)))
     dev = liouville_det(hist, lambda t: np.zeros(t.shape + (2, 2)))

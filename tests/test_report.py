@@ -10,8 +10,8 @@ import pytest
 from gpebo import RunResult, builtin_scenario, emit_csv, emit_svg, simulate
 from gpebo.cli import main
 from gpebo.excitation import pe_check
-from gpebo.report import (_CSV_BLOCK, SVG_MAX_POINTS, _thin, csv_header, format_pe_summary,
-                          write_pe_report)
+from gpebo.report import (_CSV_BLOCK, SVG_MAX_POINTS, _atomic_text, _thin, csv_header,
+                          format_pe_summary, write_pe_report)
 
 
 def _sweep(gammas=(1.0, 10.0), horizon=1.0, scenario="c1", estimator="gradient"):
@@ -167,6 +167,18 @@ def test_csv_write_failure_leaves_no_file(tmp_path):
         emit_csv(result, str(missing))
     assert not missing.exists()
     assert not list(tmp_path.iterdir())
+    # a writer that fails leaves an existing target as it was, and no temporary file
+    target = tmp_path / "keep.csv"
+    target.write_text("old\n")
+
+    def writer(fh):
+        fh.write("partial")
+        raise RuntimeError("writer failed")
+
+    with pytest.raises(RuntimeError, match="writer failed"):
+        _atomic_text(str(target), writer)
+    assert target.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["keep.csv"]
 
 
 def test_svg_structure(tmp_path):
@@ -182,6 +194,37 @@ def test_svg_structure(tmp_path):
     labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
     for g in ("gamma=1", "gamma=10", "gamma=100"):
         assert g in labels
+
+
+def _vertices(path):
+    """Each polyline's vertices as an (N, 2) array of x, y."""
+    polys = ET.fromstring(path.read_text()).findall(".//{http://www.w3.org/2000/svg}polyline")
+    return [np.array([v.split(",") for v in p.attrib["points"].split()], float) for p in polys]
+
+
+def test_svg_time_axis_spans_every_run(tmp_path):
+    # runs of 2 s and 4 s share one frame; the longer one sets the right edge
+    runs = [simulate(builtin_scenario("c1", g, horizon=h)) for g, h in ((1.0, 2.0), (10.0, 4.0))]
+    path = tmp_path / "fig.svg"
+    emit_svg(RunResult("c1", "gradient", [1.0, 10.0], runs, 0.0), str(path))
+    left, plot_w = 70, 960 - 70 - 190
+    polys = _vertices(path)
+    for xy in polys:
+        assert left <= xy[:, 0].min() and xy[:, 0].max() <= left + plot_w
+    for short, long in (polys[0:2], polys[2:4]):  # one panel per state component
+        assert short[0, 0] == long[0, 0] == left
+        assert short[-1, 0] == left + plot_w / 2 and long[-1, 0] == left + plot_w
+
+
+def test_svg_pads_a_flat_error(tmp_path):
+    # a copy started on the plant's state has an error of exactly 0, drawn mid-panel
+    run = simulate(builtin_scenario("c1", 1.0, horizon=0.5, xi0=(1.0, -1.0)))
+    assert not run.estimation_error.any()
+    path = tmp_path / "fig.svg"
+    emit_svg(RunResult("c1", "gradient", [1.0], [run], 0.0), str(path))
+    top, panel_h, panel_gap = 48, 240, 58
+    for comp, xy in enumerate(_vertices(path)):
+        assert (xy[:, 1] == top + comp * (panel_h + panel_gap) + panel_h / 2).all()
 
 
 def test_svg_deterministic_bytes(tmp_path):
@@ -201,6 +244,10 @@ def test_svg_thins_long_runs(tmp_path):
     for p in polys:
         npts = len(p.attrib["points"].split())
         assert npts <= 2001
+    # a stride that misses the last node appends it
+    idx = _thin(4002)
+    assert idx[-1] == 4001 and len(idx) <= SVG_MAX_POINTS + 1
+    assert (np.diff(idx) > 0).all()
 
 
 @pytest.mark.parametrize("horizon", [0.5, 2.5])
