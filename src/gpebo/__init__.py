@@ -14,7 +14,6 @@ from .model import (
     DelaySpec,
     NamedScenario,
     SystemSpec,
-    benchmark_system,
     builtin_scenario,
     eval_system,
 )
@@ -24,9 +23,6 @@ from .integrate import (
     SimulationResult,
     StiffnessError,
     adjugate,
-    drem_update,
-    extend_regressor,
-    gradient_update,
     mix,
     simulate,
 )
@@ -45,15 +41,11 @@ __all__ = [
     "SystemSpec",
     "DelaySpec",
     "NamedScenario",
-    "benchmark_system",
     "builtin_scenario",
     "eval_system",
     "TrajectoryHistory",
-    "gradient_update",
     "adjugate",
-    "extend_regressor",
     "mix",
-    "drem_update",
     "SimulationResult",
     "DivergenceError",
     "StiffnessError",

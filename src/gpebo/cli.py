@@ -105,12 +105,12 @@ class RunConfig:
         """
         if not self.gammas:
             raise ConfigError("at least one gamma is required")
-        if not all(g > 0.0 for g in self.gammas):
-            raise ConfigError("gamma values must be positive")
         repeated = [g for k, g in enumerate(self.gammas) if g in self.gammas[:k]]
         if repeated:
             raise ConfigError(f"gamma {repeated[0]:g} given twice")
         try:
+            for gamma in self.gammas:
+                _finite("gamma", gamma, low=0.0, strict=True)
             steps = self.scenarios()[0].steps
             _finite("pe-window", self.pe_window, low=0.0, strict=True)
             _finite("pe-floor", self.pe_floor, low=0.0, strict=True)

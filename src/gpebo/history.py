@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import _finite
+from .model import _finite, _real
 
 
 class TrajectoryHistory:
@@ -30,8 +30,8 @@ class TrajectoryHistory:
         ``values[k]`` is the sample at ``times[k]``; the leading axis of
         ``values`` must match ``len(times)`` and the times must increase.
         """
-        times = np.asarray(times, dtype=float)
-        values = np.asarray(values, dtype=float)
+        times = _real(times, "times must be")
+        values = _real(values, "values must be")
         if times.ndim != 1 or len(times) != len(values):
             raise ValueError("times and values must align on the leading axis")
         if not (np.isfinite(times).all() and np.all(np.diff(times) > 0.0)):
@@ -44,7 +44,7 @@ class TrajectoryHistory:
     def append(self, t: float, value) -> None:
         """Record ``value`` at time ``t``; ``t`` must exceed the latest node."""
         t = _finite("t", t)
-        value = np.asarray(value, dtype=float)
+        value = _real(value, "value must be")
         if self._values is None:
             self._times = np.array([t])
             self._values = value[None].copy()

@@ -12,8 +12,10 @@ A run is three passes over the uniform grid t_k = k h:
    at the times simulate picks (every stage time; for DREM also each
    stage time minus each lag, zero before t = 0; at gamma = 0 the nodes
    alone), in one delay call and one C call on all of them, each looked
-   up in the cubic Hermite interpolant of the plant nodes, which keeps
-   the estimator fourth-order;
+   up in the cubic Hermite interpolant of the plant nodes.  The estimator
+   is fourth-order where the regression is smooth inside every step, as
+   on c1 and c2 with the gradient law; a kink of c3's clamp inside a step
+   and a DREM lag row switching on at t = d make it lower (ROADMAP item 10);
 3. estimator: theta_hat alone.  The gradient law
    gamma psi (y_reg - psi . theta_hat) and the DREM law
    gamma Delta (Y_mixed - Delta theta_hat) are both affine in theta_hat,
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .history import TrajectoryHistory
-from .model import NamedScenario, _finite, at_times
+from .model import NamedScenario, _finite, _real, at_times
 
 STATE_NORM_LIMIT = 1e12
 # The scans take this many step maps at once (8 doublings at 256), the
@@ -146,7 +148,7 @@ def adjugate(M: np.ndarray) -> np.ndarray:
     included: slower than det(M) inv(M) on wholly nonsingular stacks of
     n >= 6, but a DREM stack starts singular.
     """
-    M = np.asarray(M, dtype=float)
+    M = _real(M, "M must be")
     if M.ndim < 2 or M.shape[-1] != M.shape[-2] or M.shape[-1] == 0:
         raise ValueError(f"adjugate requires a nonempty square matrix, got shape {M.shape}")
     n = M.shape[-1]
@@ -171,8 +173,8 @@ def mix(M: np.ndarray, Y_stack: np.ndarray) -> tuple:
     matching leading axes, for instance one per stage time of a run; both
     results then carry the same leading axes.
     """
-    M = np.asarray(M, dtype=float)
-    Y_stack = np.asarray(Y_stack, dtype=float)
+    M = _real(M, "M must be")
+    Y_stack = _real(Y_stack, "Y_stack must be")
     adj = adjugate(M)  # raises ValueError unless M is square
     if Y_stack.shape != M.shape[:-1]:
         raise ValueError("Y_stack length must match the stacked regressor")
@@ -339,9 +341,10 @@ def simulate(scenario: NamedScenario) -> SimulationResult:
     )
 
 
-# No run calls these three: the estimator pass scans the two laws' affine
-# form, and _regression builds the lagged rows.  Tests compare the scan with
-# the laws, and perfbench/tracer.py wraps all three, with mix, by name here.
+# No run calls these three, and the package does not export them: the
+# estimator pass scans the two laws' affine form, and _regression builds the
+# lagged rows.  Tests compare the scan with the laws, and perfbench/tracer.py
+# wraps all three, with mix, by name here.
 def gradient_update(psi: np.ndarray, y_reg, theta_hat: np.ndarray, gamma: float) -> np.ndarray:
     """Rate of change of theta_hat under the gradient law.
 

@@ -10,12 +10,13 @@ so the measurement never refers to the future or to times before the run
 started.
 
 The callables take a whole grid at once: a 1-D float array of times in,
-their values at those times stacked on axis 0 out, shape-checked by
-:func:`at_times`.  The dataclasses here are the only validator of a run's
-parameters: every number passes one converter, ``_finite``, and a
-non-number, a wrong shape, a non-finite or out-of-range value or a
-non-integer dimension raises a ValueError starting with its name when it
-is built.  A scenario takes no delay map but a :class:`DelaySpec`, which clamps.
+their values at those times stacked on axis 0 out, read by
+:func:`at_times` alone, which refuses a wrong shape or a non-real value.
+The dataclasses here are the only validator of a run's parameters: every
+number passes one converter, ``_finite``, and a non-number, a wrong
+shape, a non-finite or out-of-range value or a non-integer dimension
+raises a ValueError starting with its name when it is built.  A
+scenario takes no delay map but a :class:`DelaySpec`, which clamps.
 """
 
 from __future__ import annotations
@@ -67,7 +68,8 @@ class SystemSpec:
         Time-dependent coefficient matrices.  Each takes a 1-D float array
         of N times and returns the N matrices stacked on axis 0, of shape
         (N, n, n), (N, n, m) and (N, q, n).  Callables must be
-        deterministic; returned arrays are treated as read-only.
+        deterministic and return real numbers; returned arrays are
+        treated as read-only.
     u : callable
         Known input signal, taking N times to shape (N, m).
     x0 : ndarray
@@ -93,15 +95,28 @@ class SystemSpec:
         object.__setattr__(self, "x0", _finite("x0", self.x0, self.n))
 
 
+def _real(value, what: str) -> np.ndarray:
+    """``value`` as a float array; a ragged or non-real one (complex, str,
+    object) raises a ValueError starting with ``what``, e.g. ``"A(t) must return"``."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged sequence
+        raise ValueError(f"{what} real numbers, got a ragged sequence") from None
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{what} real numbers, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
+
+
 def at_times(fn, times, shape: tuple, name: str) -> np.ndarray:
     """fn(times) for the 1-D float array ``times``: the values at every
-    time, stacked on axis 0.
+    time, stacked on axis 0; the one reader of what a callable returns.
 
-    The result must have exactly the shape ``(len(times),) + shape``, with
-    nothing broadcast; a ``None`` in ``shape`` matches any length, shown
-    as ``*``.  Otherwise a ValueError names ``name`` and both shapes.
+    The result must be real numbers of exactly the shape
+    ``(len(times),) + shape``, with nothing broadcast; a ``None`` in
+    ``shape`` matches any length, shown as ``*``.  Otherwise a ValueError
+    names ``name``.
     """
-    values = np.asarray(fn(times), dtype=float)
+    values = _real(fn(times), f"{name} must return")
     want = (len(times),) + shape
     if values.ndim != len(want) or any(w not in (None, v) for w, v in zip(want, values.shape)):
         shown = str(want).replace("None", "*")
@@ -110,7 +125,7 @@ def at_times(fn, times, shape: tuple, name: str) -> np.ndarray:
 
 
 def eval_system(spec: SystemSpec, t: float):
-    """(A, B, C, u) at time ``t``, shape-checked by :func:`at_times`."""
+    """(A, B, C, u) at time ``t``, read by :func:`at_times`."""
     n, m, q = spec.n, spec.m, spec.q
     times = np.array([float(t)])
     return tuple(at_times(fn, times, shape, name)[0] for fn, shape, name in (
@@ -126,8 +141,9 @@ class DelaySpec:
 
     or ``clamp(fn(t), 0, t)`` for a custom map, which takes no other
     parameter.  The fields are keyword-only: ``DelaySpec()`` is no delay,
-    ``DelaySpec(base=tau)`` a constant lag ``tau >= 0``.  It takes an array
-    of times to phi at each, in the same shape; so must ``fn``.
+    ``DelaySpec(base=tau)`` a constant lag ``tau >= 0``.  It takes times of
+    any shape to phi at each, in the same shape; ``fn``, read by
+    :func:`at_times`, takes them as a 1-D array, like every callable.
     """
 
     base: float = 0.0
@@ -145,10 +161,7 @@ class DelaySpec:
     def __call__(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
         if self.fn is not None:
-            raw = np.asarray(self.fn(t), dtype=float)
-            if raw.shape != t.shape:
-                raise ValueError(f"delay fn must return the shape {t.shape} of its times, "
-                                 f"got {raw.shape}")
+            raw = at_times(self.fn, t.ravel(), (), "delay fn").reshape(t.shape)
         else:
             raw = t - (self.base + self.amplitude * np.sin(self.frequency * t))
         if not np.isfinite(raw).all():
@@ -250,20 +263,6 @@ def _bench_u(t: np.ndarray) -> np.ndarray:
     return np.sin(t)[:, None]
 
 
-def benchmark_system(x0=None) -> SystemSpec:
-    """Oscillator with state-dependent restoring gain sin(t)^2.
-
-    A(t) = [[0, 1], [-sin(t)^2, 0]], B = [0, 1]^T, C = [1, 0], u(t) = sin(t).
-    The position measurement is taken through whatever delay the enclosing
-    scenario selects.
-    """
-    if x0 is None:
-        x0 = np.array([1.0, -1.0])
-    return SystemSpec(
-        n=2, m=1, q=1, A=_bench_A, B=_bench_B, C=_bench_C, u=_bench_u, x0=x0
-    )
-
-
 _SCENARIO_DELAYS = {
     "c1": DelaySpec(),
     "c2": DelaySpec(base=1.0),
@@ -271,40 +270,23 @@ _SCENARIO_DELAYS = {
 }
 
 
-def builtin_scenario(
-    scenario_id: str,
-    gamma: float,
-    estimator: str = "gradient",
-    horizon: float = 30.0,
-    step: float = 1e-3,
-    x0=None,
-    xi0=None,
-    theta_hat0=None,
-    drem_delays=None,
-) -> NamedScenario:
-    """Benchmark scenario by id.
+def builtin_scenario(scenario_id: str, gamma: float, estimator: str = "gradient",
+                     horizon: float = 30.0, step: float = 1e-3, x0=None, xi0=None,
+                     theta_hat0=None, drem_delays=None) -> NamedScenario:
+    """Benchmark scenario by id, the one constructor of the benchmark plant.
 
-    c1: undelayed measurement, c2: constant delay tau = 1,
-    c3: sinusoidal delay tau(t) = 1 + 0.9 sin(t).  All three share the
-    oscillator plant from :func:`benchmark_system`.
+    All three share an oscillator with restoring gain sin(t)^2:
+    A(t) = [[0, 1], [-sin(t)^2, 0]], B = [0, 1]^T, C = [1, 0],
+    u(t) = sin(t), x0 = (1, -1) unless given.  Its position is measured
+    through c1: no delay, c2: a constant delay tau = 1, or c3: a
+    sinusoidal delay tau(t) = 1 + 0.9 sin(t).
     """
     key = str(scenario_id).lower()
     if key not in _SCENARIO_DELAYS:
         raise ValueError(f"unknown scenario id {scenario_id!r}; expected c1, c2 or c3")
-    system = benchmark_system(x0=x0)
-    if xi0 is None:
-        xi0 = np.zeros(system.n)
-    if theta_hat0 is None:
-        theta_hat0 = np.zeros(system.n)
+    system = SystemSpec(n=2, m=1, q=1, A=_bench_A, B=_bench_B, C=_bench_C, u=_bench_u,
+                        x0=np.array([1.0, -1.0]) if x0 is None else x0)
     return NamedScenario(
-        id=key,
-        system=system,
-        delay=_SCENARIO_DELAYS[key],
-        gamma=gamma,
-        estimator=estimator,
-        horizon=horizon,
-        step=step,
-        xi0=xi0,
-        theta_hat0=theta_hat0,
-        drem_delays=drem_delays,
-    )
+        id=key, system=system, delay=_SCENARIO_DELAYS[key], gamma=gamma, estimator=estimator,
+        horizon=horizon, step=step, xi0=np.zeros(2) if xi0 is None else xi0,
+        theta_hat0=np.zeros(2) if theta_hat0 is None else theta_hat0, drem_delays=drem_delays)

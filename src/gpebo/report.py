@@ -7,13 +7,14 @@ bit for bit.  The figure emitter renders the state estimation error per
 component as a standalone SVG document with exactly one polyline per gain
 and no run-dependent metadata, so identical sweeps produce identical
 bytes.  All writers go through a temporary file in the destination
-directory and rename into place.
+directory and rename into place, leaving the mode ``open(path, "w")``
+would: the old file's, or 0666 less the umask for a new one.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,11 +60,14 @@ class RunResult:
 
 
 def _atomic_text(path: str, writer) -> None:
+    # made by open, so a new file takes the umask; copymode keeps an old file's mode
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(6).hex()}.tmp")
     try:
-        with os.fdopen(fd, "w", newline="\n") as fh:
+        with open(tmp, "x", newline="\n") as fh:
             writer(fh)
+        if os.path.exists(path):
+            shutil.copymode(path, tmp)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -297,7 +297,10 @@ def test_main_rejects_bad_flag_values(capsys):
     assert main(["--x0", "1,2,3"]) == 2
     capsys.readouterr()
     for argv, message in ((["--gamma", ","], "gamma: must contain at least one number"),
-                          (["--step", "abc"], "step: could not convert string to float: 'abc'")):
+                          (["--step", "abc"], "step: could not convert string to float: 'abc'"),
+                          # each gain goes through the model's converter
+                          (["--gamma", "nan"], "gamma must be finite, got nan"),
+                          (["--gamma", "1,0"], "gamma must be > 0, got 0.0")):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
     # a flag given twice would keep its last value alone
@@ -324,7 +327,7 @@ def test_negative_values_need_no_equals_sign(tmp_path, capsys):
     capsys.readouterr()
     # a negative gain reaches the gain check, not an argparse error
     assert main(["--gamma", "-1,2"]) == 2
-    assert "gamma values must be positive" in capsys.readouterr().err
+    assert "gamma must be > 0, got -1.0" in capsys.readouterr().err
 
 
 def test_flag_missing_its_value_exits_2(capsys):

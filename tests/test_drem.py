@@ -14,10 +14,9 @@ from gpebo import (
     TrajectoryHistory,
     adjugate,
     builtin_scenario,
-    drem_update,
-    extend_regressor,
     mix,
 )
+from gpebo.integrate import drem_update, extend_regressor
 
 
 def _laplace_det(M):
@@ -161,6 +160,14 @@ def test_mix_rejects_bad_shapes():
         mix(np.zeros((2, 3)), np.zeros(2))
     with pytest.raises(ValueError, match="Y_stack"):
         mix(np.eye(2), np.zeros(3))
+    # complex, string or ragged arguments are refused by name, not read
+    # with their imaginary parts dropped
+    for M, Y, name, got in ((np.eye(2) * (1 + 1j), [1.0, 2.0], "M", "dtype complex128"),
+                            (np.eye(2), [1.0, 2.0 + 0j], "Y_stack", "dtype complex128"),
+                            ([[1.0, 0.0], [0.0]], [1.0, 2.0], "M", "a ragged sequence"),
+                            (np.eye(2), ["1", "2"], "Y_stack", "dtype <U1")):
+        with pytest.raises(ValueError, match=f"^{name} must be real numbers, got {got}$"):
+            mix(M, Y)
 
 
 def test_mix_stack_matches_each_matrix():
@@ -253,6 +260,10 @@ def test_adjugate_rejects_non_square():
         adjugate(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="nonempty square"):
         adjugate(np.zeros((0, 0)))
+    for M, got in ((np.eye(3) * 1j, "dtype complex128"), (np.full((3, 3), "1"), "dtype <U1"),
+                   ([[1.0, 2.0], [3.0]], "a ragged sequence")):
+        with pytest.raises(ValueError, match=f"^M must be real numbers, got {got}$"):
+            adjugate(M)
 
 
 def test_drem_update_zero_delta():

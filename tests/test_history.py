@@ -1,5 +1,7 @@
 """Trajectory storage: append discipline, interpolation, exactness at nodes."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,8 @@ def test_append_shape_mismatch_rejected():
     h.append(0.0, np.zeros(2))
     with pytest.raises(ValueError):
         h.append(1.0, np.zeros(3))
+    with pytest.raises(ValueError, match="^value must be real numbers, got dtype complex128$"):
+        h.append(1.0, np.zeros(2) + 1j)
 
 
 def test_sample_exact_node():
@@ -168,4 +172,14 @@ def test_from_grid_rejects_unordered_times():
     # times and values that do not align on the leading axis
     for times, values in (([0.0, 1.0], np.zeros((3, 2))), (np.zeros((2, 2)), np.zeros(2))):
         with pytest.raises(ValueError, match="^times and values must align"):
+            TrajectoryHistory.from_grid(times, values)
+    # complex, string or ragged times or values, refused by name rather
+    # than read with their imaginary parts dropped
+    t = np.array([0.0, 1.0])
+    for times, values, want in (
+            (t + 1j, np.zeros((2, 1)), "times must be real numbers, got dtype complex128"),
+            (t, np.ones((2, 1)) * (1 + 1j), "values must be real numbers, got dtype complex128"),
+            (["0", "1"], np.zeros((2, 1)), "times must be real numbers, got dtype <U1"),
+            (t, [[0.0], [1.0, 2.0]], "values must be real numbers, got a ragged sequence")):
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             TrajectoryHistory.from_grid(times, values)

@@ -20,8 +20,6 @@ from gpebo import (
     StiffnessError,
     SystemSpec,
     builtin_scenario,
-    drem_update,
-    gradient_update,
     mix,
     simulate,
 )
@@ -512,12 +510,12 @@ def test_estimator_scan_is_the_documented_law(monkeypatch, sid, estimator, gamma
     (M, Y), = rows
     if estimator == "gradient":
         def rate(j, th):
-            return gradient_update(M[j, 0], Y[j, 0], th, gamma)
+            return integrate.gradient_update(M[j, 0], Y[j, 0], th, gamma)
     else:
         Delta, Y_mixed = mix(M, Y)
 
         def rate(j, th):
-            return drem_update(Delta[j], Y_mixed[j], th, gamma)
+            return integrate.drem_update(Delta[j], Y_mixed[j], th, gamma)
     ref = _stagewise_law_rk4(rate, scen.theta_hat0, scen.step, len(res.t) - 1)
     assert len(M) == 2 * len(res.t) - 1
     assert np.abs(res.theta_hat - ref).max() <= 1e-12 * (1.0 + np.abs(ref).max())

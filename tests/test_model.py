@@ -10,7 +10,6 @@ from gpebo import (
     DelaySpec,
     NamedScenario,
     SystemSpec,
-    benchmark_system,
     builtin_scenario,
     eval_system,
     liouville_det,
@@ -93,7 +92,7 @@ def test_delay_validation():
 
 
 def test_benchmark_system_at_zero():
-    A, B, C, u = eval_system(benchmark_system(), 0.0)
+    A, B, C, u = eval_system(builtin_scenario("c1", 0.0).system, 0.0)
     assert np.array_equal(A, np.array([[0.0, 1.0], [0.0, 0.0]]))
     assert np.array_equal(B, np.array([[0.0], [1.0]]))
     assert np.array_equal(C, np.array([[1.0, 0.0]]))
@@ -101,7 +100,7 @@ def test_benchmark_system_at_zero():
 
 
 def test_benchmark_system_at_quarter_period():
-    A, _, _, _ = eval_system(benchmark_system(), math.pi / 2)
+    A, _, _, _ = eval_system(builtin_scenario("c1", 0.0).system, math.pi / 2)
     assert np.array_equal(A, np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
@@ -289,8 +288,7 @@ def test_wrong_shaped_coefficient_fails_naming_the_time():
         assert results == []
     # a custom delay map that returns one value for the whole grid
     scen = replace(scen, system=_dummy_system(), delay=DelaySpec(fn=lambda t: 0.0))
-    with pytest.raises(ValueError, match=r"delay fn must return the shape \(11,\) of its times, "
-                                         r"got \(\)"):
+    with pytest.raises(ValueError, match=r"^delay fn must return shape \(11,\), got \(\)$"):
         simulate(scen)
     res = simulate(builtin_scenario("c1", 0.0, horizon=1.0, step=0.1))
     with pytest.raises(ValueError, match=r"A\(t\) must return shape \(11, 2, 2\), got \(11, 3, 3\)"):
@@ -298,6 +296,42 @@ def test_wrong_shaped_coefficient_fails_naming_the_time():
     # pe_check evaluates C once: at the 9 nodes inside its 11 windows and their 22 ends
     with pytest.raises(ValueError, match=r"C\(t\) must return shape \(31, \*, 2\), got \(31, 2\)"):
         pe_check(res.phi_history(), lambda t: np.ones((len(t), 2)), 0.5, 1e-4)
+
+
+def test_non_real_or_ragged_return_fails_naming_the_callable():
+    # a complex, string or ragged return from A, B, C, u or a custom delay
+    # map is refused naming it, before any of it reaches the run; a complex
+    # A used to run to the end with its imaginary part dropped
+    scen = builtin_scenario("c1", 1.0, horizon=0.1, step=0.01)
+    sysm = scen.system
+    bad = {"complex": lambda fn: lambda t: fn(t) + 1e-3j,
+           "string": lambda fn: lambda t: np.asarray(fn(t)).astype(str),
+           "ragged": lambda fn: lambda t: [fn(t[:1])[0], fn(t[:2])]}
+    got = {"complex": "dtype complex128", "string": r"dtype <U\d+", "ragged": "a ragged sequence"}
+    for kind, wrap in bad.items():
+        for name in ("A", "B", "C", "u"):
+            broken = replace(scen, system=replace(sysm, **{name: wrap(getattr(sysm, name))}))
+            with pytest.raises(ValueError, match=rf"^{name}\(t\) must return real numbers, "
+                                                 rf"got {got[kind]}$"):
+                simulate(broken)
+        custom = DelaySpec(fn=wrap(lambda t: t - 0.05))
+        for call in (lambda: simulate(replace(scen, delay=custom)),
+                     lambda: custom(np.array([1.0, 2.0]))):
+            with pytest.raises(ValueError, match=rf"^delay fn must return real numbers, "
+                                                 rf"got {got[kind]}$"):
+                call()
+
+
+def test_custom_delay_map_takes_a_flat_array():
+    # fn sees every query as a 1-D array, like A, B, C and u; the result
+    # takes the query's shape, a scalar one included
+    seen = []
+    delay = DelaySpec(fn=lambda t: seen.append(t.shape) or t - 1.0)
+    assert delay(5.0) == 4.0 and np.shape(delay(5.0)) == ()
+    grid = np.arange(6.0).reshape(2, 3)
+    assert np.array_equal(delay(grid), np.maximum(grid - 1.0, 0.0))
+    assert seen == [(1,), (1,), (6,)]
+    assert DelaySpec()(5.0) == 5.0
 
 
 def test_grid_too_fine_to_count_fails_at_construction():
@@ -349,7 +383,7 @@ def test_builtins_equal_scalar_formulas_on_the_stage_grid():
     # return the same doubles as scalar math formulas, sign of zero included
     tau = 0.5e-3 * np.arange(60001)
     times = tau.tolist()
-    sysm = benchmark_system()
+    sysm = builtin_scenario("c1", 0.0).system
     want = {
         "A": np.array([[[0.0, 1.0], [-math.sin(t) * math.sin(t), 0.0]] for t in times]),
         "B": np.tile([[0.0], [1.0]], (len(times), 1, 1)),

@@ -11,12 +11,10 @@ from gpebo import (
     NamedScenario,
     SimulationResult,
     SystemSpec,
-    benchmark_system,
     builtin_scenario,
-    drem_update,
-    gradient_update,
     simulate,
 )
+from gpebo.integrate import drem_update, gradient_update
 
 
 def test_scalar_gain_matches_identity_matrix():
@@ -87,7 +85,8 @@ def test_gradient_update_scalar_rate():
 def test_multi_output_gradient_run():
     # full-state measurement C = I through a constant delay: psi is (n, q)
     # at every node and the law takes its q-output branch
-    sysm = replace(benchmark_system(), q=2, C=lambda t: np.tile(np.eye(2), (len(t), 1, 1)))
+    sysm = replace(builtin_scenario("c1", 0.0).system, q=2,
+                   C=lambda t: np.tile(np.eye(2), (len(t), 1, 1)))
     scen = NamedScenario(
         id="q2", system=sysm, delay=DelaySpec(base=0.5), gamma=10.0,
         estimator="gradient", horizon=10.0, step=1e-2, xi0=np.zeros(2),

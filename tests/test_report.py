@@ -1,6 +1,7 @@
 """CSV and SVG emission: schema, round trip, determinism, atomicity."""
 
 import os
+import stat
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -179,6 +180,32 @@ def test_csv_write_failure_leaves_no_file(tmp_path):
         _atomic_text(str(target), writer)
     assert target.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["keep.csv"]
+
+
+def test_outputs_take_the_mode_open_would_give(tmp_path, capsys):
+    # a new file gets 0666 less the umask, an overwritten one keeps its own
+    # mode; mkstemp's 0600 used to reach every output
+    old_umask = os.umask(0o022)
+    try:
+        outs = [tmp_path / f"a.{ext}" for ext in ("csv", "svg", "pe")]
+        argv = ["--gamma", "1", "--horizon", "1", "--step", "1e-2", "--pe-window", "0.5"]
+        for flag, path in zip(("--csv", "--svg", "--pe-report"), outs):
+            argv += [flag, str(path)]
+        assert main(argv) == 0
+        (tmp_path / "touched").open("w").close()
+        assert stat.S_IMODE((tmp_path / "touched").stat().st_mode) == 0o644
+        for path in outs:
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644
+            path.chmod(0o640)
+        assert main(argv) == 0
+        for path in outs:
+            assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        os.umask(0o027)
+        _atomic_text(str(tmp_path / "group"), lambda fh: fh.write("x"))
+        assert stat.S_IMODE((tmp_path / "group").stat().st_mode) == 0o640
+    finally:
+        os.umask(old_umask)
+    capsys.readouterr()
 
 
 def test_svg_structure(tmp_path):

@@ -122,9 +122,15 @@ def stiff_scenarios() -> dict:
 
 
 def probe_laws(data: dict) -> None:
-    """Record each law on seeded inputs in ``data`` under ``laws/``."""
-    from gpebo import (TrajectoryHistory, adjugate, drem_update, extend_regressor,
-                       gradient_update, mix)
+    """Record each law on seeded inputs in ``data`` under ``laws/``.  Each is
+    looked up in ``gpebo.integrate``, else in the package, where older trees
+    keep them."""
+    import gpebo.integrate
+    from gpebo import TrajectoryHistory
+
+    adjugate, drem_update, extend_regressor, gradient_update, mix = (
+        getattr(gpebo.integrate, name, None) or getattr(gpebo, name) for name in
+        ("adjugate", "drem_update", "extend_regressor", "gradient_update", "mix"))
 
     rng = np.random.default_rng(23)
     for q, shape in ((1, (3,)), (2, (3, 2))):
