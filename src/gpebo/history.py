@@ -63,7 +63,7 @@ class TrajectoryHistory:
         """Values at the times ``t``, of any shape, as ``t.shape + value_shape``:
         linear between stored nodes, the stored value at a node."""
         times, values = self.as_arrays()
-        s = np.asarray(t, dtype=float).ravel()
+        s = _real(t, "t must be").ravel()
         inside = (s >= times[0]) & (s <= times[-1])
         if not inside.all():
             raise ValueError(

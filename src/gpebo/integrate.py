@@ -5,14 +5,15 @@ A run is three passes over the uniform grid t_k = k h:
 1. plant: Z = [x | xi | Phi] obeys Z' = A(t) Z + [Bu Bu 0], which never
    sees the estimator.  With A, B and u called once on all nodes and
    midpoints, each RK4 step's affine map Z_{k+1} = P_k Z_k + r_k [1 1 0]
-   is built with array operations, and a blocked prefix-product scan
+   is built with array operations, and a chunked prefix-product scan
    applies the maps; the pass keeps node values and node derivatives.  A
    step past RK4's stability region for some frozen A(t) is refused first;
 2. regression: psi = (C(phi) Phi(phi))^T and y_reg = C(phi) (xi - x)(phi)
    at the times simulate picks (every stage time; for DREM also each
    stage time minus each lag, zero before t = 0; at gamma = 0 the nodes
    alone), in one delay call and one C call on all of them, each looked
-   up in the cubic Hermite interpolant of the plant nodes.  The estimator
+   up in the cubic Hermite interpolant of the plant nodes, its interval
+   found by arithmetic on the uniform grid.  The estimator
    is fourth-order where the regression is smooth inside every step, as
    on c1 and c2 with the gradient law; a kink of c3's clamp inside a step
    and a DREM lag row switching on at t = d make it lower (ROADMAP item 10);
@@ -41,11 +42,15 @@ from .history import TrajectoryHistory
 from .model import NamedScenario, _finite, _real, at_times
 
 STATE_NORM_LIMIT = 1e12
-# The scans take this many step maps at once (8 doublings at 256), the
-# Hermite lookups this many times, and adjugate's minors, n^2 (n-1)^2 floats
-# a matrix, this many matrices; the block bounds the size of their
-# temporaries and with it a run's peak memory.
-_BLOCK = 256
+# Each kernel works a block at a time, which bounds its temporaries and
+# with them a run's peak memory: the scans build this many step maps at
+# once and scan them in chunks of _CHUNK steps, the Hermite lookup takes
+# this many times, and adjugate's minors, n^2 (n-1)^2 floats a matrix,
+# this many matrices.
+_MAP_BLOCK = 1024
+_CHUNK = 32
+_LOOKUP_BLOCK = 2048
+_ADJ_BLOCK = 256
 
 
 class DivergenceError(RuntimeError):
@@ -65,36 +70,47 @@ class StiffnessError(DivergenceError):
     guard is a DivergenceError instead: its growing psi makes any gain stiff."""
 
 
+def _step_maps(g, h):
+    """RK4's step maps for z' = G(t) z with step ``h``, given G at the stage
+    times ``g`` of consecutive steps: a step of a linear ODE multiplies by
+    what its stage formulas make of the identity."""
+    eye = np.eye(g.shape[-1])
+    G0, Gm, G1 = g[:-1:2], g[1::2], g[2::2]
+    K2 = Gm @ (eye + 0.5 * h * G0)
+    K3 = Gm @ (eye + 0.5 * h * K2)
+    K4 = G1 @ (eye + h * K3)
+    return eye + (h / 6.0) * (G0 + 2.0 * (K2 + K3) + K4)
+
+
 def _affine_scan(G, z0, h):
     """RK4 on z' = G(t) z with step ``h``, G given at every stage time (node
     k is 2k, the midpoint after it 2k + 1); returns the node values.
 
-    A step of a linear ODE multiplies by what its stage formulas make of
-    the identity; these maps are built a block of steps at a time with
-    array operations.  Within a block, recursive doubling (Blelloch 1990)
-    turns them into prefix products in log2 of its length batched matmuls,
-    and one batched product applies them to the node before the block.
-    This associates differently from stepping one map at a time, so the
-    nodes match stagewise RK4 to rounding, not bit for bit.
+    The maps are built ``_MAP_BLOCK`` steps at a time and scanned in chunks
+    of ``_CHUNK`` steps, a work-efficient scan (Blelloch 1990): ``_CHUNK - 1``
+    batched products across all chunks form each chunk's prefix products,
+    the state is carried over the chunk ends, and one batched product
+    applies every prefix product to its chunk's start.  Identity maps pad a
+    ragged last chunk.  This associates differently from stepping one map
+    at a time, so the nodes match stagewise RK4 to rounding, not bit for bit.
     """
-    eye = np.eye(len(z0))
+    d = len(z0)
     Z = np.empty((len(G) // 2 + 1,) + z0.shape)
     z = Z[0] = z0
-    for lo in range(0, len(Z) - 1, _BLOCK):
-        g = G[2 * lo:2 * (lo + _BLOCK) + 1]
-        G0, Gm, G1 = g[:-1:2], g[1::2], g[2::2]
-        K2 = Gm @ (eye + 0.5 * h * G0)
-        K3 = Gm @ (eye + 0.5 * h * K2)
-        K4 = G1 @ (eye + h * K3)
-        Q = eye + (h / 6.0) * (G0 + 2.0 * (K2 + K3) + K4)
-        # after the pass at d, Q[j] = P_{lo+j} ... P_{lo+max(0, j-2d+1)};
-        # the right-hand side is a temporary, so the update may be in place
-        d = 1
-        while d < len(Q):
-            Q[d:] = Q[d:] @ Q[:-d]
-            d *= 2
-        Z[lo + 1:lo + 1 + len(Q)] = Q @ z
-        z = Z[lo + len(Q)]
+    for lo in range(0, len(Z) - 1, _MAP_BLOCK):
+        Q = _step_maps(G[2 * lo:2 * (lo + _MAP_BLOCK) + 1], h)
+        steps, pad = len(Q), -len(Q) % _CHUNK
+        if pad:
+            Q = np.concatenate([Q, np.broadcast_to(np.eye(d), (pad, d, d))])
+        P = Q.reshape(-1, _CHUNK, d, d)
+        for j in range(1, _CHUNK):
+            np.matmul(P[:, j], P[:, j - 1], out=P[:, j])
+        starts = np.empty((len(P),) + z0.shape)
+        for c, chunk in enumerate(P):
+            starts[c] = z
+            z = chunk[-1] @ z
+        Z[lo + 1:lo + 1 + steps] = (P @ starts[:, None]).reshape((-1,) + z0.shape)[:steps]
+        z = Z[lo + steps]
     return Z
 
 
@@ -144,7 +160,7 @@ def adjugate(M: np.ndarray) -> np.ndarray:
     ``M`` is one square matrix or a stack of them on the leading axes, in
     one batched call.  Size 2 uses closed-form cofactors; the others take
     adj(M)[c, r] = (-1)^(r+c) det(M without row r, column c), one det call
-    on all n^2 minors of ``_BLOCK`` matrices at a time, singular M
+    on all n^2 minors of ``_ADJ_BLOCK`` matrices at a time, singular M
     included: slower than det(M) inv(M) on wholly nonsingular stacks of
     n >= 6, but a DREM stack starts singular.
     """
@@ -159,9 +175,9 @@ def adjugate(M: np.ndarray) -> np.ndarray:
     keep = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
     flat = M.reshape(-1, n, n)
     minor_det = np.empty_like(flat)
-    for lo in range(0, len(flat), _BLOCK):
-        minors = flat[lo:lo + _BLOCK, keep[None, :, :, None], keep[:, None, None, :]]
-        minor_det[lo:lo + _BLOCK] = np.linalg.det(minors)
+    for lo in range(0, len(flat), _ADJ_BLOCK):
+        minors = flat[lo:lo + _ADJ_BLOCK, keep[None, :, :, None], keep[:, None, None, :]]
+        minor_det[lo:lo + _ADJ_BLOCK] = np.linalg.det(minors)
     return (-1.0) ** np.add.outer(range(n), range(n)) * minor_det.reshape(M.shape)
 
 
@@ -208,14 +224,25 @@ def _estimator_pass(scenario, M, Y, tau, refuse_stiff):
     return _affine_scan(G, z0, h)[:, :n, 0].copy()
 
 
+def _interval(t, s):
+    """For each time of ``s`` in ``[0, t[-1]]``, the index of the last node
+    of the grid ``t = h * arange(N)`` at or before it, capped at N - 2, as
+    bisection finds it: floor(s / h), corrected by one comparison each way."""
+    last = len(t) - 2
+    i = np.minimum((s / t[1]).astype(np.intp), last)
+    i -= t[i] > s
+    i += (t[i + 1] <= s) & (i < last)
+    return i
+
+
 def _hermite(t, Z, dZ, s):
     """Cubic Hermite interpolant of the node data at the times ``s``.
 
     The local coordinate is taken over each interval's own length, so a
     time on a node returns that node's value exactly.  The times ``s``
-    lie in ``[t[0], t[-1]]``, the last on the last interval.
+    lie in ``[0, t[-1]]`` on the grid ``t = h * arange(N)``.
     """
-    i = np.minimum(np.searchsorted(t, s, side="right") - 1, len(t) - 2)
+    i = _interval(t, s)
     dt = t[i + 1] - t[i]
     u = ((s - t[i]) / dt)[:, None, None]
     dt = dt[:, None, None]
@@ -234,10 +261,11 @@ def _regression(scenario, t, Z, dZ, times, lags):
     phi = scenario.delay(np.maximum(s, 0.0))
     C = at_times(scenario.system.C, phi, (q, n), "C(t)")
     psi, y_reg = np.empty((len(s), q, n)), np.empty((len(s), q))
-    for lo in range(0, len(s), _BLOCK):
-        Zd, c = _hermite(t, Z, dZ, phi[lo:lo + _BLOCK]), C[lo:lo + _BLOCK]
-        np.matmul(c, Zd[:, :, 2:], out=psi[lo:lo + _BLOCK])
-        np.einsum("kqn,kn->kq", c, Zd[:, :, 1] - Zd[:, :, 0], out=y_reg[lo:lo + _BLOCK])
+    for lo in range(0, len(s), _LOOKUP_BLOCK):
+        hi = lo + _LOOKUP_BLOCK
+        Zd, c = _hermite(t, Z, dZ, phi[lo:hi]), C[lo:hi]
+        np.matmul(c, Zd[:, :, 2:], out=psi[lo:hi])
+        np.einsum("kqn,kn->kq", c, Zd[:, :, 1] - Zd[:, :, 0], out=y_reg[lo:hi])
     psi[s < 0.0] = 0.0
     y_reg[s < 0.0] = 0.0
     # psi is a transposed view of C Phi, not a copy: for q outputs the law's

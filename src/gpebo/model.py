@@ -33,7 +33,8 @@ _ESTIMATORS = ("gradient", "drem")
 # Grid nodes one run may hold, and one CLI sweep summed over its gains.  A
 # simulation peaks near 512 bytes per node with DREM and 392 with the
 # gradient law, and keeps 112; a sweep keeps every gain's run, so one at
-# the limit peaks near 1.0 GB (tracemalloc, 30 s gain-100 runs on c1, c3).
+# the limit peaks near 1.0 GB (tracemalloc, 30 s and 300 s gain-100 runs on
+# c1 and c3; the scan's fixed temporaries add 1 B/node at 30 s).
 MAX_SWEEP_NODES = 2_000_000
 
 
@@ -41,19 +42,18 @@ def _finite(name, value, n=None, low=-np.inf, strict=False):
     """``value`` as a float, or given ``n`` an (n,) float array, if real,
     finite and >= ``low`` (> if ``strict``); anything else, a str, None, a
     ragged or complex value included, raises a ValueError starting with ``name``."""
+    want = "a real number" if n is None else f"real numbers of shape ({n},)"
     try:
-        arr = np.asarray(value)
-    except ValueError:  # a ragged sequence, refused below
-        arr = np.asarray(None)
-    if arr.dtype.kind not in "biuf" or arr.shape != (() if n is None else (n,)):
-        want = "a real number" if n is None else f"real numbers of shape ({n},)"
+        arr = _real(value, name)
+    except ValueError:
+        arr = None
+    if arr is None or arr.shape != (() if n is None else (n,)):
         raise ValueError(f"{name} must be {want}, got {value!r}")
-    arr = arr.astype(float)
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite, got {value!r}")
     if (arr <= low if strict else arr < low).any():
         raise ValueError(f"{name} must be {'>' if strict else '>='} {low:g}, got {value!r}")
-    return float(arr) if n is None else arr
+    return float(arr) if n is None else arr.copy()  # not the caller's array
 
 
 @dataclass(frozen=True)
@@ -159,7 +159,7 @@ class DelaySpec:
             raise ValueError(f"delay fn {self.fn!r} must be callable and take no other parameter")
 
     def __call__(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
+        t = _real(t, "t must be")
         if self.fn is not None:
             raw = at_times(self.fn, t.ravel(), (), "delay fn").reshape(t.shape)
         else:

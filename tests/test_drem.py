@@ -249,9 +249,9 @@ def test_adjugate_larger_sizes():
     assert np.all(np.isfinite(got))
 
     # a stack longer than two blocks gives each member's own adjugate
-    T = rng.uniform(-1.0, 1.0, size=(2 * integrate._BLOCK + 3, 4, 4))
+    T = rng.uniform(-1.0, 1.0, size=(2 * integrate._ADJ_BLOCK + 3, 4, 4))
     # singular members either side of a block edge
-    T[integrate._BLOCK - 1:integrate._BLOCK + 1, 0] = 0.0
+    T[integrate._ADJ_BLOCK - 1:integrate._ADJ_BLOCK + 1, 0] = 0.0
     assert np.array_equal(adjugate(T), np.array([adjugate(m) for m in T]))
 
 

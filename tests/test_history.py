@@ -183,3 +183,5 @@ def test_from_grid_rejects_unordered_times():
             (t, [[0.0], [1.0, 2.0]], "values must be real numbers, got a ragged sequence")):
         with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
             TrajectoryHistory.from_grid(times, values)
+    with pytest.raises(ValueError, match="^t must be real numbers, got dtype complex128$"):
+        TrajectoryHistory.from_grid(t, [[0.0], [1.0]]).sample(np.array([0.5 + 3j]))

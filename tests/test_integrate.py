@@ -372,6 +372,21 @@ def test_regression_is_one_lookup_over_every_lag(estimator, gamma, rows):
         assert np.array_equal(getattr(a, name), getattr(b, name))
 
 
+@pytest.mark.parametrize("h", [1e-3, 3e-3, 1.0 / 3.0])
+@pytest.mark.parametrize("steps", [1, 2, 1025, 30000])
+def test_lookup_interval_is_searchsorted(steps, h):
+    # every node, the float either side of each inside [0, t[-1]], and the
+    # last node: floor(s / h) corrected equals the bisection's interval, and
+    # the interpolant returns each node's value bit for bit
+    t = h * np.arange(steps + 1)
+    s = np.concatenate([t, np.nextafter(t[1:], -np.inf), np.nextafter(t[:-1], np.inf), t[-1:]])
+    want = np.minimum(np.searchsorted(t, s, "right") - 1, len(t) - 2)
+    assert np.array_equal(integrate._interval(t, s), want)
+    Z = np.random.default_rng(steps).standard_normal((len(t), 3, 2))
+    dZ = np.random.default_rng(steps + 1).standard_normal((len(t), 3, 2))
+    assert np.array_equal(integrate._hermite(t, Z, dZ, t), Z)
+
+
 def test_delayed_scenario_uses_history():
     # with tau = 1 the lookups land between earlier nodes, where the Hermite
     # interpolant keeps the regression identity
@@ -420,19 +435,23 @@ def _stagewise_rk4(A, F, Z0, h, nsteps):
        decay=st.floats(0.0, 2.0), spin=st.floats(0.0, 6.0), w=st.floats(0.1, 10.0),
        step=st.floats(1e-3, 0.0125), nsteps=st.integers(1, 600))
 @example(seed=0, n=2, m=1, decay=0.5, spin=3.0, w=2.0, step=0.01, nsteps=400)
-# one step, one short of a block of 256 step maps, exactly one, one over,
-# and two blocks and one step
+# one step; one short of a chunk of 32 step maps, exactly one, one over;
+# one short of a block of 1,024 step maps, exactly one, one over; two
+# blocks and one step
 @example(seed=1, n=3, m=2, decay=0.5, spin=3.0, w=2.0, step=0.01, nsteps=1)
-@example(seed=2, n=2, m=1, decay=0.5, spin=3.0, w=2.0, step=0.01, nsteps=255)
-@example(seed=3, n=2, m=2, decay=0.5, spin=3.0, w=2.0, step=0.01, nsteps=256)
-@example(seed=4, n=1, m=1, decay=0.5, spin=3.0, w=2.0, step=0.01, nsteps=257)
-@example(seed=5, n=3, m=1, decay=0.2, spin=5.0, w=7.0, step=0.005, nsteps=513)
+@example(seed=2, n=2, m=1, decay=0.5, spin=3.0, w=2.0, step=0.01, nsteps=31)
+@example(seed=3, n=2, m=2, decay=0.5, spin=3.0, w=2.0, step=0.01, nsteps=32)
+@example(seed=4, n=1, m=1, decay=0.5, spin=3.0, w=2.0, step=0.01, nsteps=33)
+@example(seed=5, n=3, m=1, decay=0.2, spin=5.0, w=7.0, step=0.005, nsteps=1023)
+@example(seed=6, n=2, m=1, decay=0.5, spin=3.0, w=2.0, step=0.005, nsteps=1024)
+@example(seed=7, n=2, m=2, decay=0.5, spin=3.0, w=2.0, step=0.005, nsteps=1025)
+@example(seed=8, n=3, m=1, decay=0.2, spin=5.0, w=7.0, step=0.003, nsteps=2049)
 def test_plant_pass_matches_stagewise_rk4(seed, n, m, decay, spin, w, step, nsteps):
     # A(t) = A0 + A1 sin(w t) with A0 decaying (-decay I) and oscillating
-    # (spin times a skew part); B u varies in time through u.  Runs of up
-    # to 600 steps cross two of the plant pass's blocks of step maps, and
-    # a 7.5 s horizon keeps the fastest growth far below the divergence
-    # guard.
+    # (spin times a skew part); B u varies in time through u.  Drawn runs
+    # of up to 600 steps cross up to 19 of the scan's chunks of step maps,
+    # the examples its block edges too, and a horizon of at most 7.5 s
+    # keeps the fastest growth far below the divergence guard.
     rng = np.random.default_rng(seed)
     S = rng.standard_normal((n, n))
     A0 = -decay * np.eye(n) + spin * (S - S.T) / 2 + 0.3 * rng.standard_normal((n, n))
@@ -454,8 +473,8 @@ def test_plant_pass_matches_stagewise_rk4(seed, n, m, decay, spin, w, step, nste
 
 
 def test_plant_pass_matches_stagewise_rk4_over_a_long_run():
-    # a 30 s run carries the node values across about 117 blocks of step
-    # maps, on the sinusoidally delayed benchmark plant
+    # a 30 s run carries the node values across 30 blocks of step maps and
+    # 938 chunks, on the sinusoidally delayed benchmark plant
     scen = builtin_scenario("c3", 0.0, xi0=(0.5, -0.25))
     res = simulate(scen)
     assert len(res.t) == 30001

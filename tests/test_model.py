@@ -89,6 +89,11 @@ def test_delay_validation():
         DelaySpec(fn=3.0)
     with pytest.raises(ValueError, match="^delay base must be a real number, got '1'$"):
         DelaySpec(base="1")
+    # complex query times are refused by name, not read with their
+    # imaginary parts dropped
+    for spec in (DelaySpec(base=0.5), DelaySpec(fn=lambda t: t - 0.5)):
+        with pytest.raises(ValueError, match="^t must be real numbers, got dtype complex128$"):
+            spec(np.array([2.0 + 1j]))
 
 
 def test_benchmark_system_at_zero():
