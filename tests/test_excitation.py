@@ -221,13 +221,16 @@ def _raw(delay, v):
 
 
 def _delay_kinks(delay, t, T):
-    """Where the map meets a clamp: raw phi crossing 0 or crossing tau."""
+    """Where the map meets a clamp: raw phi crossing 0 or crossing tau,
+    between grid points or on one (base 0.125 meets 0 on the grid of a
+    window that starts at 0)."""
     grid = np.linspace(t, t + T, 4001)
     kinks = []
     for f in (lambda v: _raw(delay, v), lambda v: _raw(delay, v) - v):
         vals = np.array([f(v) for v in grid.tolist()])
         for k in np.flatnonzero(np.sign(vals[1:]) * np.sign(vals[:-1]) < 0):
             kinks.append(brentq(f, grid[k], grid[k + 1], xtol=1e-15))
+        kinks += grid[1:-1][vals[1:-1] == 0.0].tolist()
     return kinks
 
 

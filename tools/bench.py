@@ -1,12 +1,13 @@
 """Paired benchmark runs of this working tree against a git ref, as a BENCH file.
 
     python tools/bench.py --against HEAD~1 --out BENCH_27.json [--pairs 10]
-        [--seconds 30] [--seed 1] [--workload drem-track] [--section NAME]
-        [--null] [--claim TEXT]
+        [--seed 1] [--workload drem-track] [--section NAME] [--null]
+        [--claim TEXT]
 
 Extracts ``<ref>`` with ``git archive`` into a temporary directory, as
 ``tools/drift.py`` does, and runs the unedited ``perfbench/run.py`` from
-the root of each tree, so that each imports its own ``src/``.  Within a
+the root of each tree, so that each imports its own ``src/``, for the
+``run_seconds`` BENCHMARK.json declares.  Within a
 pair every workload runs on both trees, and the tree that runs first
 alternates from pair to pair.  Only the last line of ``run.py``'s output,
 its JSON record, is read.  With ``--null`` both trees are extracted from
@@ -53,7 +54,7 @@ def _run(tree: Path, workload: str, seconds: float, seed: int) -> dict:
     """One ``perfbench/run.py`` run from the root of ``tree``: its last line."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", str(seconds),
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", f"{seconds:g}",
          "--seed", str(seed), "--trace", "0"],
         cwd=tree, env=env, capture_output=True, text=True)
     if done.returncode:
@@ -119,7 +120,6 @@ def main(argv=None) -> int:
                         help="git ref of the parent side")
     parser.add_argument("--out", required=True, help="BENCH_<n>.json to write or update")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workload", action="append",
                         help="workload to run, repeatable (default: all in BENCHMARK.json)")
@@ -137,9 +137,10 @@ def main(argv=None) -> int:
     out = Path(args.out)
     doc = json.loads(out.read_text()) if out.exists() else {}
     change = f"{sha[:7]} itself" if args.null else "this change"
+    seconds = spec["run_seconds"]
     what = (f"parent {sha[:7]} against {change}, perfbench/run.py unedited, seed {args.seed}, "
-            f"{args.seconds:g} s runs, parent and change alternating which runs first")
-    command = (f"python3 perfbench/run.py --workload <w> --seconds {args.seconds:g} "
+            f"{seconds:g} s runs, parent and change alternating which runs first")
+    command = (f"python3 perfbench/run.py --workload <w> --seconds {seconds:g} "
                f"--seed {args.seed} --trace 0")
     if args.section == "workloads":
         doc.update(what=what, command=command)
@@ -158,7 +159,7 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             for w in workloads:
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
-                    records[w][side].append(_run(trees[side], w, args.seconds, args.seed))
+                    records[w][side].append(_run(trees[side], w, seconds, args.seed))
             body = {w: summarize(r, spec["end_to_end"]) for w, r in records.items()}
             doc[args.section] = body
             doc["notes"] = notes + describe(args.section, body)
