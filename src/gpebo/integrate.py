@@ -2,12 +2,12 @@
 
 A run is three passes over the uniform grid t_k = k h:
 
-1. plant: Z = [x | xi | Phi] obeys Z' = A(t) Z + [Bu Bu 0], which never
+1. plant: Z = [x | xi | Phi] obeys Z' = A(t) Z + Bu [1 1 0], which never
    sees the estimator.  With A, B and u called once on all nodes and
-   midpoints, each RK4 step's affine map Z_{k+1} = P_k Z_k + r_k [1 1 0]
-   is built with array operations, and a chunked prefix-product scan
-   applies the maps; the pass keeps node values and node derivatives.  A
-   step past RK4's stability region for some frozen A(t) is refused first;
+   midpoints, one affine scan builds each RK4 step's map from A and Bu a
+   block at a time and applies the maps by chunked prefix products; the
+   pass keeps node values and node derivatives.  A step past RK4's
+   stability region for some frozen A(t) is refused first;
 2. regression: psi = (C(phi) Phi(phi))^T and y_reg = C(phi) (xi - x)(phi)
    at the times simulate picks (every stage time; for DREM also each
    stage time minus each lag, zero before t = 0; at gamma = 0 the nodes
@@ -20,9 +20,9 @@ A run is three passes over the uniform grid t_k = k h:
 3. estimator: theta_hat alone.  The gradient law
    gamma psi (y_reg - psi . theta_hat) and the DREM law
    gamma Delta (Y_mixed - Delta theta_hat) are both affine in theta_hat,
-   so their RK4 steps are affine maps too, built from the regression
-   arrays and applied by the same scan as the plant's, and a gain and step
-   that grow a mode of a frozen -M are refused first by the plant's rule.
+   theta_hat' = A theta_hat + v, so each law builds its A and v from the
+   regression arrays and the plant's scan steps them; a gain and step
+   that grow a mode of a frozen A are refused first by the plant's rule.
 
 x, xi and the columns of Phi share one linear recursion, so
 xi - x = Phi theta, theta = xi(0) - x(0), holds at the nodes to rounding
@@ -82,35 +82,42 @@ def _step_maps(g, h):
     return eye + (h / 6.0) * (G0 + 2.0 * (K2 + K3) + K4)
 
 
-def _affine_scan(G, z0, h):
-    """RK4 on z' = G(t) z with step ``h``, G given at every stage time (node
-    k is 2k, the midpoint after it 2k + 1); returns the node values.
+def _affine_scan(A, b, z0, row, h):
+    """RK4 on z' = A(t) z + b(t) row with step ``h``, A and b given at every
+    stage time (node k is 2k, the midpoint after it 2k + 1); returns the
+    node values.  Under the unit row ``row``, z' = [[A, b], [0, 0]] z.
 
-    The maps are built ``_MAP_BLOCK`` steps at a time and scanned in chunks
-    of ``_CHUNK`` steps, a work-efficient scan (Blelloch 1990): ``_CHUNK - 1``
-    batched products across all chunks form each chunk's prefix products,
-    the state is carried over the chunk ends, and one batched product
+    The step maps are built from that matrix, ``_MAP_BLOCK`` steps at a time
+    in one reused buffer, and scanned in chunks of ``_CHUNK`` steps, a
+    work-efficient scan (Blelloch 1990): ``_CHUNK - 1`` batched products
+    across all chunks form each chunk's prefix products, the state and its
+    unit row are carried over the chunk ends, and one batched product
     applies every prefix product to its chunk's start.  Identity maps pad a
     ragged last chunk.  This associates differently from stepping one map
     at a time, so the nodes match stagewise RK4 to rounding, not bit for bit.
     """
-    d = len(z0)
-    Z = np.empty((len(G) // 2 + 1,) + z0.shape)
-    z = Z[0] = z0
+    d, e = len(z0), len(z0) + 1
+    Z = np.empty((len(A) // 2 + 1,) + z0.shape)
+    Z[0], z = z0, np.vstack([z0, row])
+    G = np.zeros((min(len(A), 2 * _MAP_BLOCK + 1), e, e))
     for lo in range(0, len(Z) - 1, _MAP_BLOCK):
-        Q = _step_maps(G[2 * lo:2 * (lo + _MAP_BLOCK) + 1], h)
+        stages = slice(2 * lo, 2 * (lo + _MAP_BLOCK) + 1)
+        g = G[:len(A[stages])]
+        g[:, :d, :d], g[:, :d, d] = A[stages], b[stages]
+        Q = _step_maps(g, h)
         steps, pad = len(Q), -len(Q) % _CHUNK
         if pad:
-            Q = np.concatenate([Q, np.broadcast_to(np.eye(d), (pad, d, d))])
-        P = Q.reshape(-1, _CHUNK, d, d)
+            Q = np.concatenate([Q, np.broadcast_to(np.eye(e), (pad, e, e))])
+        P = Q.reshape(-1, _CHUNK, e, e)
         for j in range(1, _CHUNK):
             np.matmul(P[:, j], P[:, j - 1], out=P[:, j])
-        starts = np.empty((len(P),) + z0.shape)
+        starts = np.empty((len(P),) + z.shape)
         for c, chunk in enumerate(P):
             starts[c] = z
             z = chunk[-1] @ z
-        Z[lo + 1:lo + 1 + steps] = (P @ starts[:, None]).reshape((-1,) + z0.shape)[:steps]
-        z = Z[lo + steps]
+        nodes = (P @ starts[:, None]).reshape((-1,) + z.shape)[:steps]
+        Z[lo + 1:lo + 1 + steps] = nodes[:, :d]
+        z = nodes[-1]
     return Z
 
 
@@ -138,20 +145,18 @@ def _refuse_stiff(A, tau, h, who):
 
 
 def _plant_pass(sysm, xi0, tau, h):
-    """RK4 on Z = [x | xi | Phi] with A and B u taken once at each stage
-    time of ``tau``; returns the node values and node derivatives.  With a
-    bottom row [1 1 0 ... 0] under Z, Z' = A Z + [Bu Bu 0] is the linear
-    ODE Z' = G Z, G = [[A, Bu], [0, 0]]."""
+    """RK4 on Z = [x | xi | Phi], Z' = A Z + Bu [1 1 0 ... 0], with A and
+    B u taken once at each stage time of ``tau``; returns the node values
+    and node derivatives."""
     n, m = sysm.n, sysm.m
-    G = np.zeros((len(tau), n + 1, n + 1))
-    # screened before G holds it: the contiguous A is twice as fast to screen
-    G[:, :n, :n] = _refuse_stiff(at_times(sysm.A, tau, (n, n), "A(t)"), tau, h, "the plant's step")
-    G[:, :n, n] = np.einsum("kij,kj->ki", at_times(sysm.B, tau, (n, m), "B(t)"),
-                            at_times(sysm.u, tau, (m,), "u(t)"))
-    z0 = np.vstack([np.column_stack([sysm.x0, xi0, np.eye(n)]), np.r_[1.0, 1.0, np.zeros(n)]])
-    Z = _affine_scan(G, z0, h)
-    # the copy drops the bottom row, which the run would otherwise keep
-    return Z[:, :n].copy(), G[::2, :n] @ Z
+    A = _refuse_stiff(at_times(sysm.A, tau, (n, n), "A(t)"), tau, h, "the plant's step")
+    Bu = np.einsum("kij,kj->ki", at_times(sysm.B, tau, (n, m), "B(t)"),
+                   at_times(sysm.u, tau, (m,), "u(t)"))
+    Z = _affine_scan(A, Bu, np.column_stack([sysm.x0, xi0, np.eye(n)]),
+                     np.r_[1.0, 1.0, np.zeros(n)], h)
+    dZ = A[::2] @ Z
+    dZ[:, :, :2] += Bu[::2, :, None]
+    return Z, dZ
 
 
 def adjugate(M: np.ndarray) -> np.ndarray:
@@ -200,28 +205,23 @@ def mix(M: np.ndarray, Y_stack: np.ndarray) -> tuple:
 
 
 def _estimator_pass(scenario, M, Y, tau, refuse_stiff):
-    """RK4 on theta_hat' = v - M theta_hat at the stage times ``tau``, the
-    form of both laws: M = gamma psi psi^T and v = gamma psi y_reg for the
-    gradient law, M = gamma Delta^2 I and v = gamma Delta Y_mixed for DREM.
-    With a unit row under theta_hat this is z' = [[-M, v], [0, 0]] z.
-    If ``refuse_stiff``, the plant's rule screens the -M block first."""
+    """RK4 on theta_hat' = A theta_hat + v at the stage times ``tau``, the
+    form of both laws: A = -gamma psi psi^T and v = gamma psi y_reg for the
+    gradient law, A = -gamma Delta^2 I and v = gamma Delta Y_mixed for DREM.
+    If ``refuse_stiff``, the plant's rule screens A first."""
     n, gamma, h = scenario.system.n, scenario.gamma, scenario.step
-    G = np.zeros((len(tau), n + 1, n + 1))
     if scenario.estimator == "drem":
         Delta, Y_mixed = mix(M, Y)
-        lam = (Delta * Delta) * gamma
-        G[:, range(n), range(n)] = -lam[:, None]
-        G[:, :n, n] = (Delta[:, None] * Y_mixed) * gamma
+        A = np.zeros((len(tau), n, n))
+        A[:, range(n), range(n)] = -((Delta * Delta) * gamma)[:, None]
+        v = (Delta[:, None] * Y_mixed) * gamma
     else:
         P = M[:, 0].reshape(len(tau), n, -1)  # psi as (n, q), y_reg as (q, 1)
-        np.matmul(P, P.transpose(0, 2, 1), out=G[:, :n, :n])
-        G[:, :n, n] = (P @ Y[:, 0].reshape(len(tau), -1, 1))[:, :, 0]
-        G[:, :n, :n] *= -gamma
-        G[:, :n, n] *= gamma
+        A = (P @ P.transpose(0, 2, 1)) * -gamma
+        v = (P @ Y[:, 0].reshape(len(tau), -1, 1))[:, :, 0] * gamma
     if refuse_stiff:
-        _refuse_stiff(G[:, :n, :n], tau, h, f"gamma {gamma:g} with step")
-    z0 = np.append(scenario.theta_hat0, 1.0)[:, None]
-    return _affine_scan(G, z0, h)[:, :n, 0].copy()
+        _refuse_stiff(A, tau, h, f"gamma {gamma:g} with step")
+    return _affine_scan(A, v, scenario.theta_hat0[:, None], np.ones(1), h)[:, :, 0]
 
 
 def _interval(t, s):
