@@ -31,10 +31,10 @@ GridFn = Callable[[np.ndarray], np.ndarray]  # 1-D times -> values stacked on ax
 
 _ESTIMATORS = ("gradient", "drem")
 # Grid nodes one run may hold, and one CLI sweep summed over its gains.  A
-# simulation peaks near 512 bytes per node with DREM and 392 with the
+# simulation peaks near 418 bytes per node with DREM and 336 with the
 # gradient law, and keeps 112; a sweep keeps every gain's run, so one at
-# the limit peaks near 1.0 GB (tracemalloc, 30 s and 300 s gain-100 runs on
-# c1 and c3; the scan's fixed temporaries add 1 B/node at 30 s).
+# the limit peaks near 0.85 GB (tracemalloc, 30 s and 300 s gain-100 runs on
+# c1 and c3; the scans' fixed temporaries add 7-21 B/node at 30 s).
 MAX_SWEEP_NODES = 2_000_000
 
 
@@ -113,12 +113,13 @@ def at_times(fn, times, shape: tuple, name: str) -> np.ndarray:
 
     The result must be real numbers of exactly the shape
     ``(len(times),) + shape``, with nothing broadcast; a ``None`` in
-    ``shape`` matches any length, shown as ``*``.  Otherwise a ValueError
-    names ``name``.
+    ``shape`` matches any length but 0, shown as ``*``.  Otherwise a
+    ValueError names ``name``.
     """
     values = _real(fn(times), f"{name} must return")
     want = (len(times),) + shape
-    if values.ndim != len(want) or any(w not in (None, v) for w, v in zip(want, values.shape)):
+    if values.ndim != len(want) or any(v < 1 if w is None else v != w
+                                       for w, v in zip(want, values.shape)):
         shown = str(want).replace("None", "*")
         raise ValueError(f"{name} must return shape {shown}, got {values.shape}")
     return values

@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 import shutil
 from dataclasses import dataclass
+from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -154,7 +155,7 @@ def emit_svg(result: RunResult, path: str) -> None:
         f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="12">'
     )
     parts.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
-    title = f"{result.scenario_id} / {result.estimator}: state estimation error"
+    title = escape(f"{result.scenario_id} / {result.estimator}: state estimation error")
     parts.append(f'<text x="{left}" y="24" font-size="14">{title}</text>')
 
     errors = [run.estimation_error for _, run in pairs]

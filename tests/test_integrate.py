@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -327,6 +328,24 @@ def test_simulate_grid_shape():
     assert res.x.shape == (101, 2)
     assert res.Phi.shape == (101, 2, 2)
     assert np.array_equal(res.Phi[0], np.eye(2))
+
+
+@pytest.mark.parametrize("estimator, bound", [("gradient", 360.0), ("drem", 460.0)])
+def test_peak_memory_per_node(estimator, bound):
+    # MAX_SWEEP_NODES and the README's sweep limit rest on these figures: a
+    # 30 s gain-100 c1 run peaks at 343 traced bytes per node with the
+    # gradient law and 439 with DREM (2-core Xeon, numpy 2.4.6), and the
+    # bounds leave 5% over that.  A scan fed a run-length [[A, b], [0, 0]]
+    # peaked at 393 and 512.
+    scenario = builtin_scenario("c1", 100.0, estimator=estimator)
+    tracemalloc.start()
+    try:
+        res = simulate(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.t) == 30001
+    assert peak / len(res.t) <= bound
 
 
 def test_simulate_drem_records_regression():

@@ -11,9 +11,11 @@ from gpebo import (
     NamedScenario,
     SystemSpec,
     builtin_scenario,
+    delayed_pe_integral,
     eval_system,
     liouville_det,
     pe_check,
+    pe_integral,
     simulate,
 )
 from gpebo.model import MAX_SWEEP_NODES
@@ -301,6 +303,19 @@ def test_wrong_shaped_coefficient_fails_naming_the_time():
     # pe_check evaluates C once: at the 9 nodes inside its 11 windows and their 22 ends
     with pytest.raises(ValueError, match=r"C\(t\) must return shape \(31, \*, 2\), got \(31, 2\)"):
         pe_check(res.phi_history(), lambda t: np.ones((len(t), 2)), 0.5, 1e-4)
+    # a C with no rows is no output at all, not an unexcited one: the
+    # Gramians used to come back as zeros and pe_check to fail inside numpy
+    # (one window of [0, 0.5] reads its 4 inner nodes and 2 ends)
+    def no_rows(t):
+        return np.zeros((len(t), 0, 2))
+
+    for check, got in ((lambda: pe_check(res.phi_history(), no_rows, 0.5, 1e-4), 31),
+                       (lambda: pe_integral(res.phi_history(), no_rows, 0.0, 0.5), 6),
+                       (lambda: delayed_pe_integral(res.phi_history(), no_rows, 0.0, 0.5,
+                                                    DelaySpec()), 6)):
+        with pytest.raises(ValueError, match=rf"^C\(t\) must return shape \({got}, \*, 2\), "
+                                             rf"got \({got}, 0, 2\)$"):
+            check()
 
 
 def test_non_real_or_ragged_return_fails_naming_the_callable():

@@ -254,6 +254,17 @@ def test_svg_pads_a_flat_error(tmp_path):
         assert (xy[:, 1] == top + comp * (panel_h + panel_gap) + panel_h / 2).all()
 
 
+def test_svg_escapes_its_title(tmp_path):
+    # markup in a scenario id or estimator name is drawn as text, not parsed:
+    # "c1 <&>" used to give a file that no XML parser reads
+    run = simulate(builtin_scenario("c1", 1.0, horizon=0.1))
+    path = tmp_path / "fig.svg"
+    emit_svg(RunResult("c1 <&>", "gradient", [1.0], [run], 0.0), str(path))
+    root = ET.fromstring(path.read_text())
+    title = next(root.iter("{http://www.w3.org/2000/svg}text")).text
+    assert title == "c1 <&> / gradient: state estimation error"
+
+
 def test_svg_deterministic_bytes(tmp_path):
     a = tmp_path / "a.svg"
     b = tmp_path / "b.svg"
