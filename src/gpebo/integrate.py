@@ -145,9 +145,8 @@ def _refuse_stiff(A, tau, h, who):
 
 
 def _plant_pass(sysm, xi0, tau, h):
-    """RK4 on Z = [x | xi | Phi], Z' = A Z + Bu [1 1 0 ... 0], with A and
-    B u taken once at each stage time of ``tau``; returns the node values
-    and node derivatives."""
+    """RK4 on Z = [x | xi | Phi], Z' = A Z + Bu [1 1 0 ... 0], with A and Bu
+    taken once at each stage time of ``tau``; returns Z and Z' at the nodes."""
     n, m = sysm.n, sysm.m
     A = _refuse_stiff(at_times(sysm.A, tau, (n, n), "A(t)"), tau, h, "the plant's step")
     Bu = np.einsum("kij,kj->ki", at_times(sysm.B, tau, (n, m), "B(t)"),
@@ -155,7 +154,8 @@ def _plant_pass(sysm, xi0, tau, h):
     Z = _affine_scan(A, Bu, np.column_stack([sysm.x0, xi0, np.eye(n)]),
                      np.r_[1.0, 1.0, np.zeros(n)], h)
     dZ = A[::2] @ Z
-    dZ[:, :, :2] += Bu[::2, :, None]
+    dZ[:, :, 0] += Bu[::2]  # column by column: numpy adds a broadcast column slowly
+    dZ[:, :, 1] += Bu[::2]
     return Z, dZ
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import os
 import shutil
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -155,7 +154,8 @@ def emit_svg(result: RunResult, path: str) -> None:
         f'viewBox="0 0 {width} {height}" font-family="monospace" font-size="12">'
     )
     parts.append(f'<rect width="{width}" height="{height}" fill="#ffffff"/>')
-    title = escape(f"{result.scenario_id} / {result.estimator}: state estimation error")
+    title = f"{result.scenario_id} / {result.estimator}: state estimation error"
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     parts.append(f'<text x="{left}" y="24" font-size="14">{title}</text>')
 
     errors = [run.estimation_error for _, run in pairs]

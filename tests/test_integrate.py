@@ -335,8 +335,7 @@ def test_peak_memory_per_node(estimator, bound):
     # MAX_SWEEP_NODES and the README's sweep limit rest on these figures: a
     # 30 s gain-100 c1 run peaks at 343 traced bytes per node with the
     # gradient law and 439 with DREM (2-core Xeon, numpy 2.4.6), and the
-    # bounds leave 5% over that.  A scan fed a run-length [[A, b], [0, 0]]
-    # peaked at 393 and 512.
+    # bounds leave 5% over that
     scenario = builtin_scenario("c1", 100.0, estimator=estimator)
     tracemalloc.start()
     try:

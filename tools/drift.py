@@ -42,10 +42,9 @@ It prints the file and line counts of ``src/gpebo/*.py`` in both trees
 (what ``wc -l`` reports), the largest absolute difference of each array, the run
 where it occurs, and whether each file is byte for byte equal.  An inf or
 a nan at the same place in both trees counts as equal, a nan in one tree
-only as an infinite difference.  The exit
-status is 1 when a difference exceeds ``--bound`` or an array's shape or
-presence differs between the trees, else 0; differing bytes and the line
-counts are reported only.
+only as an infinite difference.  The exit status is 1 when a difference
+exceeds ``--bound`` or an array's shape or presence differs between the
+trees, else 0; differing bytes and the line counts are reported only.
 """
 
 from __future__ import annotations
