@@ -20,9 +20,11 @@ A run is three passes over the uniform grid t_k = k h:
 3. estimator: theta_hat alone.  The gradient law
    gamma psi (y_reg - psi . theta_hat) and the DREM law
    gamma Delta (Y_mixed - Delta theta_hat) are both affine in theta_hat,
-   theta_hat' = A theta_hat + v, so each law builds its A and v from the
-   regression arrays and the plant's scan steps them; a gain and step
-   that grow a mode of a frozen A are refused first by the plant's rule.
+   theta_hat' = A theta_hat + v.  The gradient law builds its A and v from
+   the regression arrays and the plant's scan steps them; DREM's A is
+   -gamma Delta^2 I, so its n components are scalar laws sharing one
+   coefficient, stepped by a scalar scan.  A gain and step that grow a
+   mode of a frozen A are refused first by the plant's rule.
 
 x, xi and the columns of Phi share one linear recursion, so
 xi - x = Phi theta, theta = xi(0) - x(0), holds at the nodes to rounding
@@ -43,10 +45,11 @@ from .model import NamedScenario, _finite, _real, at_times
 
 STATE_NORM_LIMIT = 1e12
 # Each kernel works a block at a time, which bounds its temporaries and
-# with them a run's peak memory: the scans build this many step maps at
-# once and scan them in chunks of _CHUNK steps, the Hermite lookup takes
-# this many times, and adjugate's minors, n^2 (n-1)^2 floats a matrix,
-# this many matrices.
+# with them a run's peak memory: the matrix scan builds this many step maps
+# at once, both scans scan maps in chunks of _CHUNK steps, the Hermite
+# lookup takes this many times, and adjugate's minors, n^2 (n-1)^2 floats
+# a matrix, this many matrices.  The scalar scan's maps, n + 1 floats a
+# step, are formed for the whole run.
 _MAP_BLOCK = 1024
 _CHUNK = 32
 _LOOKUP_BLOCK = 2048
@@ -119,6 +122,47 @@ def _affine_scan(A, b, z0, row, h):
         Z[lo + 1:lo + 1 + steps] = nodes[:, :d]
         z = nodes[-1]
     return Z
+
+
+def _scalar_scan(a, v, z0, h):
+    """RK4 on z' = a(t) z + v(t), scalar a, as ``_affine_scan`` takes A = a I
+    and b = v: a step is z -> r z + c, the diagonal and last column of
+    ``_step_maps``' map in its association, formed over the whole run and
+    scanned in the same padded chunks, so the nodes match bit for bit."""
+    steps, n = len(a) // 2, len(z0)
+    Z = np.zeros((steps + -steps % _CHUNK + 1, n))  # node 0, then c padded to whole chunks
+    Z[0], r, c = z0, np.ones(len(Z) - 1), Z[1:]
+    a0, am, a1 = a[:-1:2], a[1::2], a[2::2]
+    k2 = am * (1.0 + 0.5 * h * a0)
+    k3 = am * (1.0 + 0.5 * h * k2)
+    r[:steps] = 1.0 + (h / 6.0) * (a0 + 2.0 * (k2 + k3) + a1 * (1.0 + h * k3))
+    del k2, k3
+    # c in place: two run-length temporaries, K2 then K4 in one of them
+    am, a1, C = am[:, None], a1[:, None], c[:steps]
+    K, K3 = 0.5 * h * v[:-1:2], np.empty_like(C)
+    K *= am
+    K += v[1::2]
+    np.multiply(K, 0.5 * h, out=K3)
+    K3 *= am
+    K3 += v[1::2]
+    np.add(K, K3, out=C)
+    C *= 2.0
+    C += v[:-1:2]
+    np.multiply(K3, h, out=K)
+    K *= a1
+    K += v[2::2]
+    C += K
+    C *= h / 6.0
+    del K, K3
+    R, C = r.reshape(-1, _CHUNK), c.reshape(-1, _CHUNK, n)
+    for j in range(1, _CHUNK):
+        C[:, j] += R[:, j, None] * C[:, j - 1]
+        R[:, j] *= R[:, j - 1]
+    starts = [z0]
+    for k in range(len(R) - 1):
+        starts.append(R[k, -1] * starts[-1] + C[k, -1])
+    C += R[:, :, None] * np.array(starts)[:, None]
+    return Z[:steps + 1]
 
 
 def _refuse_stiff(A, tau, h, who):
@@ -207,20 +251,22 @@ def mix(M: np.ndarray, Y_stack: np.ndarray) -> tuple:
 def _estimator_pass(scenario, M, Y, tau, refuse_stiff):
     """RK4 on theta_hat' = A theta_hat + v at the stage times ``tau``, the
     form of both laws: A = -gamma psi psi^T and v = gamma psi y_reg for the
-    gradient law, A = -gamma Delta^2 I and v = gamma Delta Y_mixed for DREM.
-    If ``refuse_stiff``, the plant's rule screens A first."""
+    gradient law, by the matrix scan; A = a I, a = -gamma Delta^2, and
+    v = gamma Delta Y_mixed for DREM, by the scalar scan.  If
+    ``refuse_stiff``, the plant's rule screens A (for DREM, a) first."""
     n, gamma, h = scenario.system.n, scenario.gamma, scenario.step
+    who = f"gamma {gamma:g} with step"
     if scenario.estimator == "drem":
         Delta, Y_mixed = mix(M, Y)
-        A = np.zeros((len(tau), n, n))
-        A[:, range(n), range(n)] = -((Delta * Delta) * gamma)[:, None]
-        v = (Delta[:, None] * Y_mixed) * gamma
-    else:
-        P = M[:, 0].reshape(len(tau), n, -1)  # psi as (n, q), y_reg as (q, 1)
-        A = (P @ P.transpose(0, 2, 1)) * -gamma
-        v = (P @ Y[:, 0].reshape(len(tau), -1, 1))[:, :, 0] * gamma
+        a = -((Delta * Delta) * gamma)
+        if refuse_stiff:
+            _refuse_stiff(a[:, None, None], tau, h, who)
+        return _scalar_scan(a, (Delta[:, None] * Y_mixed) * gamma, scenario.theta_hat0, h)
+    P = M[:, 0].reshape(len(tau), n, -1)  # psi as (n, q), y_reg as (q, 1)
+    A = (P @ P.transpose(0, 2, 1)) * -gamma
+    v = (P @ Y[:, 0].reshape(len(tau), -1, 1))[:, :, 0] * gamma
     if refuse_stiff:
-        _refuse_stiff(A, tau, h, f"gamma {gamma:g} with step")
+        _refuse_stiff(A, tau, h, who)
     return _affine_scan(A, v, scenario.theta_hat0[:, None], np.ones(1), h)[:, :, 0]
 
 
