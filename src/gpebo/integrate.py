@@ -20,11 +20,10 @@ A run is three passes over the uniform grid t_k = k h:
 3. estimator: theta_hat alone.  The gradient law
    gamma psi (y_reg - psi . theta_hat) and the DREM law
    gamma Delta (Y_mixed - Delta theta_hat) are both affine in theta_hat,
-   theta_hat' = A theta_hat + v.  The gradient law builds its A and v from
-   the regression arrays and the plant's scan steps them; DREM's A is
-   -gamma Delta^2 I, so its n components are scalar laws sharing one
-   coefficient, stepped by a scalar scan.  A gain and step that grow a
-   mode of a frozen A are refused first by the plant's rule.
+   theta_hat' = A theta_hat + v: the plant's scan steps the gradient law,
+   and a scalar scan DREM's n components, scalar laws that share the
+   coefficient -gamma Delta^2.  A gain and step that grow a mode of a
+   frozen A are refused first by the plant's rule.
 
 x, xi and the columns of Phi share one linear recursion, so
 xi - x = Phi theta, theta = xi(0) - x(0), holds at the nodes to rounding
@@ -125,10 +124,11 @@ def _affine_scan(A, b, z0, row, h):
 
 
 def _scalar_scan(a, v, z0, h):
-    """RK4 on z' = a(t) z + v(t), scalar a, as ``_affine_scan`` takes A = a I
-    and b = v: a step is z -> r z + c, the diagonal and last column of
-    ``_step_maps``' map in its association, formed over the whole run and
-    scanned in the same padded chunks, so the nodes match bit for bit."""
+    """``_affine_scan`` of A = a I, b = v for scalar a: a step is z -> r z + c,
+    the diagonal and last column of ``_step_maps``' map in its association,
+    formed for the whole run and scanned in the same padded chunks, so the
+    nodes match bit for bit where matmul rounds each product (OpenBLAS
+    fuses a multiply-add at n = 1 and 5, which leaves them to rounding)."""
     steps, n = len(a) // 2, len(z0)
     Z = np.zeros((steps + -steps % _CHUNK + 1, n))  # node 0, then c padded to whole chunks
     Z[0], r, c = z0, np.ones(len(Z) - 1), Z[1:]
@@ -257,11 +257,14 @@ def _estimator_pass(scenario, M, Y, tau, refuse_stiff):
     n, gamma, h = scenario.system.n, scenario.gamma, scenario.step
     who = f"gamma {gamma:g} with step"
     if scenario.estimator == "drem":
-        Delta, Y_mixed = mix(M, Y)
-        a = -((Delta * Delta) * gamma)
+        a, v = mix(M, Y)  # Delta and Y_mixed, scaled in place to a and v
+        v *= a[:, None]
+        v *= gamma
+        a *= a
+        a *= -gamma
         if refuse_stiff:
             _refuse_stiff(a[:, None, None], tau, h, who)
-        return _scalar_scan(a, (Delta[:, None] * Y_mixed) * gamma, scenario.theta_hat0, h)
+        return _scalar_scan(a, v, scenario.theta_hat0, h)
     P = M[:, 0].reshape(len(tau), n, -1)  # psi as (n, q), y_reg as (q, 1)
     A = (P @ P.transpose(0, 2, 1)) * -gamma
     v = (P @ Y[:, 0].reshape(len(tau), -1, 1))[:, :, 0] * gamma
