@@ -57,3 +57,14 @@ def test_summarize_counts_pairs_in_order_and_gaps_over_the_parent_spread():
     }
     assert rate["parent"]["runs"] == [100, 100, 120]
     assert rate["change"]["runs"] == [150, 100, 110]
+
+
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_fewer_than_one_pair_is_refused_before_anything_runs(tmp_path, capsys, pairs):
+    # zero pairs would run nothing and write no --out
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--against", "HEAD", "--out", str(out), "--pairs", pairs])
+    assert exc.value.code == 2
+    assert "--pairs must be at least 1" in capsys.readouterr().err
+    assert not out.exists()

@@ -128,6 +128,8 @@ def main(argv=None) -> int:
                         help="compare REF with itself instead of this tree")
     parser.add_argument("--claim", help="the claim the file tests")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workload or [w["name"] for w in spec["workloads"]]
