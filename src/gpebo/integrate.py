@@ -10,10 +10,13 @@ A run is three passes over the uniform grid t_k = k h:
    stability region for some frozen A(t) is refused first;
 2. regression: psi = (C(phi) Phi(phi))^T and y_reg = C(phi) (xi - x)(phi)
    at the times simulate picks (every stage time; for DREM also each
-   stage time minus each lag, zero before t = 0; at gamma = 0 the nodes
-   alone), in one delay call and one C call on all of them, each looked
-   up in the cubic Hermite interpolant of the plant nodes, its interval
-   found by arithmetic on the uniform grid.  The estimator
+   stage time minus each lag d, zero before t = 0; at gamma = 0 the nodes
+   alone).  A lag that is a stage time, tau[k] == d exactly, reads the
+   stage-time rows k stages back, zero before stage k, where tau[k] - d is
+   0.0 and its row is the one at t = 0; the stage times and every other
+   lag's times are looked up, in one delay call and one C call on all of
+   them, in the cubic Hermite interpolant of the plant nodes, each
+   interval found by arithmetic on the uniform grid.  The estimator
    is fourth-order where the regression is smooth inside every step, as
    on c1 and c2 with the gradient law; a kink of c3's clamp inside a step
    and a DREM lag row switching on at t = d make it lower (ROADMAP item 10);
@@ -203,6 +206,13 @@ def _plant_pass(sysm, xi0, tau, h):
     return Z, dZ
 
 
+def _cofactors2(M):
+    """adj(M) = [[d, -b], [-c, a]] of 2 x 2 matrices M = [[a, b], [c, d]] on
+    the last two axes, as its two rows of entries over the leading axes."""
+    (a, b), (c, d) = np.moveaxis(M, (-2, -1), (0, 1))
+    return (d, -b), (-c, a)
+
+
 def adjugate(M: np.ndarray) -> np.ndarray:
     """Adjugate (transposed cofactor matrix); satisfies adj(M) M = det(M) I.
 
@@ -218,8 +228,7 @@ def adjugate(M: np.ndarray) -> np.ndarray:
         raise ValueError(f"adjugate requires a nonempty square matrix, got shape {M.shape}")
     n = M.shape[-1]
     if n == 2:
-        (a, b), (c, d) = np.moveaxis(M, (-2, -1), (0, 1))
-        return np.moveaxis(np.array([[d, -b], [-c, a]]), (0, 1), (-2, -1))
+        return np.moveaxis(np.array(_cofactors2(M)), (0, 1), (-2, -1))
     # keep[r] lists the indices other than r; minors[k, c, r] drops row r and column c
     keep = np.nonzero(~np.eye(n, dtype=bool))[1].reshape(n, n - 1)
     flat = M.reshape(-1, n, n)
@@ -240,9 +249,19 @@ def mix(M: np.ndarray, Y_stack: np.ndarray) -> tuple:
     """
     M = _real(M, "M must be")
     Y_stack = _real(Y_stack, "Y_stack must be")
-    adj = adjugate(M)  # raises ValueError unless M is square
+    two = M.shape[-2:] == (2, 2)
+    adj = None if two else adjugate(M)  # raises ValueError unless M is square
     if Y_stack.shape != M.shape[:-1]:
         raise ValueError("Y_stack length must match the stacked regressor")
+    if two:  # the same sums from the entries, with no stacked adj(M) or batched product
+        rows = _cofactors2(M)
+        Delta = M[..., 0, 0] * rows[0][0]
+        Delta += M[..., 0, 1] * rows[1][0]
+        Y_mixed = np.empty(Y_stack.shape)
+        for i, (u, w) in enumerate(rows):
+            np.multiply(u, Y_stack[..., 0], out=Y_mixed[..., i])
+            Y_mixed[..., i] += w * Y_stack[..., 1]
+        return Delta, Y_mixed
     # det(M) by cofactor expansion along the first row
     Delta = (M[..., 0, :] * adj[..., :, 0]).sum(axis=-1)
     return Delta, (adj @ Y_stack[..., None])[..., 0]
@@ -301,26 +320,37 @@ def _hermite(t, Z, dZ, s):
             + (3.0 * u2 - 2.0 * u3) * Z[i + 1] + (u3 - u2) * dt * dZ[i + 1])
 
 
-def _regression(scenario, t, Z, dZ, times, lags):
-    """psi and y_reg at ``times - d`` for each lag d, lags on axis 1: one
-    delay call and one C call on every lagged time, then the lookup at
-    phi(times - d) a block at a time.  Rows where times - d < 0 are zero."""
-    n, q = scenario.system.n, scenario.system.q
-    s = (times[:, None] - np.asarray(lags)).ravel()
-    phi = scenario.delay(np.maximum(s, 0.0))
+def _regression(scenario, t, Z, dZ, times, lags=()):
+    """psi and y_reg at ``times`` (row 0) and at ``times - d`` for each lag d,
+    rows on axis 1; rows where times - d < 0 are zero.  A lag that is a time
+    of ``times``, ``times[k] == d`` exactly, is a delay line of row 0: its
+    rows j >= k are row 0's rows j - k (row k is row 0 at t = 0, as
+    times[k] - d is 0.0) and its rows j < k are zero.  Row 0 and every
+    other lag's rows are looked up: one delay call and one C call on all
+    their times, then the lookup at phi a block at a time."""
+    n, q, T, d = scenario.system.n, scenario.system.q, len(times), np.r_[0.0, lags]
+    k = np.minimum(np.searchsorted(times, d), T - 1)
+    line = times[k] == d
+    line[0] = False  # row 0 is looked up
+    s = times - d[~line, None]
+    phi = scenario.delay(np.maximum(s, 0.0).ravel())
     C = at_times(scenario.system.C, phi, (q, n), "C(t)")
-    psi, y_reg = np.empty((len(s), q, n)), np.empty((len(s), q))
-    for lo in range(0, len(s), _LOOKUP_BLOCK):
-        hi = lo + _LOOKUP_BLOCK
-        Zd, c = _hermite(t, Z, dZ, phi[lo:hi]), C[lo:hi]
-        np.matmul(c, Zd[:, :, 2:], out=psi[lo:hi])
-        np.einsum("kqn,kn->kq", c, Zd[:, :, 1] - Zd[:, :, 0], out=y_reg[lo:hi])
-    psi[s < 0.0] = 0.0
-    y_reg[s < 0.0] = 0.0
+    psi, y_reg = np.empty((T, len(d), q, n)), np.empty((T, len(d), q))
+    for row, i in enumerate(np.flatnonzero(~line)):
+        phi_i, C_i = phi[row * T:(row + 1) * T], C[row * T:(row + 1) * T]
+        for lo in range(0, T, _LOOKUP_BLOCK):
+            hi = lo + _LOOKUP_BLOCK
+            Zd, c = _hermite(t, Z, dZ, phi_i[lo:hi]), C_i[lo:hi]
+            np.matmul(c, Zd[:, :, 2:], out=psi[lo:hi, i])
+            np.einsum("kqn,kn->kq", c, Zd[:, :, 1] - Zd[:, :, 0], out=y_reg[lo:hi, i])
+        psi[s[row] < 0.0, i] = y_reg[s[row] < 0.0, i] = 0.0
+    for i in np.flatnonzero(line):
+        psi[k[i]:, i], y_reg[k[i]:, i] = psi[:T - k[i], 0], y_reg[:T - k[i], 0]
+        psi[:k[i], i] = y_reg[:k[i], i] = 0.0
     # psi is a transposed view of C Phi, not a copy: for q outputs the law's
     # matmul rounds differently on a psi laid out as (n, q)
-    shape = (len(times), len(lags)) + ((n,) if q == 1 else (n, q))
-    return psi.transpose(0, 2, 1).reshape(shape), y_reg.reshape(shape[:2] + shape[3:])
+    shape = (T, len(d)) + ((n,) if q == 1 else (n, q))
+    return psi.transpose(0, 1, 3, 2).reshape(shape), y_reg.reshape(shape[:2] + shape[3:])
 
 
 @dataclass
@@ -392,11 +422,10 @@ def simulate(scenario: NamedScenario) -> SimulationResult:
         # the rows the estimator reads: the stage times, for DREM at each lag
         # too; open loop only the nodes (tau[2k] and t[k] are the same doubles)
         if gamma == 0.0:
-            M, Y = _regression(scenario, t, Z, dZ, t, (0.0,))
+            M, Y = _regression(scenario, t, Z, dZ, t)
             theta_hat = np.tile(scenario.theta_hat0, (len(t), 1))
         else:
-            lags = scenario.drem_delays or ()
-            M, Y = _regression(scenario, t, Z, dZ, tau, (0.0,) + lags)
+            M, Y = _regression(scenario, t, Z, dZ, tau, scenario.drem_delays or ())
             theta_hat = _estimator_pass(scenario, M, Y, tau, (plant <= STATE_NORM_LIMIT).all())
 
     worst = np.maximum(plant, np.abs(theta_hat).max(axis=1))

@@ -185,6 +185,22 @@ def test_mix_stack_matches_each_matrix():
             assert np.abs(Y_mixed[k] - one_Y).max() <= 1e-14 * (1.0 + np.abs(one_Y).max())
 
 
+def test_mix_of_size_two_is_the_adjugate_product_bit_for_bit():
+    # size 2 forms Delta and adj(M) Y from M's entries, with no stacked
+    # adj(M): the same sums, rounded the same, as the first-row expansion
+    # and the product with adjugate(M), singular members included
+    rng = np.random.default_rng(43)
+    M = rng.uniform(-2.0, 2.0, size=(3, 700, 2, 2))
+    M[0, :5] = 0.0
+    M[1, :5, 1] = M[1, :5, 0]
+    Y = rng.uniform(-2.0, 2.0, size=(3, 700, 2))
+    Delta, Y_mixed = mix(M, Y)
+    adj = adjugate(M)
+    assert np.array_equal(Delta, (M[..., 0, :] * adj[..., :, 0]).sum(axis=-1))
+    assert np.array_equal(Y_mixed, adj[..., 0] * Y[..., :1] + adj[..., 1] * Y[..., 1:])
+    assert np.all(Delta[:2, :5] == 0.0)
+
+
 def test_mix_recovers_scaled_parameter():
     rng = np.random.default_rng(23)
     for n in (2, 3):

@@ -372,22 +372,58 @@ def test_open_loop_builds_regression_at_nodes_only():
     assert np.array_equal(a.theta_hat, np.tile(scen.theta_hat0, (3001, 1)))
 
 
-@pytest.mark.parametrize("estimator, gamma, rows", [
-    ("drem", 10.0, 12002), ("gradient", 10.0, 6001), ("gradient", 0.0, 3001)])
-def test_regression_is_one_lookup_over_every_lag(estimator, gamma, rows):
-    # one delay call and one C call on every row the run reads: the 6001
-    # stage times of 3 s at lags 0 and 0.5 for DREM, at lag 0 alone for the
-    # gradient law, the nodes at gamma 0
-    scen = builtin_scenario("c3", gamma, estimator, horizon=3.0)
+def _lookup_calls(scen):
+    """The lengths of the delay calls and of the C calls of a run of ``scen``,
+    after checking that counting them changed none of its outputs."""
     delays, Cs = [], []
     counted = replace(
         scen, delay=DelaySpec(fn=lambda t: delays.append(len(t)) or scen.delay(t)),
         system=replace(scen.system, C=lambda t: Cs.append(len(t)) or scen.system.C(t)))
-    a = simulate(counted)
-    b = simulate(builtin_scenario("c3", gamma, estimator, horizon=3.0))
-    assert delays == Cs == [rows]
+    a, b = simulate(counted), simulate(scen)
     for name in ("theta_hat", "psi", "y_reg"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
+    return delays, Cs
+
+
+@pytest.mark.parametrize("estimator, gamma, rows", [
+    ("drem", 10.0, 6001), ("gradient", 10.0, 6001), ("gradient", 0.0, 3001)])
+def test_regression_is_one_lookup_over_every_lag(estimator, gamma, rows):
+    # one delay call and one C call on every row the run looks up: the 6001
+    # stage times of 3 s, DREM's lag 0.5 being a delay line of them (1000
+    # stages of 5e-4); the nodes alone at gamma 0
+    delays, Cs = _lookup_calls(builtin_scenario("c3", gamma, estimator, horizon=3.0))
+    assert delays == Cs == [rows]
+
+
+def test_lag_off_the_stage_grid_joins_the_one_lookup():
+    # at h = 3e-3 the lag 0.5 is 333.3 stages of 1.5e-3: its 2001 rows are
+    # looked up in the same delay call and C call as the 2001 stage times
+    delays, Cs = _lookup_calls(builtin_scenario("c3", 10.0, "drem", horizon=3.0, step=3e-3))
+    assert delays == Cs == [4002]
+
+
+@pytest.mark.parametrize("scen", [builtin_scenario(sid, 100.0, "drem") for sid in ("c1", "c2", "c3")]
+                         + [drift.drem4_scenario()], ids=["c1", "c2", "c3", "drem4"])
+def test_delay_line_rows_are_the_looked_up_rows(monkeypatch, scen):
+    # a lag d that is stage k, tau[k] == d, reads row 0 k stages back: its
+    # rows before k are exactly zero, row k is row 0 at t = 0, and every row
+    # is within rounding of the lookup at tau - d (at most 2.04e-14 over these
+    # 30 s runs, where |psi| and |y_reg| reach 5.5; 2-core Xeon, numpy 2.4.6)
+    calls = []
+    build = integrate._regression
+    monkeypatch.setattr(integrate, "_regression", lambda *a: calls.append(a) or build(*a))
+    simulate(scen)
+    (_, t, Z, dZ, tau, lags), = calls
+    M, Y = build(*calls[0])
+    assert len(lags) == scen.system.n - 1
+    for i, d in enumerate(lags, 1):
+        k = round(d / (0.5 * scen.step))
+        assert tau[k] == d
+        M_d, Y_d = build(scen, t, Z, dZ, tau - d)
+        assert np.all(M[:k, i] == 0.0) and np.all(Y[:k, i] == 0.0)
+        assert np.array_equal(M[k, i], M[0, 0]) and Y[k, i] == Y[0, 0]
+        assert np.abs(M[:, i] - M_d[:, 0]).max() <= 5e-14
+        assert np.abs(Y[:, i] - Y_d[:, 0]).max() <= 5e-14
 
 
 @pytest.mark.parametrize("h", [1e-3, 3e-3, 1.0 / 3.0])

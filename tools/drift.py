@@ -12,6 +12,10 @@ runs one probe in a subprocess on each tree, importing that tree's
   of :func:`drem4_scenario`, which mixes 4 x 4 extended regressors;
 - the same six arrays of a 2 s gradient run at gamma 10 on the two-output
   plant of :func:`q2_scenario`, whose psi is 2 x 2;
+- the same six arrays of two 30 s DREM runs whose lag is off the stage
+  grid, so that its rows are looked up rather than read from row 0's delay
+  line: c3 at gamma 10 with h = 3e-3 (lag 0.5), and c1 at gamma 100 with
+  h = 1e-2 and lag 4e-3, shorter than a step, as ``offgrid/<sid>``;
 - on 4 s open-loop c1-c3 runs: ``pe_check``'s smallest eigenvalues at
   T = 1 and 2, at T = 1.2345 (21 of its 23 starts off the nodes) and at
   T = 0.0015 (26,657 windows of one or two inner nodes each),
@@ -192,7 +196,10 @@ def probe(out: str) -> None:
     hist = TrajectoryHistory.from_grid(times, syn.normal(size=(400, 3, 2)))
     queries = np.concatenate((times, syn.uniform(times[0], times[-1], 1000), times[-1:]))
     data["history/synthetic"] = getattr(hist, "sample_at", hist.sample)(queries)
-    for key, scenario in (("drem4", drem4_scenario()), ("q2", q2_scenario(10.0))):
+    for key, scenario in (("drem4", drem4_scenario()), ("q2", q2_scenario(10.0)),
+                          ("offgrid/c3", builtin_scenario("c3", 10.0, "drem", step=3e-3)),
+                          ("offgrid/c1", builtin_scenario("c1", 100.0, "drem", step=1e-2,
+                                                          drem_delays=(4e-3,)))):
         res = simulate(scenario)
         for name in ("x", "xi", "Phi", "theta_hat", "psi", "y_reg"):
             data[f"{key}/{name}"] = getattr(res, name)
