@@ -32,7 +32,7 @@ class TrajectoryHistory:
         """
         times = _real(times, "times must be")
         values = _real(values, "values must be")
-        if times.ndim != 1 or len(times) != len(values):
+        if times.ndim != 1 or values.shape[:1] != times.shape:
             raise ValueError("times and values must align on the leading axis")
         if not (np.isfinite(times).all() and np.all(np.diff(times) > 0.0)):
             raise ValueError("times must be finite and strictly increasing")

@@ -139,24 +139,11 @@ def _scalar_scan(a, v, z0, h):
     k2 = am * (1.0 + 0.5 * h * a0)
     k3 = am * (1.0 + 0.5 * h * k2)
     r[:steps] = 1.0 + (h / 6.0) * (a0 + 2.0 * (k2 + k3) + a1 * (1.0 + h * k3))
-    del k2, k3
-    # c in place: two run-length temporaries, K2 then K4 in one of them
-    am, a1, C = am[:, None], a1[:, None], c[:steps]
-    K, K3 = 0.5 * h * v[:-1:2], np.empty_like(C)
-    K *= am
-    K += v[1::2]
-    np.multiply(K, 0.5 * h, out=K3)
-    K3 *= am
-    K3 += v[1::2]
-    np.add(K, K3, out=C)
-    C *= 2.0
-    C += v[:-1:2]
-    np.multiply(K3, h, out=K)
-    K *= a1
-    K += v[2::2]
-    C += K
-    C *= h / 6.0
-    del K, K3
+    am, a1 = am[:, None], a1[:, None]
+    K2 = 0.5 * h * v[:-1:2] * am + v[1::2]
+    K3 = K2 * (0.5 * h) * am + v[1::2]
+    c[:steps] = (2.0 * (K2 + K3) + v[:-1:2] + (K3 * h * a1 + v[2::2])) * (h / 6.0)
+    del k2, k3, K2, K3
     R, C = r.reshape(-1, _CHUNK), c.reshape(-1, _CHUNK, n)
     for j in range(1, _CHUNK):
         C[:, j] += R[:, j, None] * C[:, j - 1]
@@ -267,26 +254,31 @@ def mix(M: np.ndarray, Y_stack: np.ndarray) -> tuple:
     return Delta, (adj @ Y_stack[..., None])[..., 0]
 
 
-def _estimator_pass(scenario, M, Y, tau, refuse_stiff):
+def _estimator_pass(scenario, rows, tau, refuse_stiff):
     """RK4 on theta_hat' = A theta_hat + v at the stage times ``tau``, the
     form of both laws: A = -gamma psi psi^T and v = gamma psi y_reg for the
     gradient law, by the matrix scan; A = a I, a = -gamma Delta^2, and
     v = gamma Delta Y_mixed for DREM, by the scalar scan.  If
-    ``refuse_stiff``, the plant's rule screens A (for DREM, a) first."""
+    ``refuse_stiff``, the plant's rule screens A (for DREM, a) first.
+
+    ``rows`` is the list [M, Y] of ``_regression``'s stacked rows; it is
+    emptied, so that M and Y are freed once the law's A and v are formed."""
     n, gamma, h = scenario.system.n, scenario.gamma, scenario.step
     who = f"gamma {gamma:g} with step"
+    M, Y = rows
+    rows.clear()
     if scenario.estimator == "drem":
-        a, v = mix(M, Y)  # Delta and Y_mixed, scaled in place to a and v
-        v *= a[:, None]
-        v *= gamma
-        a *= a
-        a *= -gamma
+        Delta, Y_mixed = mix(M, Y)
+        del M, Y
+        a, v = Delta * Delta * -gamma, Y_mixed * Delta[:, None] * gamma
+        del Delta, Y_mixed
         if refuse_stiff:
             _refuse_stiff(a[:, None, None], tau, h, who)
         return _scalar_scan(a, v, scenario.theta_hat0, h)
     P = M[:, 0].reshape(len(tau), n, -1)  # psi as (n, q), y_reg as (q, 1)
     A = (P @ P.transpose(0, 2, 1)) * -gamma
     v = (P @ Y[:, 0].reshape(len(tau), -1, 1))[:, :, 0] * gamma
+    del M, Y, P
     if refuse_stiff:
         _refuse_stiff(A, tau, h, who)
     return _affine_scan(A, v, scenario.theta_hat0[:, None], np.ones(1), h)[:, :, 0]
@@ -423,10 +415,14 @@ def simulate(scenario: NamedScenario) -> SimulationResult:
         # too; open loop only the nodes (tau[2k] and t[k] are the same doubles)
         if gamma == 0.0:
             M, Y = _regression(scenario, t, Z, dZ, t)
+            psi, y_reg = M[:, 0], Y[:, 0]
             theta_hat = np.tile(scenario.theta_hat0, (len(t), 1))
         else:
-            M, Y = _regression(scenario, t, Z, dZ, tau, scenario.drem_delays or ())
-            theta_hat = _estimator_pass(scenario, M, Y, tau, (plant <= STATE_NORM_LIMIT).all())
+            rows = list(_regression(scenario, t, Z, dZ, tau, scenario.drem_delays or ()))
+            del dZ
+            psi, y_reg = rows[0][::2, 0].copy(), rows[1][::2, 0].copy()
+            # the estimator pass takes the only references to M and Y and frees them
+            theta_hat = _estimator_pass(scenario, rows, tau, (plant <= STATE_NORM_LIMIT).all())
 
     worst = np.maximum(plant, np.abs(theta_hat).max(axis=1))
     over = np.flatnonzero(~(worst <= STATE_NORM_LIMIT))
@@ -442,8 +438,8 @@ def simulate(scenario: NamedScenario) -> SimulationResult:
         Phi=Z[:, :, 2:],
         theta_hat=theta_hat,
         theta=scenario.xi0 - sysm.x0,
-        psi=M[:, 0] if gamma == 0.0 else M[::2, 0].copy(),
-        y_reg=Y[:, 0] if gamma == 0.0 else Y[::2, 0].copy(),
+        psi=psi,
+        y_reg=y_reg,
     )
 
 

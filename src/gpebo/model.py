@@ -31,10 +31,10 @@ GridFn = Callable[[np.ndarray], np.ndarray]  # 1-D times -> values stacked on ax
 
 _ESTIMATORS = ("gradient", "drem")
 # Grid nodes one run may hold, and one CLI sweep summed over its gains.  A
-# simulation peaks near 368 bytes per node with DREM and 336 with the
+# simulation peaks near 321 bytes per node with DREM and 296 with the
 # gradient law, and keeps 112; a sweep keeps every gain's run, so one at
-# the limit peaks near 0.74 GB (tracemalloc, 30 s and 300 s gain-100 runs on
-# c1 and c3; the scans' fixed temporaries add up to 7 B/node at 30 s).
+# the limit peaks near 0.64 GB (tracemalloc, 30 s and 300 s gain-100 runs on
+# c1 and c3, which agree to 1 B/node).
 MAX_SWEEP_NODES = 2_000_000
 
 

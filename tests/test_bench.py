@@ -68,3 +68,15 @@ def test_fewer_than_one_pair_is_refused_before_anything_runs(tmp_path, capsys, p
     assert exc.value.code == 2
     assert "--pairs must be at least 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_an_undeclared_workload_is_refused_before_anything_runs(tmp_path, capsys):
+    # a name BENCHMARK.json does not declare used to extract and run the
+    # parent tree first, then die in its perfbench/run.py
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exc:
+        bench.main(["--against", "HEAD", "--out", str(out), "--workload", "drem-track",
+                    "--workload", "dremtrack"])
+    assert exc.value.code == 2
+    assert "unknown workload 'dremtrack'" in capsys.readouterr().err
+    assert not out.exists()

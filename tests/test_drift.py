@@ -81,3 +81,16 @@ def test_file_bytes_are_reported_not_bounded(capsys):
                        capsys)
     assert ok
     assert out == ["files: 2 of 2 byte for byte equal"]
+
+
+def test_memory_figures_are_reported_not_bounded(capsys):
+    # traced bytes per node move with any change to what a run holds; they
+    # are printed for both trees and never fail the comparison
+    ref = {"run/c1/x": np.zeros(2), "memory/c1-drem-30s/peak": np.array(368.14),
+           "memory/c1-drem-30s/kept": np.array(112.1)}
+    new = {**ref, "memory/c1-drem-30s/peak": np.array(320.88)}
+    ok, out = _compare(ref, new, capsys)
+    assert ok
+    assert out == ["run/x: max |d| 0 (all equal)", "files: 0 of 0 byte for byte equal",
+                   "memory/c1-drem-30s/kept: 112.1 -> 112.1 B/node",
+                   "memory/c1-drem-30s/peak: 368.1 -> 320.9 B/node"]

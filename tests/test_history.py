@@ -170,7 +170,8 @@ def test_from_grid_rejects_unordered_times():
     with pytest.raises(ValueError):
         TrajectoryHistory.from_grid([0.0, 2.0, 1.0], np.zeros((3, 2)))
     # times and values that do not align on the leading axis
-    for times, values in (([0.0, 1.0], np.zeros((3, 2))), (np.zeros((2, 2)), np.zeros(2))):
+    for times, values in (([0.0, 1.0], np.zeros((3, 2))), (np.zeros((2, 2)), np.zeros(2)),
+                          ([0.0], 1.0)):
         with pytest.raises(ValueError, match="^times and values must align"):
             TrajectoryHistory.from_grid(times, values)
     # complex, string or ragged times or values, refused by name rather

@@ -13,17 +13,18 @@ alternates from pair to pair.  Only the last line of ``run.py``'s output,
 its JSON record, is read.  With ``--null`` both trees are extracted from
 ``<ref>``: a null run, whose pairs differ by noise alone.
 
-For each workload (default: every one in BENCHMARK.json) and each of its
-end-to-end metrics, the section records both sides' runs, medians and
-inclusive quartiles, the pairs the change won (ties count for neither),
-the ratio of the medians, and the gap between the medians over the
-parent's quartile spread; and each side's operations attempted and failed
-and whether every run was correct.  The section goes under ``--section``
-(default ``workloads``) in ``--out``, which keeps the other sections of an
-existing file, so one file holds the claim's seed, a held-out seed and a
-null run.  The file is rewritten after every pair.  The per-layer metrics
-are not recorded: a traced run reads 0 on seven of them, as no run calls
-the layers they time.
+For each workload (default: every one in BENCHMARK.json, which must
+declare any name given; another is refused before anything runs) and
+each of its end-to-end metrics, the section records both sides' runs,
+medians and inclusive quartiles, the pairs the change won (ties count
+for neither), the ratio of the medians, and the gap between the medians
+over the parent's quartile spread; and each side's operations attempted
+and failed and whether every run was correct.  The section goes under
+``--section`` (default ``workloads``) in ``--out``, which keeps the other
+sections of an existing file, so one file holds the claim's seed, a
+held-out seed and a null run.  The file is rewritten after every pair.
+The per-layer metrics are not recorded: a traced run reads 0 on seven of
+them, as no run calls the layers they time.
 """
 
 from __future__ import annotations
@@ -132,7 +133,11 @@ def main(argv=None) -> int:
         parser.error(f"--pairs must be at least 1, got {args.pairs}")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
+    names = [w["name"] for w in spec["workloads"]]
+    unknown = [w for w in args.workload or () if w not in names]
+    if unknown:
+        parser.error(f"unknown workload {unknown[0]!r}; BENCHMARK.json declares {', '.join(names)}")
+    workloads = args.workload or names
     git = ["git", "-C", str(ROOT)]
     sha = subprocess.run(git + ["rev-parse", "--verify", args.against + "^{commit}"],
                          capture_output=True, text=True, check=True).stdout.strip()

@@ -40,15 +40,19 @@ runs one probe in a subprocess on each tree, importing that tree's
 - the estimator's laws on seeded inputs (:func:`probe_laws`):
   ``gradient_update`` with one and two outputs, ``drem_update``,
   ``extend_regressor`` with one lag before the history starts, and
-  ``adjugate`` and ``mix`` on stacks of sizes 1-5.
+  ``adjugate`` and ``mix`` on stacks of sizes 1-5;
+- the memory of the 30 s c1 gain-100 gradient and DREM runs
+  (:func:`probe_memory`): tracemalloc's peak inside ``simulate`` and the
+  bytes still traced with its result alive, per grid node.
 
 It prints the file and line counts of ``src/gpebo/*.py`` in both trees
-(what ``wc -l`` reports), the largest absolute difference of each array, the run
-where it occurs, and whether each file is byte for byte equal.  An inf or
-a nan at the same place in both trees counts as equal, a nan in one tree
-only as an infinite difference.  The exit status is 1 when a difference
-exceeds ``--bound`` or an array's shape or presence differs between the
-trees, else 0; differing bytes and the line counts are reported only.
+(what ``wc -l`` reports), the largest absolute difference of each array,
+the run where it occurs, whether each file is byte for byte equal, and
+both trees' memory figures.  An inf or a nan at the same place in both
+trees counts as equal, a nan in one tree only as an infinite difference.
+The exit status is 1 when a difference exceeds ``--bound`` or an array's
+shape or presence differs between the trees, else 0; differing bytes,
+the memory figures and the line counts are reported only.
 """
 
 from __future__ import annotations
@@ -60,6 +64,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -163,6 +168,24 @@ def probe_laws(data: dict) -> None:
         data[f"laws/n{n}/mix_Delta"], data[f"laws/n{n}/mix_Y"] = Delta, Y_mixed
 
 
+def probe_memory(data: dict) -> None:
+    """Record in ``data`` under ``memory/`` the traced bytes per node of the
+    30 s c1 gain-100 gradient and DREM runs: the peak inside ``simulate``
+    and what its result still holds."""
+    from gpebo import builtin_scenario, simulate
+
+    for estimator in ("gradient", "drem"):
+        scenario = builtin_scenario("c1", 100.0, estimator=estimator, horizon=30.0)
+        tracemalloc.start()
+        try:
+            res = simulate(scenario)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        for name, value in (("peak", peak), ("kept", kept)):
+            data[f"memory/c1-{estimator}-30s/{name}"] = np.array(value / len(res.t))
+
+
 def probe(out: str) -> None:
     """Record every probed output of the gpebo on the import path in ``out``."""
     from gpebo import (DelaySpec, StiffnessError, TrajectoryHistory, builtin_scenario,
@@ -170,6 +193,7 @@ def probe(out: str) -> None:
     from gpebo.cli import main
 
     data, rng = {}, np.random.default_rng(29)
+    probe_memory(data)
     for sid in SCENARIOS:
         for estimator, gamma in RUNS:
             res = simulate(builtin_scenario(sid, gamma, estimator=estimator))
@@ -252,6 +276,7 @@ def compare(ref: dict, new: dict, bound: float) -> bool:
     ok = True
     worst = {}  # array kind -> (max |d|, key)
     same, differ = [], []  # output files
+    memory = []  # reported figures
     for key in sorted(set(ref) | set(new)):
         if key not in ref or key not in new:
             print(f"{key}: only in {'this tree' if key in new else 'the ref'}")
@@ -260,6 +285,9 @@ def compare(ref: dict, new: dict, bound: float) -> bool:
         a, b = ref[key], new[key]
         if key.startswith("bytes/"):
             (same if np.array_equal(a, b) else differ).append(key[6:])
+            continue
+        if key.startswith("memory/"):
+            memory.append(f"{key}: {float(a):.1f} -> {float(b):.1f} B/node")
             continue
         if a.shape != b.shape:
             print(f"{key}: shape {a.shape} -> {b.shape}")
@@ -280,6 +308,8 @@ def compare(ref: dict, new: dict, bound: float) -> bool:
         ok = ok and d <= bound
     print(f"files: {len(same)} of {len(same) + len(differ)} byte for byte equal"
           + (f"; differ: {' '.join(differ)}" if differ else ""))
+    for line in memory:
+        print(line)
     return ok
 
 
