@@ -34,7 +34,7 @@ import numpy as np
 
 from .excitation import pe_check
 from .history import TrajectoryHistory
-from .integrate import DivergenceError, StiffnessError, simulate
+from .integrate import DivergenceError, StiffnessError, _sweep, simulate
 from .model import MAX_SWEEP_NODES, _finite, builtin_scenario
 from .report import (
     RunResult,
@@ -247,7 +247,11 @@ def run(config: RunConfig) -> RunResult:
         if os.path.realpath(path) in map(os.path.realpath, paths[:k]):
             raise OSError(f"output path {path!r} is given for two outputs")
     start = time.perf_counter()
-    runs = [simulate(scenario) for scenario in config.scenarios()]
+    scenarios = config.scenarios()
+    # one simulate call per gain; the gains share the plant pass and the
+    # regression build, which no gain enters
+    with _sweep(scenarios):
+        runs = [simulate(scenario) for scenario in scenarios]
     duration = time.perf_counter() - start
 
     result = RunResult(

@@ -28,6 +28,14 @@ A run is three passes over the uniform grid t_k = k h:
    coefficient -gamma Delta^2.  A gain and step that grow a mode of a
    frozen A are refused first by the plant's rule.
 
+Only the estimator pass reads the gain.  Inside ``_sweep(scenarios)``,
+which ``cli.run`` opens around its gains' ``simulate`` calls, the runs
+whose plant, initial copy, delay, grid, estimator and lags agree share
+the first one's plant pass, plant norms and regression build (for DREM
+its mix), as read-only arrays; each runs its own estimator pass,
+stiffness screen and divergence guard, and the last frees what they
+shared.  A run no other run shares with takes the lone path.
+
 x, xi and the columns of Phi share one linear recursion, so
 xi - x = Phi theta, theta = xi(0) - x(0), holds at the nodes to rounding
 for any step, and the estimate is xhat = xi - Phi theta_hat; the lookup is
@@ -38,6 +46,9 @@ gives each component of theta its own scalar regression.
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +67,9 @@ _MAP_BLOCK = 1024
 _CHUNK = 32
 _LOOKUP_BLOCK = 2048
 _ADJ_BLOCK = 256
+# Inside a sweep: the key of each run's shared passes that two or more of
+# its scenarios read -> [runs still to come, their passes, the law's factors].
+_SWEEP = ContextVar("_SWEEP", default=None)
 
 
 class DivergenceError(RuntimeError):
@@ -254,31 +268,34 @@ def mix(M: np.ndarray, Y_stack: np.ndarray) -> tuple:
     return Delta, (adj @ Y_stack[..., None])[..., 0]
 
 
-def _estimator_pass(scenario, rows, tau, refuse_stiff):
+def _estimator_pass(scenario, factors, tau, refuse_stiff):
     """RK4 on theta_hat' = A theta_hat + v at the stage times ``tau``, the
     form of both laws: A = -gamma psi psi^T and v = gamma psi y_reg for the
     gradient law, by the matrix scan; A = a I, a = -gamma Delta^2, and
     v = gamma Delta Y_mixed for DREM, by the scalar scan.  If
     ``refuse_stiff``, the plant's rule screens A (for DREM, a) first.
 
-    ``rows`` is the list [M, Y] of ``_regression``'s stacked rows; it is
-    emptied, so that M and Y are freed once the law's A and v are formed."""
-    n, gamma, h = scenario.system.n, scenario.gamma, scenario.step
+    ``factors`` is the list of the law's gain-free factors: psi as (n, q)
+    and y_reg as (q, 1) for the gradient law, Delta and Y_mixed for DREM.
+    It is emptied, so that they are freed once A and v are formed unless a
+    sweep holds them."""
+    gamma, h = scenario.gamma, scenario.step
     who = f"gamma {gamma:g} with step"
-    M, Y = rows
-    rows.clear()
     if scenario.estimator == "drem":
-        Delta, Y_mixed = mix(M, Y)
-        del M, Y
+        Delta, Y_mixed = factors
+        factors.clear()
         a, v = Delta * Delta * -gamma, Y_mixed * Delta[:, None] * gamma
         del Delta, Y_mixed
         if refuse_stiff:
             _refuse_stiff(a[:, None, None], tau, h, who)
         return _scalar_scan(a, v, scenario.theta_hat0, h)
-    P = M[:, 0].reshape(len(tau), n, -1)  # psi as (n, q), y_reg as (q, 1)
-    A = (P @ P.transpose(0, 2, 1)) * -gamma
-    v = (P @ Y[:, 0].reshape(len(tau), -1, 1))[:, :, 0] * gamma
-    del M, Y, P
+    P, y = factors
+    factors.clear()
+    A = P @ P.transpose(0, 2, 1)
+    A *= -gamma
+    v = (P @ y)[:, :, 0]
+    v *= gamma
+    del P, y
     if refuse_stiff:
         _refuse_stiff(A, tau, h, who)
     return _affine_scan(A, v, scenario.theta_hat0[:, None], np.ones(1), h)[:, :, 0]
@@ -389,6 +406,73 @@ class SimulationResult:
         return TrajectoryHistory.from_grid(self.t, self.Phi)
 
 
+def _passes_key(scenario):
+    """Every input the plant pass and the regression build read: A, B, C
+    and u by identity, the rest by value (arrays by their bytes)."""
+    sysm, delay = scenario.system, scenario.delay
+    return (tuple(id(fn) for fn in (sysm.A, sysm.B, sysm.C, sysm.u, delay.fn)),
+            sysm.n, sysm.m, sysm.q, sysm.x0.tobytes(), scenario.xi0.tobytes(),
+            delay.base, delay.amplitude, delay.frequency, scenario.step, scenario.steps,
+            scenario.estimator, scenario.drem_delays, scenario.gamma == 0.0)
+
+
+@contextmanager
+def _sweep(scenarios):
+    """Inside, the ``simulate`` calls on ``scenarios`` whose shared passes
+    agree (``_passes_key``) make them once: the first call runs them and
+    keeps them read-only, the last frees them.  A scenario no other one
+    shares with runs as it does alone.  ``scenarios`` is held until the
+    scope ends, so that no callable's identity is reused inside it."""
+    scenarios = list(scenarios)
+    uses = Counter(map(_passes_key, scenarios))
+    token = _SWEEP.set({key: [count, None, None] for key, count in uses.items() if count > 1})
+    try:
+        yield
+    finally:
+        _SWEEP.reset(token)
+
+
+def _shared_passes(scenario):
+    """The passes no gain enters: (t, tau, Z, plant norms, psi, y_reg) and
+    the law's factors for ``_estimator_pass`` (None open loop); M and Y are
+    freed on return, once the factors are formed."""
+    h = scenario.step
+    t = h * np.arange(scenario.steps + 1)
+    tau = 0.5 * h * np.arange(2 * scenario.steps + 1)
+    Z, dZ = _plant_pass(scenario.system, scenario.xi0, tau, h)
+    plant = np.abs(Z).max(axis=(1, 2))
+    # the rows the estimator reads: the stage times, for DREM at each lag
+    # too; open loop only the nodes (tau[2k] and t[k] are the same doubles)
+    if scenario.gamma == 0.0:
+        M, Y = _regression(scenario, t, Z, dZ, t)
+        return (t, tau, Z, plant, M[:, 0], Y[:, 0]), None
+    M, Y = _regression(scenario, t, Z, dZ, tau, scenario.drem_delays or ())
+    del dZ
+    passes = t, tau, Z, plant, M[::2, 0].copy(), Y[::2, 0].copy()
+    if scenario.estimator == "drem":
+        return passes, list(mix(M, Y))
+    return passes, [M[:, 0].reshape(len(M), scenario.system.n, -1), Y[:, 0].reshape(len(M), -1, 1)]
+
+
+def _passes(scenario):
+    """``_shared_passes`` of ``scenario``, or inside a sweep the ones an
+    earlier run made; the factors as a list the estimator pass may empty."""
+    sweep = _SWEEP.get()
+    key = _passes_key(scenario) if sweep else None
+    entry = sweep and sweep.get(key)
+    if not entry:
+        return _shared_passes(scenario)
+    if entry[1] is None:
+        entry[1:] = _shared_passes(scenario)
+        for a in entry[1] + tuple(entry[2] or ()):
+            a.flags.writeable = False
+    entry[0] -= 1
+    if entry[0]:
+        return entry[1], entry[2] and list(entry[2])  # later runs read them too
+    del sweep[key]
+    return entry[1], entry[2]  # the only reference: the estimator pass frees them
+
+
 def simulate(scenario: NamedScenario) -> SimulationResult:
     """Run one scenario over its horizon and return the grid trajectories.
 
@@ -399,30 +483,20 @@ def simulate(scenario: NamedScenario) -> SimulationResult:
     pass.  A DivergenceError names the first node where x, xi, Phi or
     theta_hat leaves the norm guard (or the finite floats).  If the plant
     stays inside it, a StiffnessError refuses a gain too large for the step
-    before the estimator runs.
+    before the estimator runs.  Inside a CLI sweep, a run that shares its
+    plant pass and regression build with another returns read-only t, x,
+    xi, Phi, psi and y_reg, the same arrays as the other's, with the same
+    values and the same errors as alone.
     """
-    sysm = scenario.system
-    h, gamma = scenario.step, scenario.gamma
-    t = h * np.arange(scenario.steps + 1)
-    tau = 0.5 * h * np.arange(2 * scenario.steps + 1)
-
     # A run that diverges carries on in inf and nan without warnings; the
     # norm guard below then names its first node past the limit.
     with np.errstate(over="ignore", invalid="ignore"):
-        Z, dZ = _plant_pass(sysm, scenario.xi0, tau, h)
-        plant = np.abs(Z).max(axis=(1, 2))
-        # the rows the estimator reads: the stage times, for DREM at each lag
-        # too; open loop only the nodes (tau[2k] and t[k] are the same doubles)
-        if gamma == 0.0:
-            M, Y = _regression(scenario, t, Z, dZ, t)
-            psi, y_reg = M[:, 0], Y[:, 0]
+        (t, tau, Z, plant, psi, y_reg), factors = _passes(scenario)
+        if factors is None:
             theta_hat = np.tile(scenario.theta_hat0, (len(t), 1))
         else:
-            rows = list(_regression(scenario, t, Z, dZ, tau, scenario.drem_delays or ()))
-            del dZ
-            psi, y_reg = rows[0][::2, 0].copy(), rows[1][::2, 0].copy()
-            # the estimator pass takes the only references to M and Y and frees them
-            theta_hat = _estimator_pass(scenario, rows, tau, (plant <= STATE_NORM_LIMIT).all())
+            theta_hat = _estimator_pass(scenario, factors, tau,
+                                        (plant <= STATE_NORM_LIMIT).all())
 
     worst = np.maximum(plant, np.abs(theta_hat).max(axis=1))
     over = np.flatnonzero(~(worst <= STATE_NORM_LIMIT))
@@ -437,7 +511,7 @@ def simulate(scenario: NamedScenario) -> SimulationResult:
         xi=Z[:, :, 1],
         Phi=Z[:, :, 2:],
         theta_hat=theta_hat,
-        theta=scenario.xi0 - sysm.x0,
+        theta=scenario.xi0 - scenario.system.x0,
         psi=psi,
         y_reg=y_reg,
     )

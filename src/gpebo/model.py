@@ -31,10 +31,12 @@ GridFn = Callable[[np.ndarray], np.ndarray]  # 1-D times -> values stacked on ax
 
 _ESTIMATORS = ("gradient", "drem")
 # Grid nodes one run may hold, and one CLI sweep summed over its gains.  A
-# simulation peaks near 321 bytes per node with DREM and 296 with the
-# gradient law, and keeps 112; a sweep keeps every gain's run, so one at
-# the limit peaks near 0.64 GB (tracemalloc, 30 s and 300 s gain-100 runs on
-# c1 and c3, which agree to 1 B/node).
+# lone run peaks near 321 bytes per node with DREM and 264 with the
+# gradient law, and keeps 112, so one at the limit peaks near 0.64 GB.  The
+# runs of a sweep share all but theta_hat: a three-gain sweep peaks near 355
+# and 319 bytes per node of one gain's grid and keeps 144, about 0.24 GB at
+# the limit (tracemalloc, 30 s and 300 s gain-100 runs and 30 s sweeps on c1
+# and c3, which agree to 1 B/node).
 MAX_SWEEP_NODES = 2_000_000
 
 

@@ -80,3 +80,51 @@ def test_an_undeclared_workload_is_refused_before_anything_runs(tmp_path, capsys
     assert exc.value.code == 2
     assert "unknown workload 'dremtrack'" in capsys.readouterr().err
     assert not out.exists()
+
+
+LAYERS = [
+    {"name": "model.coef_calls", "unit": "count", "better": "lower"},
+    {"name": "drem.mix_s", "unit": "s", "better": "lower"},
+    {"name": "observer.update_s", "unit": "s", "better": "lower"},
+    {"name": "report.csv_s", "unit": "s", "better": "lower"},
+    {"name": "cli.run_s", "unit": "s", "better": "lower"},
+]
+
+
+def _traced(**values):
+    return {"metrics": {k: {"value": v} for k, v in values.items()}, "correct": True}
+
+
+def test_layers_list_a_name_that_reads_zero_on_both_trees_as_unmeasured():
+    records = {
+        "parent": [_traced(**{"model.coef_calls": 36, "drem.mix_s": 0.0, "observer.update_s": 0.0,
+                              "report.csv_s": 0.02, "cli.run_s": 0.3}),
+                   _traced(**{"model.coef_calls": 36, "drem.mix_s": 0.0, "observer.update_s": 0.0,
+                              "report.csv_s": 0.04, "cli.run_s": 0.5})],
+        # drem.mix_s reads 0 on the parent only; cli.run_s is absent from one run
+        "change": [_traced(**{"model.coef_calls": 12, "drem.mix_s": 0.001,
+                              "observer.update_s": 0.0, "report.csv_s": 0.03}),
+                   _traced(**{"model.coef_calls": 12, "drem.mix_s": 0.003,
+                              "observer.update_s": 0.0, "report.csv_s": 0.03, "cli.run_s": 0.2})],
+    }
+    out = bench.summarize_layers(records, LAYERS)
+    assert out["runs"] == 2
+    # all 0 on both trees: nothing that runs, so no figure, not a 0
+    assert out["unmeasured"] == ["observer.update_s"]
+    assert "observer.update_s" not in out["metrics"]
+    assert out["missing"] == {"parent": [], "change": ["cli.run_s"]}
+    coef = out["metrics"]["model.coef_calls"]
+    assert (coef["parent"]["median"], coef["change"]["median"]) == (36, 12)
+    assert coef["ratio_change_over_parent"] == pytest.approx(1.0 / 3.0)
+    assert coef["unit"] == "count" and coef["better"] == "lower"
+    # a 0 on one tree is a measurement: the change made the call
+    mix = out["metrics"]["drem.mix_s"]
+    assert mix["parent"]["runs"] == [0.0, 0.0] and mix["change"]["median"] == pytest.approx(0.002)
+    assert mix["ratio_change_over_parent"] is None
+    assert out["metrics"]["report.csv_s"]["parent"]["median"] == pytest.approx(0.03)
+    assert out["metrics"]["cli.run_s"]["change"]["runs"] == [0.2]
+    lines = bench.describe("workloads", {"gradient-sweep": {
+        "pairs": 2, "end_to_end": {}, "layers": out}})
+    assert "workloads gradient-sweep layer model.coef_calls: 36 -> 12 count" in lines
+    assert lines[-1] == ("workloads gradient-sweep layers unmeasured (0 on both trees): "
+                         "observer.update_s")

@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import gpebo.cli as cli
 import gpebo.integrate as integrate
 from gpebo import (
     DelaySpec,
@@ -24,6 +26,7 @@ from gpebo import (
     mix,
     simulate,
 )
+from gpebo.cli import RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 # the plants of tools/drift.py's probes, so that each is written once
@@ -330,23 +333,169 @@ def test_simulate_grid_shape():
     assert np.array_equal(res.Phi[0], np.eye(2))
 
 
-@pytest.mark.parametrize("estimator, bound", [("gradient", 311.0), ("drem", 337.0)])
-def test_peak_memory_per_node(estimator, bound):
+@pytest.mark.parametrize("run, bound", [("gradient", 278.0), ("drem", 337.0),
+                                        ("gradient-sweep", 336.0), ("drem-sweep", 373.0)])
+def test_peak_memory_per_node(capsys, run, bound):
     # MAX_SWEEP_NODES and the README's sweep limit rest on these figures: a
-    # 30 s gain-100 c1 run peaks at 296 traced bytes per node with the
-    # gradient law and 321 with DREM, and its result keeps 112 (2-core Xeon,
-    # numpy 2.4.6); the bounds leave 5% over that.  A result array that views
-    # the stage-time regression stack, not a copy of its node rows, keeps more
-    scenario = builtin_scenario("c1", 100.0, estimator=estimator)
+    # 30 s gain-100 c1 run peaks at 264 traced bytes per node with the
+    # gradient law and 321 with DREM, and its result keeps 112; a gains
+    # 1, 10, 100 CLI sweep peaks at 319 and 355 per node of one gain's grid,
+    # and keeps 144, as its runs share all but theta_hat (2-core Xeon, numpy
+    # 2.4.6).  The bounds leave 5% over that.  A result array that views the
+    # stage-time regression stack, not a copy of its node rows, keeps more
+    estimator, _, sweep = run.partition("-")
     tracemalloc.start()
     try:
-        res = simulate(scenario)
+        if sweep:
+            res = cli.run(RunConfig(estimator=estimator)).runs[0]
+        else:
+            res = simulate(builtin_scenario("c1", 100.0, estimator=estimator))
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert len(res.t) == 30001
     assert peak / len(res.t) <= bound
-    assert kept / len(res.t) <= 118.0
+    assert kept / len(res.t) <= (152.0 if sweep else 118.0)
+
+
+_RESULT_ARRAYS = ("t", "x", "xi", "Phi", "theta_hat", "theta", "psi", "y_reg")
+_SHARED_ARRAYS = ("t", "x", "xi", "Phi", "psi", "y_reg")
+
+
+def _same_run(a, b):
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in _RESULT_ARRAYS)
+
+
+def _sweep(scenarios):
+    with integrate._sweep(scenarios):
+        return [simulate(s) for s in scenarios]
+
+
+@pytest.mark.parametrize("sid, estimator", [(sid, est) for sid in ("c1", "c2", "c3")
+                                            for est in ("gradient", "drem")] + [("drem4", "drem")])
+def test_each_run_of_a_sweep_is_its_lone_run_bit_for_bit(capsys, sid, estimator):
+    # the gains share the plant pass and the regression build (for DREM the
+    # mix), which no gain enters; their runs share those arrays
+    gains = (1.0, 10.0, 100.0)
+    if sid == "drem4":
+        drem4 = drift.drem4_scenario(3.0)
+        lone = [replace(drem4, gamma=g) for g in gains]
+        runs = _sweep(lone)
+    else:
+        lone = [builtin_scenario(sid, g, estimator, horizon=3.0) for g in gains]
+        runs = cli.run(RunConfig(scenario=sid, estimator=estimator, horizon=3.0)).runs
+    for scenario, res in zip(lone, runs):
+        assert _same_run(res, simulate(scenario))
+    for name in _SHARED_ARRAYS:
+        assert all(np.shares_memory(getattr(res, name), getattr(runs[0], name)) for res in runs)
+
+
+_BASE = builtin_scenario("c3", 10.0, "drem", horizon=2.0)
+
+
+def _doubled(name):
+    """_BASE with its callable ``name`` doubled: a new callable."""
+    fn = getattr(_BASE.system, name)
+    return replace(_BASE, system=replace(_BASE.system, **{name: lambda t: 2.0 * fn(t)}))
+
+
+def _delay_fn():
+    """_BASE with c3's delay map as a custom map: a new callable each call."""
+    return replace(_BASE, delay=DelaySpec(fn=lambda t: t - 1.0 - 0.9 * np.sin(t)))
+
+
+# pairs of scenarios that differ in one input the shared passes read
+_PAIRS = {
+    **{name: (_BASE, _doubled(name)) for name in "ABCu"},
+    "x0": (_BASE, replace(_BASE, system=replace(_BASE.system, x0=np.array([1.0, -0.5])))),
+    "xi0": (_BASE, replace(_BASE, xi0=np.array([0.0, 0.25]))),
+    "delay-base": (_BASE, replace(_BASE, delay=replace(_BASE.delay, base=1.2))),
+    "delay-amplitude": (_BASE, replace(_BASE, delay=replace(_BASE.delay, amplitude=0.5))),
+    "delay-frequency": (_BASE, replace(_BASE, delay=replace(_BASE.delay, frequency=2.0))),
+    "delay-fn": (_delay_fn(), _delay_fn()),  # equal maps, two callables
+    "step": (_BASE, replace(_BASE, step=2e-3, horizon=4.0)),  # the same number of steps
+    "horizon": (_BASE, replace(_BASE, horizon=2.5)),
+    # drem_delays, None for the gradient law alone, tells the laws apart too
+    "estimator": (_BASE, replace(_BASE, estimator="gradient", drem_delays=None)),
+    "drem_delays": (_BASE, replace(_BASE, drem_delays=(0.7,))),
+    "open-loop": (_BASE, replace(_BASE, gamma=0.0)),
+}
+
+
+@pytest.mark.parametrize("first, other", _PAIRS.values(), ids=_PAIRS.keys())
+def test_scenarios_that_differ_in_a_shared_input_get_their_own_passes(monkeypatch, first, other):
+    # two runs of each scenario in one scope, the second from another
+    # theta_hat0, which no shared pass reads: two plant passes, and each
+    # scenario's runs as alone.  A key that left the input out would hand
+    # the second scenario the first one's plant or regression, which the
+    # comparison catches where the two differ, and the count where not
+    scenarios = [first, other] + [replace(s, theta_hat0=s.theta_hat0 + 1.0) for s in (first, other)]
+    lone = [simulate(s) for s in scenarios]
+    passes = []
+    plant_pass = integrate._plant_pass
+    monkeypatch.setattr(integrate, "_plant_pass", lambda *a: passes.append(1) or plant_pass(*a))
+    for res, alone in zip(_sweep(scenarios), lone):
+        assert _same_run(res, alone)
+    assert len(passes) == 2
+
+
+@pytest.mark.parametrize("estimator, gains, horizon", [("gradient", (1.0, 10.0, 1000.0), 10.0),
+                                                       ("drem", (1.0, 1e6), 2.0)])
+def test_a_stiff_later_gain_is_refused_as_alone(capsys, estimator, gains, horizon):
+    # the earlier gains' shared passes do not change the refusal's message
+    with pytest.raises(StiffnessError) as alone:
+        simulate(builtin_scenario("c1", gains[-1], estimator, horizon=horizon))
+    with pytest.raises(StiffnessError) as swept:
+        cli.run(RunConfig(estimator=estimator, gammas=gains, horizon=horizon))
+    assert str(swept.value) == str(alone.value)
+    assert swept.value.t == alone.value.t
+
+
+def test_a_diverging_plant_is_refused_at_the_first_gain(monkeypatch):
+    sysm = _const_system([[50.0]], x0=[1.0])
+    scenarios = [_scenario(sysm, gamma=g, horizon=1.0, step=1e-2, xi0=np.array([2.0]))
+                 for g in (1.0, 10.0)]
+    with pytest.raises(DivergenceError) as alone:
+        simulate(scenarios[0])
+    with integrate._sweep(scenarios):
+        with pytest.raises(DivergenceError) as swept:
+            simulate(scenarios[0])
+    assert str(swept.value) == str(alone.value)
+
+
+def test_writing_into_a_shared_array_raises(capsys):
+    runs = cli.run(RunConfig(estimator="drem", horizon=1.0)).runs
+    for name in _SHARED_ARRAYS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(runs[-1], name)[0] = 0.0
+    runs[0].theta_hat[0] = 0.0  # each run's own
+    lone = simulate(builtin_scenario("c1", 1.0, horizon=1.0))
+    assert all(getattr(lone, name).flags.writeable for name in _RESULT_ARRAYS)
+
+
+@pytest.mark.parametrize("gains", [(100.0,), (1.0, 10.0, 100.0)])
+def test_a_sweep_holds_nothing_once_it_returns(monkeypatch, capsys, gains):
+    # a lone gain takes the lone path: no scope entry, writeable arrays; a
+    # sweep's last run frees the passes the runs shared
+    seen, held = [], []
+    inner = cli.simulate
+
+    def watched(scenario):
+        res = inner(scenario)
+        table = integrate._SWEEP.get()
+        seen.append(len(table))
+        held.extend(weakref.ref(a) for entry in table.values() for a in entry[2])
+        return res
+
+    monkeypatch.setattr(cli, "simulate", watched)
+    runs = cli.run(RunConfig(estimator="drem", gammas=gains, horizon=1.0)).runs
+    assert integrate._SWEEP.get() is None
+    if len(gains) == 1:
+        assert seen == [0] and not held
+        assert runs[0].x.flags.writeable
+    else:
+        assert seen == [1, 1, 0]
+        assert held and all(ref() is None for ref in held)
 
 
 def test_simulate_drem_records_regression():

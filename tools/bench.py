@@ -2,7 +2,7 @@
 
     python tools/bench.py --against HEAD~1 --out BENCH_27.json [--pairs 10]
         [--seed 1] [--workload drem-track] [--section NAME] [--null]
-        [--claim TEXT]
+        [--layers] [--claim TEXT]
 
 Extracts ``<ref>`` with ``git archive`` into a temporary directory, as
 ``tools/drift.py`` does, and runs the unedited ``perfbench/run.py`` from
@@ -23,8 +23,15 @@ and failed and whether every run was correct.  The section goes under
 ``--section`` (default ``workloads``) in ``--out``, which keeps the other
 sections of an existing file, so one file holds the claim's seed, a
 held-out seed and a null run.  The file is rewritten after every pair.
-The per-layer metrics are not recorded: a traced run reads 0 on seven of
-them, as no run calls the layers they time.
+
+With ``--layers``, each pair also makes one ``run.py --trace 1`` run per
+tree and workload, in the same alternating order, and the workload's
+``layers`` record each per-layer metric BENCHMARK.json declares: both
+sides' runs, medians, quartiles and the ratio of the medians.  A metric
+that reads 0 in every traced run of both trees times or counts nothing
+that runs (perfbench's tracer wraps some names that no run calls): it is
+listed as ``unmeasured``, not recorded as 0.  A metric absent from a
+side's records is listed under that side's ``missing``.
 """
 
 from __future__ import annotations
@@ -51,12 +58,12 @@ def _extract(sha: str, into: Path) -> Path:
     return into
 
 
-def _run(tree: Path, workload: str, seconds: float, seed: int) -> dict:
+def _run(tree: Path, workload: str, seconds: float, seed: int, trace: int = 0) -> dict:
     """One ``perfbench/run.py`` run from the root of ``tree``: its last line."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", f"{seconds:g}",
-         "--seed", str(seed), "--trace", "0"],
+         "--seed", str(seed), "--trace", str(trace)],
         cwd=tree, env=env, capture_output=True, text=True)
     if done.returncode:
         raise RuntimeError(f"{workload} in {tree} exited {done.returncode}:\n{done.stderr}")
@@ -92,6 +99,31 @@ def summarize(records: dict, metrics: list) -> dict:
     return {"pairs": len(records["parent"]), "end_to_end": end_to_end, "operations": operations}
 
 
+def summarize_layers(records: dict, metrics: list) -> dict:
+    """One workload's ``layers`` from ``records[side]``, a list of traced
+    run.py records per side, for the per-layer ``metrics``."""
+    layers, unmeasured = {}, []
+    missing = {side: [] for side in records}
+    for m in metrics:
+        name = m["name"]
+        values = {side: [r["metrics"][name]["value"] for r in recs if name in r["metrics"]]
+                  for side, recs in records.items()}
+        for side, recs in records.items():
+            if len(values[side]) < len(recs):
+                missing[side].append(name)
+        if not any(name in missing[side] for side in records) and not any(
+                v for runs in values.values() for v in runs):
+            unmeasured.append(name)
+            continue
+        sides = {side: _side(runs) if runs else None for side, runs in values.items()}
+        p, c = sides["parent"], sides["change"]
+        layers[name] = {"unit": m["unit"], "better": m["better"], **sides,
+                        "ratio_change_over_parent": (c["median"] / p["median"]
+                                                     if p and c and p["median"] else None)}
+    return {"runs": len(records["parent"]), "metrics": layers, "unmeasured": unmeasured,
+            "missing": missing}
+
+
 def describe(section: str, body: dict) -> list:
     """A line per workload and metric of a section, for the notes."""
     lines = []
@@ -103,6 +135,13 @@ def describe(section: str, body: dict) -> list:
                 f"{m['unit']} (x{m['ratio_change_over_parent']:.3f}), change better in "
                 f"{m['change_better_in_pairs']}/{res['pairs']} pairs, median gap "
                 + ("n/a" if gap is None else f"{gap:.2f}") + " x the parent's quartile spread")
+        layers = res.get("layers")
+        for name, m in (layers or {}).get("metrics", {}).items():
+            p, c = (m[side] and f"{m[side]['median']:.4g}" for side in ("parent", "change"))
+            lines.append(f"{section} {w} layer {name}: {p} -> {c} {m['unit']}")
+        if layers:
+            lines.append(f"{section} {w} layers unmeasured (0 on both trees): "
+                         + (", ".join(layers["unmeasured"]) or "none"))
     return lines
 
 
@@ -127,6 +166,9 @@ def main(argv=None) -> int:
     parser.add_argument("--section", default="workloads", help="key of this run in --out")
     parser.add_argument("--null", action="store_true",
                         help="compare REF with itself instead of this tree")
+    parser.add_argument("--layers", action="store_true",
+                        help="also record each tree's per-layer metrics from one traced run "
+                             "per pair")
     parser.add_argument("--claim", help="the claim the file tests")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -146,7 +188,8 @@ def main(argv=None) -> int:
     change = f"{sha[:7]} itself" if args.null else "this change"
     seconds = spec["run_seconds"]
     what = (f"parent {sha[:7]} against {change}, perfbench/run.py unedited, seed {args.seed}, "
-            f"{seconds:g} s runs, parent and change alternating which runs first")
+            f"{seconds:g} s runs, parent and change alternating which runs first"
+            + (", and one --trace 1 run per tree per pair for the layers" if args.layers else ""))
     command = (f"python3 perfbench/run.py --workload <w> --seconds {seconds:g} "
                f"--seed {args.seed} --trace 0")
     if args.section == "workloads":
@@ -160,6 +203,7 @@ def main(argv=None) -> int:
         notes.append(f"{args.section} {what}")
 
     records = {w: {"parent": [], "change": []} for w in workloads}
+    traced = {w: {"parent": [], "change": []} for w in workloads}
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": _extract(sha, Path(tmp) / "parent"),
                  "change": _extract(sha, Path(tmp) / "change") if args.null else ROOT}
@@ -167,7 +211,12 @@ def main(argv=None) -> int:
             for w in workloads:
                 for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
                     records[w][side].append(_run(trees[side], w, seconds, args.seed))
+                    if args.layers:
+                        traced[w][side].append(_run(trees[side], w, seconds, args.seed, trace=1))
             body = {w: summarize(r, spec["end_to_end"]) for w, r in records.items()}
+            if args.layers:
+                for w, r in traced.items():
+                    body[w]["layers"] = summarize_layers(r, spec["per_layer"])
             doc[args.section] = body
             doc["notes"] = notes + describe(args.section, body)
             out.write_text(json.dumps(doc, indent=2) + "\n")

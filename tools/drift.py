@@ -30,6 +30,9 @@ runs one probe in a subprocess on each tree, importing that tree's
   change to the plant pass cannot move it;
 - the bytes of the CLI's CSV, SVG and excitation report for c1-c3 with
   either law at gammas 1, 10 and 100 over 10 s;
+- the same six arrays of each run of ``cli.run``'s default sweep, gammas
+  1, 10 and 100 over 30 s, for c1-c3 with either law, as
+  ``sweep/<sid>-<law>/<gamma>`` (:func:`probe_sweeps`);
 - the refusal time ``StiffnessError.t`` (nan if the run runs) of the
   A = -3000 I plant at h = 1e-3, of c1 and c3 with the gradient law at
   gamma 1000 over 10 s and 30 s, of c1 with DREM at gamma 1e6 over 2 s,
@@ -41,9 +44,11 @@ runs one probe in a subprocess on each tree, importing that tree's
   ``gradient_update`` with one and two outputs, ``drem_update``,
   ``extend_regressor`` with one lag before the history starts, and
   ``adjugate`` and ``mix`` on stacks of sizes 1-5;
-- the memory of the 30 s c1 gain-100 gradient and DREM runs
-  (:func:`probe_memory`): tracemalloc's peak inside ``simulate`` and the
-  bytes still traced with its result alive, per grid node.
+- the memory of the 30 s c1 gain-100 gradient and DREM runs, and of the
+  30 s c1 gains 1, 10 and 100 ``cli.run`` sweep with either law
+  (:func:`probe_memory`): tracemalloc's peak inside ``simulate`` or
+  ``cli.run`` and the bytes still traced with its result alive, per node of
+  one gain's grid.
 
 It prints the file and line counts of ``src/gpebo/*.py`` in both trees
 (what ``wc -l`` reports), the largest absolute difference of each array,
@@ -168,22 +173,46 @@ def probe_laws(data: dict) -> None:
         data[f"laws/n{n}/mix_Delta"], data[f"laws/n{n}/mix_Y"] = Delta, Y_mixed
 
 
+def _sweep(sid: str, estimator: str) -> list:
+    """The runs of ``cli.run``'s default 30 s sweep, gammas 1, 10 and 100."""
+    from gpebo.cli import RunConfig, run
+
+    with contextlib.redirect_stdout(io.StringIO()):
+        return run(RunConfig(scenario=sid, estimator=estimator)).runs
+
+
 def probe_memory(data: dict) -> None:
-    """Record in ``data`` under ``memory/`` the traced bytes per node of the
-    30 s c1 gain-100 gradient and DREM runs: the peak inside ``simulate``
+    """Record in ``data`` under ``memory/`` the traced bytes per node of one
+    gain's grid of the 30 s c1 gain-100 gradient and DREM runs and of their
+    gains 1, 10, 100 sweeps: the peak inside ``simulate`` or ``cli.run``
     and what its result still holds."""
     from gpebo import builtin_scenario, simulate
 
     for estimator in ("gradient", "drem"):
-        scenario = builtin_scenario("c1", 100.0, estimator=estimator, horizon=30.0)
-        tracemalloc.start()
-        try:
-            res = simulate(scenario)
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        for name, value in (("peak", peak), ("kept", kept)):
-            data[f"memory/c1-{estimator}-30s/{name}"] = np.array(value / len(res.t))
+        for name, call in (
+                (f"c1-{estimator}-30s", lambda: [simulate(builtin_scenario(
+                    "c1", 100.0, estimator=estimator, horizon=30.0))]),
+                (f"c1-{estimator}-sweep-30s", lambda: _sweep("c1", estimator))):
+            tracemalloc.start()
+            try:
+                runs = call()
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            for what, value in (("peak", peak), ("kept", kept)):
+                data[f"memory/{name}/{what}"] = np.array(value / len(runs[0].t))
+            del runs
+
+
+def probe_sweeps(data: dict) -> None:
+    """Record in ``data`` under ``sweep/`` the arrays of each run of the
+    default CLI sweep on c1-c3 with either law."""
+    for sid in SCENARIOS:
+        for estimator in ("gradient", "drem"):
+            for res in _sweep(sid, estimator):
+                key = f"sweep/{sid}-{estimator}/{res.scenario.gamma:g}"
+                for name in ("x", "xi", "Phi", "theta_hat", "psi", "y_reg"):
+                    data[f"{key}/{name}"] = getattr(res, name)
 
 
 def probe(out: str) -> None:
@@ -253,6 +282,7 @@ def probe(out: str) -> None:
     for name, delay in delays:
         data[f"delay/{name}"] = delay(stages)
     probe_laws(data)
+    probe_sweeps(data)
     np.savez(out, **data)
 
 
