@@ -14,11 +14,11 @@ file values, and its flag and field names are its file keys.  A value its
 parser refuses exits 2 naming the flag and, from a file, the file and
 line.  Scenario and estimator names are case-insensitive in both.  Bad
 values are rejected by the model when :meth:`RunConfig.validate` builds
-each gain's scenario, before anything is simulated.  Exit codes: 0 success, 2
-configuration problem (including a gain too large for the step, found
-after the plant pass), 3 simulation divergence, 4 output file problem
-(a path that is empty or a directory, or whose directory is missing, is
-refused before anything is simulated).
+the base scenario and checks each gain, before anything is simulated.
+Exit codes: 0 success, 2 configuration problem (including a gain too
+large for the step, found after the plant pass), 3 simulation
+divergence, 4 output file problem (a path that is empty or a directory,
+or whose directory is missing, is refused before anything is simulated).
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 from .excitation import pe_check
 from .history import TrajectoryHistory
 from .integrate import DivergenceError, StiffnessError, _sweep, simulate
-from .model import MAX_SWEEP_NODES, _finite, builtin_scenario
+from .model import MAX_SWEEP_NODES, NamedScenario, _finite, builtin_scenario
 from .report import (
     RunResult,
     emit_csv,
@@ -49,9 +49,11 @@ class ConfigError(ValueError):
 
 
 def _floats(text: str) -> tuple:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
+    parts = [p.strip() for p in text.split(",")]
+    if not any(parts):
         raise ValueError("must contain at least one number")
+    if not all(parts):
+        raise ValueError(f"item {parts.index('') + 1} of {text!r} is empty")
     return tuple(float(p) for p in parts)
 
 
@@ -89,19 +91,21 @@ class RunConfig:
     pe_floor: float = _option(1e-4, float, "D", "excitation eigenvalue floor (default 1e-4)")
     pe_report: Optional[str] = _option(None, str, "PATH", "write the excitation scan here")
 
-    def scenarios(self) -> list:
-        """The built-in scenario of each gain, in the order of ``gammas``."""
-        return [builtin_scenario(self.scenario, gamma, estimator=self.estimator,
-                                 horizon=self.horizon, step=self.step, x0=self.x0,
-                                 xi0=self.xi0, theta_hat0=self.theta0)
-                for gamma in self.gammas]
+    def base(self) -> NamedScenario:
+        """The built-in scenario of these options at gain 0, which the
+        sweep sets to each of ``gammas``."""
+        return builtin_scenario(self.scenario, 0.0, estimator=self.estimator,
+                                horizon=self.horizon, step=self.step, x0=self.x0,
+                                xi0=self.xi0, theta_hat0=self.theta0)
 
     def validate(self) -> None:
         """Raise ConfigError for options no run may start with.
 
-        Each gain's scenario is built first, so every value the model
-        rejects is rejected here.  The rest is what the CLI alone decides:
-        positive gains, the excitation-scan options and the sweep's size.
+        The base scenario is built once, so every value the model rejects
+        is rejected here.  Each gain passes ``_finite`` here, and the
+        model's check again when the sweep ``replace``s the base's gain
+        with it.  The rest is what the CLI alone decides: positive,
+        distinct gains, the excitation-scan options and the sweep's size.
         """
         if not self.gammas:
             raise ConfigError("at least one gamma is required")
@@ -111,7 +115,7 @@ class RunConfig:
         try:
             for gamma in self.gammas:
                 _finite("gamma", gamma, low=0.0, strict=True)
-            steps = self.scenarios()[0].steps
+            steps = self.base().steps
             _finite("pe-window", self.pe_window, low=0.0, strict=True)
             _finite("pe-floor", self.pe_floor, low=0.0, strict=True)
         except ValueError as exc:
@@ -247,10 +251,9 @@ def run(config: RunConfig) -> RunResult:
         if os.path.realpath(path) in map(os.path.realpath, paths[:k]):
             raise OSError(f"output path {path!r} is given for two outputs")
     start = time.perf_counter()
-    scenarios = config.scenarios()
     # one simulate call per gain; the gains share the plant pass and the
     # regression build, which no gain enters
-    with _sweep(scenarios):
+    with _sweep(config.base(), config.gammas) as scenarios:
         runs = [simulate(scenario) for scenario in scenarios]
     duration = time.perf_counter() - start
 

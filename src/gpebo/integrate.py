@@ -28,13 +28,14 @@ A run is three passes over the uniform grid t_k = k h:
    coefficient -gamma Delta^2.  A gain and step that grow a mode of a
    frozen A are refused first by the plant's rule.
 
-Only the estimator pass reads the gain.  Inside ``_sweep(scenarios)``,
-which ``cli.run`` opens around its gains' ``simulate`` calls, the runs
-whose plant, initial copy, delay, grid, estimator and lags agree share
-the first one's plant pass, plant norms and regression build (for DREM
-its mix), as read-only arrays; each runs its own estimator pass,
-stiffness screen and divergence guard, and the last frees what they
-shared.  A run no other run shares with takes the lone path.
+Only the estimator pass reads the gain.  ``_sweep(base, gammas)``, which
+``cli.run`` opens around its gains' ``simulate`` calls, yields one
+scenario at several gains, so its runs of positive gain share the first
+one's plant pass, plant norms and regression build (for DREM its mix),
+as read-only arrays; each runs its own estimator pass, stiffness screen
+and divergence guard, and the last frees what they shared.  A zero gain,
+a lone positive gain and any scenario the sweep did not yield take the
+lone path.
 
 x, xi and the columns of Phi share one linear recursion, so
 xi - x = Phi theta, theta = xi(0) - x(0), holds at the nodes to rounding
@@ -46,10 +47,9 @@ gives each component of theta its own scalar regression.
 
 from __future__ import annotations
 
-from collections import Counter
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,8 +67,8 @@ _MAP_BLOCK = 1024
 _CHUNK = 32
 _LOOKUP_BLOCK = 2048
 _ADJ_BLOCK = 256
-# Inside a sweep: the key of each run's shared passes that two or more of
-# its scenarios read -> [runs still to come, their passes, the law's factors].
+# Inside a sweep: [its scenarios whose runs share passes and are still to
+# come, their passes, the law's factors].
 _SWEEP = ContextVar("_SWEEP", default=None)
 
 
@@ -406,28 +406,18 @@ class SimulationResult:
         return TrajectoryHistory.from_grid(self.t, self.Phi)
 
 
-def _passes_key(scenario):
-    """Every input the plant pass and the regression build read: A, B, C
-    and u by identity, the rest by value (arrays by their bytes)."""
-    sysm, delay = scenario.system, scenario.delay
-    return (tuple(id(fn) for fn in (sysm.A, sysm.B, sysm.C, sysm.u, delay.fn)),
-            sysm.n, sysm.m, sysm.q, sysm.x0.tobytes(), scenario.xi0.tobytes(),
-            delay.base, delay.amplitude, delay.frequency, scenario.step, scenario.steps,
-            scenario.estimator, scenario.drem_delays, scenario.gamma == 0.0)
-
-
 @contextmanager
-def _sweep(scenarios):
-    """Inside, the ``simulate`` calls on ``scenarios`` whose shared passes
-    agree (``_passes_key``) make them once: the first call runs them and
-    keeps them read-only, the last frees them.  A scenario no other one
-    shares with runs as it does alone.  ``scenarios`` is held until the
-    scope ends, so that no callable's identity is reused inside it."""
-    scenarios = list(scenarios)
-    uses = Counter(map(_passes_key, scenarios))
-    token = _SWEEP.set({key: [count, None, None] for key, count in uses.items() if count > 1})
+def _sweep(base, gammas):
+    """Yields ``base`` at each gain of ``gammas``.  Inside, the ``simulate``
+    calls on the yielded scenarios of positive gain, two or more, make the
+    passes no gain enters once: the first call runs them and keeps them
+    read-only, the last frees them.  A zero gain, whose lookup reads only
+    the nodes, and any scenario the scope did not yield run alone."""
+    scenarios = [replace(base, gamma=g) for g in gammas]
+    sharing = [s for s in scenarios if s.gamma != 0.0]
+    token = _SWEEP.set([sharing, None, None] if len(sharing) > 1 else None)
     try:
-        yield
+        yield scenarios
     finally:
         _SWEEP.reset(token)
 
@@ -455,22 +445,23 @@ def _shared_passes(scenario):
 
 
 def _passes(scenario):
-    """``_shared_passes`` of ``scenario``, or inside a sweep the ones an
-    earlier run made; the factors as a list the estimator pass may empty."""
+    """``_shared_passes`` of ``scenario``, or, if a sweep yielded it at a
+    positive gain, the ones the sweep's first run made; the factors as a
+    list the estimator pass may empty."""
     sweep = _SWEEP.get()
-    key = _passes_key(scenario) if sweep else None
-    entry = sweep and sweep.get(key)
-    if not entry:
+    k = next((k for k, s in enumerate(sweep[0]) if s is scenario), None) if sweep else None
+    if k is None:
         return _shared_passes(scenario)
-    if entry[1] is None:
-        entry[1:] = _shared_passes(scenario)
-        for a in entry[1] + tuple(entry[2] or ()):
+    del sweep[0][k]
+    if sweep[1] is None:
+        sweep[1:] = _shared_passes(scenario)
+        for a in sweep[1] + tuple(sweep[2]):
             a.flags.writeable = False
-    entry[0] -= 1
-    if entry[0]:
-        return entry[1], entry[2] and list(entry[2])  # later runs read them too
-    del sweep[key]
-    return entry[1], entry[2]  # the only reference: the estimator pass frees them
+    if sweep[0]:
+        return sweep[1], list(sweep[2])  # later runs read them too
+    passes, factors = sweep[1:]
+    sweep[1:] = None, None
+    return passes, factors  # the only reference: the estimator pass frees them
 
 
 def simulate(scenario: NamedScenario) -> SimulationResult:
@@ -483,10 +474,11 @@ def simulate(scenario: NamedScenario) -> SimulationResult:
     pass.  A DivergenceError names the first node where x, xi, Phi or
     theta_hat leaves the norm guard (or the finite floats).  If the plant
     stays inside it, a StiffnessError refuses a gain too large for the step
-    before the estimator runs.  Inside a CLI sweep, a run that shares its
-    plant pass and regression build with another returns read-only t, x,
-    xi, Phi, psi and y_reg, the same arrays as the other's, with the same
-    values and the same errors as alone.
+    before the estimator runs.  Inside a CLI sweep, one scenario at several
+    gains, a run of positive gain shares its plant pass and regression
+    build with the sweep's other such runs: it returns read-only t, x, xi,
+    Phi, psi and y_reg, the same arrays as theirs, with the same values and
+    the same errors as alone.
     """
     # A run that diverges carries on in inf and nan without warnings; the
     # norm guard below then names its first node past the limit.

@@ -128,3 +128,14 @@ def test_layers_list_a_name_that_reads_zero_on_both_trees_as_unmeasured():
     assert "workloads gradient-sweep layer model.coef_calls: 36 -> 12 count" in lines
     assert lines[-1] == ("workloads gradient-sweep layers unmeasured (0 on both trees): "
                          "observer.update_s")
+
+
+def test_machine_states_whether_bytecode_was_cached(monkeypatch):
+    # any non-empty PYTHONDONTWRITEBYTECODE stops Python writing bytecode,
+    # as Python reads it; then every run compiles src/gpebo anew
+    for value, cached in (("1", False), ("x", False), ("", True), (None, True)):
+        if value is None:
+            monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        else:
+            monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+        assert bench.machine()["bytecode_cached"] is cached

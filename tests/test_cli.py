@@ -222,7 +222,10 @@ def test_config_file_errors(tmp_path):
         load_config_file(str(p))
     # a value the field's parser refuses names the file, the line and the flag
     for text, message in (("gamma = one,two\n", "gamma: could not convert string to float: 'one'"),
-                          ("step = abc\n", "step: could not convert string to float: 'abc'")):
+                          ("step = abc\n", "step: could not convert string to float: 'abc'"),
+                          # an empty item is refused, not skipped
+                          ("gamma = 1,,10\n", "gamma: item 2 of '1,,10' is empty"),
+                          ("x0 = 1,-1,\n", "x0: item 3 of '1,-1,' is empty")):
         p.write_text(text)
         with pytest.raises(ConfigError, match=f"^{re.escape(f'{p}:1: {message}')}$"):
             load_config_file(str(p))
@@ -300,7 +303,11 @@ def test_main_rejects_bad_flag_values(capsys):
                           (["--step", "abc"], "step: could not convert string to float: 'abc'"),
                           # each gain goes through the model's converter
                           (["--gamma", "nan"], "gamma must be finite, got nan"),
-                          (["--gamma", "1,0"], "gamma must be > 0, got 0.0")):
+                          (["--gamma", "1,0"], "gamma must be > 0, got 0.0"),
+                          # an empty item is refused, not skipped
+                          (["--gamma", "1,,10"], "gamma: item 2 of '1,,10' is empty"),
+                          (["--x0", ",1,-1"], "x0: item 1 of ',1,-1' is empty"),
+                          (["--theta0=1, ,"], "theta0: item 2 of '1, ,' is empty")):
         assert main(argv) == 2
         assert capsys.readouterr().err == f"config error: {message}\n"
     # a flag given twice would keep its last value alone

@@ -366,8 +366,8 @@ def _same_run(a, b):
     return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in _RESULT_ARRAYS)
 
 
-def _sweep(scenarios):
-    with integrate._sweep(scenarios):
+def _sweep(base, gains):
+    with integrate._sweep(base, gains) as scenarios:
         return [simulate(s) for s in scenarios]
 
 
@@ -380,7 +380,7 @@ def test_each_run_of_a_sweep_is_its_lone_run_bit_for_bit(capsys, sid, estimator)
     if sid == "drem4":
         drem4 = drift.drem4_scenario(3.0)
         lone = [replace(drem4, gamma=g) for g in gains]
-        runs = _sweep(lone)
+        runs = _sweep(drem4, gains)
     else:
         lone = [builtin_scenario(sid, g, estimator, horizon=3.0) for g in gains]
         runs = cli.run(RunConfig(scenario=sid, estimator=estimator, horizon=3.0)).runs
@@ -415,7 +415,6 @@ _PAIRS = {
     "delay-fn": (_delay_fn(), _delay_fn()),  # equal maps, two callables
     "step": (_BASE, replace(_BASE, step=2e-3, horizon=4.0)),  # the same number of steps
     "horizon": (_BASE, replace(_BASE, horizon=2.5)),
-    # drem_delays, None for the gradient law alone, tells the laws apart too
     "estimator": (_BASE, replace(_BASE, estimator="gradient", drem_delays=None)),
     "drem_delays": (_BASE, replace(_BASE, drem_delays=(0.7,))),
     "open-loop": (_BASE, replace(_BASE, gamma=0.0)),
@@ -424,19 +423,44 @@ _PAIRS = {
 
 @pytest.mark.parametrize("first, other", _PAIRS.values(), ids=_PAIRS.keys())
 def test_scenarios_that_differ_in_a_shared_input_get_their_own_passes(monkeypatch, first, other):
-    # two runs of each scenario in one scope, the second from another
-    # theta_hat0, which no shared pass reads: two plant passes, and each
-    # scenario's runs as alone.  A key that left the input out would hand
-    # the second scenario the first one's plant or regression, which the
-    # comparison catches where the two differ, and the count where not
-    scenarios = [first, other] + [replace(s, theta_hat0=s.theta_hat0 + 1.0) for s in (first, other)]
-    lone = [simulate(s) for s in scenarios]
+    # ``other``, run inside a sweep of ``first`` between its two gains, is
+    # not one of the sweep's scenarios: two plant passes, each run as
+    # alone, and ``other``'s arrays its own.  Handing ``other`` the sweep's
+    # passes would show in the comparison where they differ, and in the
+    # arrays where not (on c3 over 2 s every lag row reads phi = 0, so the
+    # lags change no value)
+    gains = (first.gamma, 2.0 * first.gamma)
+    lone = [simulate(replace(first, gamma=gains[0])), simulate(other),
+            simulate(replace(first, gamma=gains[1]))]
     passes = []
     plant_pass = integrate._plant_pass
     monkeypatch.setattr(integrate, "_plant_pass", lambda *a: passes.append(1) or plant_pass(*a))
-    for res, alone in zip(_sweep(scenarios), lone):
+    with integrate._sweep(first, gains) as scenarios:
+        runs = [simulate(scenarios[0]), simulate(other), simulate(scenarios[1])]
+    for res, alone in zip(runs, lone):
         assert _same_run(res, alone)
     assert len(passes) == 2
+    assert runs[1].x.flags.writeable and np.shares_memory(runs[0].x, runs[2].x)
+
+
+@pytest.mark.parametrize("estimator", ["gradient", "drem"])
+def test_a_zero_gain_and_a_scenario_the_sweep_did_not_yield_run_alone(monkeypatch, estimator):
+    # the zero gain looks up the nodes alone, and an equal scenario from
+    # outside the scope, simulated between the gains that share, is not one
+    # of them: each makes its own plant pass and returns its lone run
+    base = builtin_scenario("c3", 1.0, estimator, horizon=2.0)
+    lone = [simulate(replace(base, gamma=g)) for g in (0.0, 1.0, 10.0, 10.0)]
+    passes = []
+    plant_pass = integrate._plant_pass
+    monkeypatch.setattr(integrate, "_plant_pass", lambda *a: passes.append(1) or plant_pass(*a))
+    with integrate._sweep(base, (0.0, 1.0, 10.0)) as scenarios:
+        runs = [simulate(scenarios[0]), simulate(scenarios[1]),
+                simulate(replace(base, gamma=10.0)), simulate(scenarios[2])]
+    assert len(passes) == 3
+    for res, alone in zip(runs, lone):
+        assert _same_run(res, alone)
+    assert runs[0].x.flags.writeable and runs[2].x.flags.writeable
+    assert np.shares_memory(runs[1].x, runs[3].x) and not runs[1].x.flags.writeable
 
 
 @pytest.mark.parametrize("estimator, gains, horizon", [("gradient", (1.0, 10.0, 1000.0), 10.0),
@@ -453,11 +477,10 @@ def test_a_stiff_later_gain_is_refused_as_alone(capsys, estimator, gains, horizo
 
 def test_a_diverging_plant_is_refused_at_the_first_gain(monkeypatch):
     sysm = _const_system([[50.0]], x0=[1.0])
-    scenarios = [_scenario(sysm, gamma=g, horizon=1.0, step=1e-2, xi0=np.array([2.0]))
-                 for g in (1.0, 10.0)]
+    base = _scenario(sysm, gamma=1.0, horizon=1.0, step=1e-2, xi0=np.array([2.0]))
     with pytest.raises(DivergenceError) as alone:
-        simulate(scenarios[0])
-    with integrate._sweep(scenarios):
+        simulate(base)
+    with integrate._sweep(base, (1.0, 10.0)) as scenarios:
         with pytest.raises(DivergenceError) as swept:
             simulate(scenarios[0])
     assert str(swept.value) == str(alone.value)
@@ -475,26 +498,27 @@ def test_writing_into_a_shared_array_raises(capsys):
 
 @pytest.mark.parametrize("gains", [(100.0,), (1.0, 10.0, 100.0)])
 def test_a_sweep_holds_nothing_once_it_returns(monkeypatch, capsys, gains):
-    # a lone gain takes the lone path: no scope entry, writeable arrays; a
-    # sweep's last run frees the passes the runs shared
+    # a lone gain takes the lone path: no scope state, writeable arrays;
+    # each of a sweep's runs leaves the runs still to come, and the last
+    # takes the passes the runs shared, and frees the law's factors
     seen, held = [], []
     inner = cli.simulate
 
     def watched(scenario):
         res = inner(scenario)
-        table = integrate._SWEEP.get()
-        seen.append(len(table))
-        held.extend(weakref.ref(a) for entry in table.values() for a in entry[2])
+        state = integrate._SWEEP.get()
+        seen.append(state and (len(state[0]), state[1] is None))
+        held.extend(weakref.ref(a) for a in (state and state[2]) or ())
         return res
 
     monkeypatch.setattr(cli, "simulate", watched)
     runs = cli.run(RunConfig(estimator="drem", gammas=gains, horizon=1.0)).runs
     assert integrate._SWEEP.get() is None
     if len(gains) == 1:
-        assert seen == [0] and not held
+        assert seen == [None] and not held
         assert runs[0].x.flags.writeable
     else:
-        assert seen == [1, 1, 0]
+        assert seen == [(2, False), (1, False), (0, True)]
         assert held and all(ref() is None for ref in held)
 
 

@@ -146,12 +146,17 @@ def describe(section: str, body: dict) -> list:
 
 
 def machine() -> dict:
+    """The cores, CPU, numpy and Python the runs had, and whether their
+    compiled bytecode was cached: with PYTHONDONTWRITEBYTECODE set (to any
+    non-empty text) each run compiles ``src/gpebo`` anew, so its
+    ``setup_s`` and ``peak_rss_mb`` grow with the source's length."""
     info = Path("/proc/cpuinfo")
     lines = info.read_text().splitlines() if info.exists() else []
     cpu = next((line.split(":", 1)[1].strip() for line in lines if line.startswith("model name")),
                platform.processor())
     return {"cores": os.cpu_count(), "cpu_model": cpu, "numpy": np.__version__,
-            "python": platform.python_version()}
+            "python": platform.python_version(),
+            "bytecode_cached": not os.environ.get("PYTHONDONTWRITEBYTECODE")}
 
 
 def main(argv=None) -> int:
